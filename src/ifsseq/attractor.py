@@ -4,17 +4,20 @@ Hausdorff distance, code-space addressing.
 Compact sets are represented as finite point sets snapped to a grid of pitch
 delta, which buys a provable 2*delta slack in every Hausdorff statement.  The
 Hausdorff distance ships in two variants that must agree bit for bit: a plain
-O(|A||B|) reference and an accelerated path (sorted scan in one dimension,
-uniform grid buckets above).  Both reduce squared distances built from the
-same expressions, so the agreement is exact, not approximate.
+O(|A||B|) reference and an accelerated path (sorted scan in one dimension;
+above, a KD-tree screen whose survivors the brute expression decides).  Both
+reduce squared distances built from the same expressions, so the agreement is
+exact, not approximate.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import InputError, ResourceLimitError
 from .maps import Box
@@ -37,7 +40,7 @@ class PointSet:
     sorts, so equal sets have identical storage regardless of input order.
     """
 
-    __slots__ = ("points", "resolution")
+    __slots__ = ("points", "resolution", "_tree")
 
     def __init__(self, points, resolution: float):
         if resolution <= 0.0 or not math.isfinite(resolution):
@@ -47,11 +50,18 @@ class PointSet:
             raise InputError("a point set needs at least one point")
         if not np.all(np.isfinite(pts)):
             raise InputError("points must be finite")
-        snapped = np.round(pts / resolution) * resolution
-        canonical = np.unique(snapped, axis=0)
+        canonical = np.unique(_snap(pts, resolution), axis=0)
         canonical.flags.writeable = False
         self.points = canonical
         self.resolution = float(resolution)
+        self._tree = None
+
+    @property
+    def tree(self) -> cKDTree | None:
+        """KD-tree over the read-only points, built on first use; None on the line."""
+        if self._tree is None and self.dim > 1:
+            self._tree = cKDTree(self.points)
+        return self._tree
 
     @property
     def dim(self) -> int:
@@ -71,6 +81,11 @@ class PointSet:
         return f"PointSet({len(self)} points, dim={self.dim}, delta={self.resolution})"
 
 
+def _snap(points: np.ndarray, resolution: float) -> np.ndarray:
+    """Nearest points of the grid resolution*Z^d."""
+    return np.round(points / resolution) * resolution
+
+
 def box_seed(box: Box, resolution: float) -> PointSet:
     """Default seed for attractor iteration: the box vertices."""
     return PointSet(box.vertices(), resolution)
@@ -84,16 +99,20 @@ def _check_inside(S: IFS, B: PointSet):
         raise InputError("point set leaves the system domain")
 
 
-def hutchinson(S: IFS, B: PointSet) -> PointSet:
-    """Union of the images of B under every map, snapped and deduplicated."""
+def _images(S: IFS, B: PointSet) -> np.ndarray:
+    """Images of B under every map, stacked, before snapping."""
     _check_inside(S, B)
     if S.n * len(B) > POINT_CAP:
         raise ResourceLimitError(
             f"image would hold {S.n * len(B)} points before deduplication; "
             "raise the resolution delta"
         )
-    images = np.vstack([m.transform(B.points) for m in S.maps])
-    return PointSet(images, B.resolution)
+    return np.vstack([m.transform(B.points) for m in S.maps])
+
+
+def hutchinson(S: IFS, B: PointSet) -> PointSet:
+    """Union of the images of B under every map, snapped and deduplicated."""
+    return PointSet(_images(S, B), B.resolution)
 
 
 def attractor_points(
@@ -110,7 +129,7 @@ def attractor_points(
     if depth < 0:
         raise InputError("depth must be nonnegative")
     if seed is None:
-        seed = box_seed(S.domain, resolution or default_resolution(S.dim))
+        seed = box_seed(S.domain, default_resolution(S.dim) if resolution is None else resolution)
     current = seed
     for _ in range(depth):
         current = hutchinson(S, current)
@@ -129,7 +148,7 @@ def chaos_game(
         raise InputError("count must be positive")
     if burn_in < 0:
         raise InputError("burn_in must be nonnegative")
-    resolution = resolution or default_resolution(S.dim)
+    resolution = default_resolution(S.dim) if resolution is None else resolution
     rng = np.random.default_rng(seed)
     choices = rng.integers(0, S.n, size=burn_in + count)
     mats = [(m.A, m.b) for m in S.maps]
@@ -164,100 +183,61 @@ def _min_sq_sorted_1d(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.minimum(d_left, d_right)
 
 
-class _GridIndex:
-    """Uniform bucket grid for exact nearest-neighbour queries."""
+def _directed_sq(queries: np.ndarray, points: np.ndarray, tree: cKDTree | None) -> float:
+    """max of the nearest squared distances from the queries into the points,
+    bit for bit _min_sq_brute(queries, points).max().
 
-    def __init__(self, points: np.ndarray, cell: float):
-        self.points = points
-        self.cell = cell
-        keys = np.floor(points / cell).astype(np.int64)
-        order = np.lexsort(keys.T[::-1])
-        sorted_keys = keys[order]
-        boundaries = np.flatnonzero(np.any(np.diff(sorted_keys, axis=0) != 0, axis=1)) + 1
-        self.buckets: dict[tuple, np.ndarray] = {
-            tuple(keys[group[0]]): group for group in np.split(order, boundaries)
-        }
-        self.key_min = keys.min(axis=0)
-        self.key_max = keys.max(axis=0)
-
-    def min_sq(self, q: np.ndarray) -> float:
-        d = q.size
-        base = np.floor(q / self.cell).astype(np.int64)
-        # rings beyond this cover every occupied bucket
-        reach = int(
-            np.maximum(np.abs(base - self.key_min), np.abs(base - self.key_max)).max()
-        )
-        best = np.inf
-        for ring in range(reach + 1):
-            for offset in _ring_offsets(d, ring):
-                rows = self.buckets.get(tuple(base + offset))
-                if rows is not None:
-                    cand = self.points[rows]
-                    sq = ((q - cand) ** 2).sum(axis=1)
-                    val = float(sq.min())
-                    if val < best:
-                        best = val
-            # anything not yet scanned sits strictly beyond ring*cell
-            if best <= (ring * self.cell) ** 2:
-                return best
-        return best
-
-
-_RING_CACHE: dict[tuple[int, int], list] = {}
-
-
-def _ring_offsets(d: int, ring: int) -> list:
-    got = _RING_CACHE.get((d, ring))
-    if got is None:
-        rng = np.arange(-ring, ring + 1)
-        mesh = np.stack(np.meshgrid(*([rng] * d), indexing="ij"), axis=-1).reshape(-1, d)
-        mask = np.abs(mesh).max(axis=1) == ring
-        got = list(mesh[mask])
-        _RING_CACHE[(d, ring)] = got
-    return got
-
-
-def _min_sq_grid(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-    d = points.shape[1]
-    span = float((points.max(axis=0) - points.min(axis=0)).max())
-    cell = span / max(1.0, points.shape[0] ** (1.0 / d)) if span > 0 else 1.0
-    index = _GridIndex(points, cell)
-    return np.array([index.min_sq(q) for q in queries])
-
-
-def _directed_sq(queries: np.ndarray, points: np.ndarray, accelerated: bool) -> float:
-    if not accelerated:
-        mins = _min_sq_brute(queries, points)
-    elif points.shape[1] == 1:
-        mins = _min_sq_sorted_1d(queries, points)
-    else:
-        mins = _min_sq_grid(queries, points)
+    On the line the points must be sorted and the scan is exact.  Above, the
+    tree over the points screens and the brute expression decides: tree
+    distances are off by a few ulps, far inside the 1e-9 margins, so a query
+    attaining the brute maximum survives the `top * (1 - 1e-9)` screen and
+    its brute nearest point lies in its `dist * (1 + 1e-9)` ball.  Min-then-max
+    over the ball pairs, scored by the brute expression, is the brute value,
+    lattice ties included."""
+    if points.shape[1] == 1:
+        return float(_min_sq_sorted_1d(queries, points).max())
+    dist, _ = tree.query(queries)
+    top = dist.max()
+    if top == 0.0:
+        return 0.0
+    keep = np.flatnonzero(dist >= top * (1.0 - 1e-9))
+    balls = tree.query_ball_point(queries[keep], dist[keep] * (1.0 + 1e-9), return_sorted=False)
+    owner = np.repeat(np.arange(keep.size), [len(ball) for ball in balls])
+    near = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=owner.size)
+    sq = ((queries[keep[owner]] - points[near]) ** 2).sum(axis=1)
+    mins = np.full(keep.size, np.inf)
+    np.minimum.at(mins, owner, sq)
     return float(mins.max())
+
+
+def _hausdorff_sq(a: np.ndarray, a_tree, b: np.ndarray, b_tree) -> float:
+    """Squared Hausdorff distance of two point arrays through _directed_sq."""
+    return max(_directed_sq(a, b, b_tree), _directed_sq(b, a, a_tree))
 
 
 def hausdorff(A: PointSet, B: PointSet) -> float:
     """Hausdorff distance between two nonempty point sets (accelerated path)."""
-    return _hausdorff(A, B, accelerated=True)
+    _check_dims(A, B)
+    return math.sqrt(_hausdorff_sq(A.points, A.tree, B.points, B.tree))
 
 
 def hausdorff_brute(A: PointSet, B: PointSet) -> float:
     """Plain O(|A||B|) reference; agrees with hausdorff bit for bit."""
-    return _hausdorff(A, B, accelerated=False)
+    _check_dims(A, B)
+    ab = _min_sq_brute(A.points, B.points).max()
+    ba = _min_sq_brute(B.points, A.points).max()
+    return math.sqrt(max(ab, ba))
 
 
-def _hausdorff(A: PointSet, B: PointSet, accelerated: bool) -> float:
+def _check_dims(A: PointSet, B: PointSet):
     if A.dim != B.dim:
         raise InputError(f"dimension mismatch: {A.dim} vs {B.dim}")
-    ab = _directed_sq(A.points, B.points, accelerated)
-    ba = _directed_sq(B.points, A.points, accelerated)
-    return math.sqrt(max(ab, ba))
 
 
 def directed_distance(A: PointSet, B: PointSet) -> float:
     """One-sided sup of nearest distances from A into B (not symmetric)."""
-    if A.dim != B.dim:
-        raise InputError(f"dimension mismatch: {A.dim} vs {B.dim}")
-    return math.sqrt(_directed_sq(A.points, B.points, accelerated=True))
+    _check_dims(A, B)
+    return math.sqrt(_directed_sq(A.points, B.points, B.tree))
 
 
 def code_point(S: IFS, address: Address, x) -> np.ndarray:

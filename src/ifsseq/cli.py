@@ -25,6 +25,7 @@ from .attractor import PointSet, attractor_points, default_resolution
 from .collage import ExtrapolationModel, FitConfig, collage_bound, extrapolate, fit_ifs, fit_sequence
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .formats import (
+    _atomic_write,
     foreground_mask,
     ifs_to_dict,
     read_ifs,
@@ -82,7 +83,7 @@ def write_manifest(out_path, command: str, flags: dict, inputs: list, outputs: l
             "scipy": scipy.__version__,
         },
     }
-    Path(out_path).write_text(json.dumps(manifest, indent=2) + "\n")
+    _atomic_write(out_path, (json.dumps(manifest, indent=2) + "\n").encode())
 
 
 def _parse_domain(lo: str | None, hi: str | None):
@@ -103,11 +104,11 @@ def _parse_domain(lo: str | None, hi: str | None):
 def _load_frame(path, pitch: float | None, threshold: int | None) -> PointSet:
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        return read_points_csv(path, pitch or 1e-3)
+        return read_points_csv(path, 1e-3 if pitch is None else pitch)
     arr, maxval = read_raster(path)
     mask = foreground_mask(arr, maxval, threshold)
     width = arr.shape[1]
-    return raster_to_points(mask, pitch if pitch else 1.0 / width)
+    return raster_to_points(mask, 1.0 / width if pitch is None else pitch)
 
 
 def cmd_dist(args) -> int:
@@ -124,7 +125,7 @@ def cmd_dist(args) -> int:
 
 def cmd_attractor(args) -> int:
     system = read_ifs(args.file)
-    resolution = args.delta or default_resolution(system.dim)
+    resolution = default_resolution(system.dim) if args.delta is None else args.delta
     render = attractor_points(system, args.depth, resolution=resolution)
     outputs = []
     if args.out:
@@ -258,7 +259,7 @@ def cmd_predict(args) -> int:
     predicted = extrapolate(sequence, model)
     out_spec = Path(args.out_prefix + ".ifs.json")
     write_ifs(out_spec, predicted)
-    resolution = args.render_delta or default_resolution(predicted.dim)
+    resolution = default_resolution(predicted.dim) if args.render_delta is None else args.render_delta
     render = attractor_points(predicted, args.depth, resolution=resolution)
     out_csv = Path(args.out_prefix + ".points.csv")
     write_points_csv(out_csv, render)

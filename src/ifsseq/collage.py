@@ -10,12 +10,14 @@ systems.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .attractor import PointSet, hausdorff, hutchinson
+from .attractor import PointSet, _hausdorff_sq, _images, _snap
 from .errors import InputError, PreconditionError
 from .maps import AffineMap, Box
 from .sequences import IFSSequence, align_chain
@@ -90,8 +92,17 @@ class FitSequenceResult:
 
 
 def collage_distance(S: IFS, target: PointSet) -> float:
-    """h(L, W(L)): how far the target is from being W-invariant."""
-    return hausdorff(target, hutchinson(S, target))
+    """h(L, W(L)): how far the target is from being W-invariant.
+
+    Bit for bit hausdorff(target, hutchinson(S, target)), but W(L) is snapped
+    without deduplication (repeats and row order cannot change a max of mins),
+    and the target's cached tree serves every candidate system of a fit."""
+    images = _snap(_images(S, target), target.resolution)
+    if target.dim == 1:
+        images, tree = np.sort(images, axis=0), None
+    else:
+        tree = cKDTree(images)
+    return math.sqrt(_hausdorff_sq(target.points, target.tree, images, tree))
 
 
 def collage_bound(eps: float, t: float) -> float:

@@ -25,7 +25,10 @@ from .systems import IFS
 
 def _atomic_write(path, data: bytes):
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

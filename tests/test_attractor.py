@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsseq import (
     IFS,
@@ -19,6 +21,7 @@ from ifsseq import (
     hausdorff_brute,
     hutchinson,
 )
+from ifsseq.attractor import _directed_sq, _min_sq_brute
 
 from conftest import cantor_ifs, cantor_term, constant_map, random_ifs
 
@@ -199,6 +202,38 @@ class TestHausdorff:
                 a = PointSet(rng.uniform(-1, 1, (rng.integers(1, 120), dim)), 1e-3)
                 b = PointSet(rng.uniform(-1, 1, (rng.integers(1, 120), dim)), 1e-3)
                 assert hausdorff(a, b) == hausdorff_brute(a, b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2, 3]),
+        pitch=st.sampled_from([0.05, 1.0 / 17.0, 0.1]),
+        data=st.data(),
+    )
+    def test_lattice_ties_bit_for_bit(self, dim, pitch, data):
+        # coarse integer lattices, one optionally half-shifted per axis: many
+        # queries sit at equal distances from several points, up to rounding
+        cells = st.lists(st.tuples(*[st.integers(-5, 5)] * dim), min_size=1, max_size=40)
+        shift = np.array(data.draw(st.tuples(*[st.sampled_from([0.0, 0.5])] * dim)))
+        a = PointSet(np.array(data.draw(cells), dtype=float) * pitch, pitch / 2)
+        b = PointSet((np.array(data.draw(cells), dtype=float) + shift) * pitch, pitch / 2)
+        assert hausdorff(a, b) == hausdorff_brute(a, b)
+        # the square root can hide a last-place difference; compare squares
+        assert _directed_sq(a.points, b.points, b.tree) == _min_sq_brute(a.points, b.points).max()
+
+    def test_half_shifted_lattice_pair(self):
+        # 2025 lattice points, each at the centre of a cell of 4489 shifted
+        # ones: every nearest distance from the first set is a four-way tie
+        pitch = 1.0 / 17.0
+
+        def lattice(ticks):
+            return np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2) * pitch
+
+        a = PointSet(lattice(np.arange(45)), pitch / 2)
+        b = PointSet(lattice(np.arange(-11, 56) + 0.5), pitch / 2)
+        assert (len(a), len(b)) == (2025, 4489)
+        assert hausdorff(a, b) == hausdorff_brute(a, b)
+        for q, p in ((a, b), (b, a)):
+            assert _directed_sq(q.points, p.points, p.tree) == _min_sq_brute(q.points, p.points).max()
 
     def test_far_apart_clusters(self):
         a = PointSet([[0.0, 0.0]], 1e-3)

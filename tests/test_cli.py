@@ -323,3 +323,56 @@ class TestPredict:
         assert main(argv + ["--out-prefix", out_b]) == 0
         assert (tmp_path / "a.points.csv").read_bytes() == (tmp_path / "b.points.csv").read_bytes()
         assert (tmp_path / "a.ifs.json").read_bytes() == (tmp_path / "b.ifs.json").read_bytes()
+
+
+class TestRejectedArguments:
+    @pytest.fixture
+    def files(self, tmp_path):
+        spec = tmp_path / "cantor.json"
+        write_ifs(spec, cantor_ifs())
+        seqfile = tmp_path / "seq.json"
+        write_sequence(seqfile, IFSSequence(tuple(cantor_term(j) for j in range(1, 4))))
+        mask = np.zeros((2, 4), dtype=bool)
+        mask[0, 1] = True
+        img = tmp_path / "dot.pgm"
+        write_pgm(img, mask)
+        csv = tmp_path / "dot.csv"
+        csv.write_text("0.25,0.25\n")
+        return {
+            "spec": str(spec),
+            "seq": str(seqfile),
+            "img": str(img),
+            "csv": str(csv),
+            "out": str(tmp_path / "out"),
+            "missing": str(tmp_path / "missing"),
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["attractor", "{spec}", "--delta", "0", "--out", "{out}.csv"],
+            ["predict", "{seq}", "--model", "last", "--horizon", "1", "--render-delta", "0",
+             "--out-prefix", "{out}"],
+            ["collage-fit", "{img}", "--n", "1", "--delta", "0", "--out", "{out}.json"],
+            ["collage-fit", "{csv}", "--n", "1", "--delta", "0", "--out", "{out}.json"],
+        ],
+        ids=["attractor-delta", "predict-render-delta", "frame-pitch-pgm", "frame-pitch-csv"],
+    )
+    def test_explicit_zero_is_not_unset(self, files, capsys, argv):
+        assert main([arg.format(**files) for arg in argv]) == 2
+        assert capsys.readouterr().err == "error: resolution must be a positive real\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["attractor", "{spec}", "--depth", "2", "--out", "{missing}/points.csv"],
+            ["collage-fit", "{img}", "--n", "1", "--iters", "1", "--out", "{missing}/fit.json"],
+            ["predict", "{seq}", "--model", "last", "--horizon", "1", "--out-prefix", "{missing}/p"],
+        ],
+        ids=["attractor", "collage-fit", "predict"],
+    )
+    def test_output_into_missing_directory(self, files, capsys, argv):
+        assert main([arg.format(**files) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {files['missing']}/")
+        assert err.endswith(": No such file or directory\n") and err.count("\n") == 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsseq import (
     IFS,
@@ -13,6 +15,8 @@ from ifsseq import (
     big_d,
     box_seed,
     hausdorff,
+    hausdorff_brute,
+    hutchinson,
     minimal_order,
 )
 from ifsseq.collage import (
@@ -25,6 +29,7 @@ from ifsseq.collage import (
     fit_sequence,
     project_map,
 )
+from ifsseq.formats import raster_to_points
 
 from conftest import cantor_ifs, cantor_term, random_ifs
 
@@ -45,6 +50,25 @@ class TestCollageDistance:
         # W([0,1]) drops the middle third; its midpoint sits 1/6 away
         assert collage_distance(cantor_ifs(unit_box), grid) == pytest.approx(
             1.0 / 6.0, abs=2 * DELTA
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 2]),
+        width=st.sampled_from([16, 17, 64]),
+    )
+    def test_equals_brute_hausdorff_of_hutchinson(self, seed, dim, width):
+        # raster targets sit on the half-pitch grid, so W(L) snaps into
+        # duplicates and exact ties that the dedup-free objective must keep
+        rng = np.random.default_rng(seed)
+        box = Box(np.zeros(dim), np.ones(dim))
+        system = random_ifs(rng, box, 3)
+        mask = rng.random((1 if dim == 1 else width, width)) < rng.uniform(0.05, 0.6)
+        mask.flat[rng.integers(mask.size)] = True
+        target = raster_to_points(mask, 1.0 / width)
+        assert collage_distance(system, target) == hausdorff_brute(
+            target, hutchinson(system, target)
         )
 
 
