@@ -38,8 +38,8 @@ from .formats import (
     write_pgm,
     write_points_csv,
 )
-from .sequences import align_chain, cauchy_index, limit_candidate, pairwise_distances
-from .systems import cost_matrix, is_mo_set, optimal_matching
+from .sequences import align_chain, analyze_sequence
+from .systems import cost_matrix, optimal_matching
 
 MODEL_NAMES = {"last": "hold-last", "linear": "linear", "geometric": "geometric"}
 RATIONAL_DENOMINATOR_CAP = 10**6
@@ -101,6 +101,13 @@ def _parse_domain(lo: str | None, hi: str | None):
     return Box(lo_vec, hi_vec)
 
 
+def _require_out_dirs(*paths):
+    """Refuse outputs in a missing directory before any work is done."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise InputError(f"cannot write {path}: No such file or directory")
+
+
 def _load_frame(path, pitch: float | None, threshold: int | None) -> PointSet:
     path = Path(path)
     if path.suffix.lower() == ".csv":
@@ -124,9 +131,11 @@ def cmd_dist(args) -> int:
 
 
 def cmd_attractor(args) -> int:
+    _require_out_dirs(args.out, args.image)
     system = read_ifs(args.file)
     resolution = default_resolution(system.dim) if args.delta is None else args.delta
     render = attractor_points(system, args.depth, resolution=resolution)
+    mask = render_raster(render, system.domain, args.px) if args.image else None
     outputs = []
     if args.out:
         write_points_csv(args.out, render)
@@ -135,7 +144,6 @@ def cmd_attractor(args) -> int:
     else:
         print(f"rendered {len(render)} points at depth {args.depth}, delta {resolution}")
     if args.image:
-        mask = render_raster(render, system.domain, args.px)
         write_pgm(args.image, mask)
         outputs.append(args.image)
         print(f"wrote raster {mask.shape[1]}x{mask.shape[0]} to {args.image}")
@@ -152,33 +160,35 @@ def cmd_attractor(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    """Report on a sequence file.  Every figure comes from one cost tensor of
+    the terms (analyze_sequence); a failed limit extraction is reported with
+    the Cauchy index, then raised."""
     seq = read_sequence(args.seqfile)
-    aligned = align_chain(seq)
-    print(f"terms: {len(aligned)}, arity: {aligned.n}, dim: {aligned.domain.dim}")
-    print("alignment:", " ".join(p.describe() for p in aligned.alignment))
-    dist = pairwise_distances(aligned)
-    consecutive = [dist[j, j + 1] for j in range(len(aligned) - 1)]
+    report = analyze_sequence(seq, args.eps)
+    print(f"terms: {len(seq)}, arity: {seq.n}, dim: {seq.domain.dim}")
+    print("alignment:", " ".join(p.describe() for p in report.alignment))
+    consecutive = [report.pairwise[j, j + 1] for j in range(len(seq) - 1)]
     if consecutive:
         print("consecutive D:", " ".join(f"{v:.6g}" for v in consecutive))
-    if 2 <= len(aligned) <= 12 and not is_mo_set(aligned.terms):
+    if report.mo_set is False:
         print("note: minimal ordering is not transitive over these terms")
-    try:
-        report = limit_candidate(aligned, args.eps)
-    except PreconditionError as exc:
-        print(f"limit extraction failed: {exc}")
-        print(f"cauchy index at eps={args.eps}: {cauchy_index(aligned, args.eps)}")
-        raise
+    if report.failure is not None:
+        if isinstance(report.failure, PreconditionError):
+            print(f"limit extraction failed: {report.failure}")
+            print(f"cauchy index at eps={args.eps}: {report.cauchy_at}")
+        raise report.failure
     print(f"decreasing: {report.decreasing}")
     print(f"eventually decreasing at: {report.eventually_decreasing_at}")
     print(f"cauchy at eps={args.eps}: {report.cauchy_at}")
     print(f"residual: {format_value(report.residual)}")
-    if args.limit_out and report.limit is not None:
+    if args.limit_out:
         write_ifs(args.limit_out, report.limit)
         print(f"limit candidate written to {args.limit_out}")
     return 0
 
 
 def cmd_collage_fit(args) -> int:
+    _require_out_dirs(args.out)
     target = _load_frame(args.image, args.delta, args.threshold)
     cfg = FitConfig(
         n=args.n,
@@ -225,6 +235,9 @@ def _frame_paths(directory) -> list:
 
 
 def cmd_predict(args) -> int:
+    out_spec = Path(args.out_prefix + ".ifs.json")
+    out_csv = Path(args.out_prefix + ".points.csv")
+    _require_out_dirs(out_spec, args.image)
     source = Path(args.frames)
     if source.is_dir():
         paths = _frame_paths(source)
@@ -257,15 +270,13 @@ def cmd_predict(args) -> int:
         fit_flags = {}
     model = ExtrapolationModel(MODEL_NAMES[args.model], horizon=args.horizon, s_max=args.s_max)
     predicted = extrapolate(sequence, model)
-    out_spec = Path(args.out_prefix + ".ifs.json")
-    write_ifs(out_spec, predicted)
     resolution = default_resolution(predicted.dim) if args.render_delta is None else args.render_delta
     render = attractor_points(predicted, args.depth, resolution=resolution)
-    out_csv = Path(args.out_prefix + ".points.csv")
+    mask = render_raster(render, predicted.domain, args.px) if args.image else None
+    write_ifs(out_spec, predicted)
     write_points_csv(out_csv, render)
     outputs = [out_spec, out_csv]
     if args.image:
-        mask = render_raster(render, predicted.domain, args.px)
         write_pgm(args.image, mask)
         outputs.append(Path(args.image))
     print(f"extrapolated spec written to {out_spec}")

@@ -23,6 +23,13 @@ from .sequences import IFSSequence
 from .systems import IFS
 
 
+def _umask() -> int:
+    # The umask can only be read by setting it; it is restored at once.
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def _atomic_write(path, data: bytes):
     path = Path(path)
     try:
@@ -32,6 +39,7 @@ def _atomic_write(path, data: bytes):
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+        os.chmod(tmp, 0o666 & ~_umask())  # mkstemp creates the file 0600
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -53,29 +61,36 @@ def ifs_to_dict(system: IFS) -> dict:
 
 
 def _field(obj: dict, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise InputError(f"{where}: expected an object")
     if key not in obj:
         raise InputError(f"{where}: missing field '{key}'")
     return obj[key]
 
 
+def _floats(value, where: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where}: expected numbers: {exc}") from exc
+
+
 def ifs_from_dict(data: dict, where: str = "spec") -> IFS:
-    if not isinstance(data, dict):
-        raise InputError(f"{where}: expected an object")
     dim = _field(data, "dim", where)
     domain_obj = _field(data, "domain", where)
     lo = _field(domain_obj, "lo", f"{where}.domain")
     hi = _field(domain_obj, "hi", f"{where}.domain")
     if not isinstance(lo, list) or len(lo) != dim or not isinstance(hi, list) or len(hi) != dim:
         raise InputError(f"{where}.domain: lo/hi must be vectors of length {dim}")
-    box = Box(lo, hi)
+    box = Box(_floats(lo, f"{where}.domain.lo"), _floats(hi, f"{where}.domain.hi"))
     raw_maps = _field(data, "maps", where)
     if not isinstance(raw_maps, list) or not raw_maps:
         raise InputError(f"{where}.maps: need a nonempty list")
     maps = []
     for k, entry in enumerate(raw_maps):
         tag = f"{where}.maps[{k}]"
-        A = np.asarray(_field(entry, "A", tag), dtype=float)
-        b = np.asarray(_field(entry, "b", tag), dtype=float)
+        A = _floats(_field(entry, "A", tag), f"{tag}.A")
+        b = _floats(_field(entry, "b", tag), f"{tag}.b")
         if A.shape == (dim * dim,):  # accept flat row-major as well
             A = A.reshape(dim, dim)
         if A.shape != (dim, dim):
@@ -190,15 +205,20 @@ def read_raster(path) -> tuple[np.ndarray, int]:
             raise InputError(f"{path}: truncated header")
         return blob[start:pos]
 
+    def integers(tokens, what: str) -> list[int]:
+        try:
+            return [int(tok) for tok in tokens]
+        except ValueError as exc:
+            raise InputError(f"{path}: bad {what}: {exc}") from exc
+
     magic = token()
     if magic not in (b"P1", b"P2", b"P4", b"P5"):
         raise InputError(f"{path}: unsupported raster format {magic!r}")
-    width = int(token())
-    height = int(token())
+    width, height = integers((token(), token()), "raster dimensions")
     if width <= 0 or height <= 0:
         raise InputError(f"{path}: bad raster dimensions {width}x{height}")
     if magic in (b"P2", b"P5"):
-        maxval = int(token())
+        (maxval,) = integers((token(),), "maxval")
         if maxval <= 0:
             raise InputError(f"{path}: bad maxval {maxval}")
     else:
@@ -216,7 +236,7 @@ def read_raster(path) -> tuple[np.ndarray, int]:
         values = blob[pos:].split()
         if len(values) < width * height:
             raise InputError(f"{path}: graymap data too short")
-        arr = np.array([int(v) for v in values[: width * height]]).reshape(height, width)
+        arr = np.array(integers(values[: width * height], "graymap sample")).reshape(height, width)
     elif magic == b"P4":
         pos += 1  # single whitespace after the header
         row_bytes = (width + 7) // 8

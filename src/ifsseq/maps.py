@@ -233,3 +233,29 @@ def dbar_inf(f: AffineMap, g: AffineMap, domain: Box) -> float:
     """
     s = sup_distance(f, g, domain)
     return s / (1.0 + s)
+
+
+def dbar_tensor(A: np.ndarray, b: np.ndarray, domain: Box) -> np.ndarray:
+    """dbar between every pair of maps in a stack of m rows of n maps each.
+
+    A has shape (m, n, d, d) and b (m, n, d); entry [j, k, p, q] of the
+    (m, m, n, n) result is dbar_inf(map (j, p), map (k, q), domain).  It is
+    built one row j at a time from the same expression as sup_distance, so
+    every entry equals dbar_inf bit for bit.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n, d = b.shape
+    if A.shape != (m, n, d, d) or d != domain.dim:
+        raise InputError(
+            f"dimension mismatch: map stack {A.shape}/{b.shape} on a {domain.dim}-box"
+        )
+    V = domain.vertices()
+    out = np.empty((m, m, n, n))
+    for j in range(m):
+        dA = A[j][None, :, None] - A[:, None, :]  # [k, p, q] = A[j, p] - A[k, q]
+        db = b[j][None, :, None] - b[:, None, :]
+        vals = ((V @ dA.swapaxes(-1, -2) + db[..., None, :]) ** 2).sum(axis=-1)
+        s = np.sqrt(vals.max(axis=-1))
+        out[j] = s / (1.0 + s)
+    return out

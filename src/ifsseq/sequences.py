@@ -5,19 +5,38 @@ All predicates act on finite prefixes.  "For every eps there is an N" becomes
 "the smallest N witnessed inside the given prefix", and a witness must be
 nonvacuous: it has to cover at least one consecutive pair (or, for Cauchy,
 one pair of distinct indices).  Returned indices count terms from 1.
+
+Whole-sequence diagnostics read the cost tensor of the terms
+(systems.cost_tensor): analyze_sequence builds it once and derives the
+alignment, D, monotonicity, minimal-ordering transitivity, the Cauchy index and
+the limit from it; pairwise_distances, is_decreasing, eventually_decreasing_at,
+cauchy_index and limit_candidate are views of the same code.  align_chain needs
+only consecutive pairs and matches them one at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .maps import AffineMap, Box, dbar_inf
-from .systems import IFS, Permutation, big_d, leq, minimal_order
+from .maps import AffineMap, Box, dbar_tensor
+from .systems import (
+    FACTOR_TOL,
+    IFS,
+    Permutation,
+    _mo_transitive,
+    big_d,
+    cost_matrix,
+    cost_tensor,
+    optimal_matching,
+)
 
-FACTOR_TOL = 1e-12
+# is_mo_set solves a matching per ordered pair of terms, so analyze runs it
+# only on short sequences.
+MO_CHECK_MAX_TERMS = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +77,12 @@ class IFSSequence:
 
 @dataclass(frozen=True, eq=False)
 class SequenceReport:
-    """Aggregate of the sequence diagnostics produced by limit_candidate."""
+    """Aggregate of the sequence diagnostics produced by analyze_sequence.
+
+    When limit extraction fails, `limit` is None, `residual` is NaN and
+    `failure` holds the error that limit_candidate raises.  `mo_set` is None
+    when the transitivity check was not run.
+    """
 
     pairwise: np.ndarray
     factor_traces: tuple[tuple[float, ...], ...]
@@ -68,6 +92,17 @@ class SequenceReport:
     alignment: tuple[Permutation, ...]
     limit: IFS | None
     residual: float
+    mo_set: bool | None = None
+    failure: InputError | PreconditionError | None = None
+
+
+def _chain_perms(n: int, links) -> list[Permutation]:
+    """Alignment permutations from the raw cost matrix of each consecutive
+    pair: term k is matched against term k-1 as already reindexed."""
+    perms = [Permutation.identity(n)]
+    for C in links:
+        perms.append(optimal_matching(C[list(perms[-1].image)])[0])
+    return perms
 
 
 def align_chain(seq: IFSSequence) -> IFSSequence:
@@ -75,36 +110,71 @@ def align_chain(seq: IFSSequence) -> IFSSequence:
     previous (already reindexed) term.  Idempotent; term 1 is unchanged."""
     if seq.aligned:
         return seq
-    terms = [seq.terms[0]]
-    perms = [Permutation.identity(seq.n)]
-    for term in seq.terms[1:]:
-        reordered, sigma = minimal_order(terms[-1], term)
-        terms.append(reordered)
-        perms.append(sigma)
-    return IFSSequence(tuple(terms), aligned=True, alignment=tuple(perms))
+    terms = seq.terms
+    perms = _chain_perms(seq.n, (cost_matrix(a, b) for a, b in zip(terms, terms[1:])))
+    aligned = terms[:1] + tuple(t.reordered(p) for t, p in zip(terms[1:], perms[1:]))
+    return IFSSequence(aligned, aligned=True, alignment=tuple(perms))
+
+
+class _AlignedChain:
+    """Cost tensor of the aligned chain, with matchings solved on demand.
+
+    The alignment comes from the raw tensor, and the aligned tensor is the
+    raw one with each term's rows and columns reindexed by its permutation.
+    """
+
+    def __init__(self, seq: IFSSequence):
+        raw = cost_tensor(seq.terms)
+        m = len(seq)
+        if seq.aligned:
+            self.alignment = seq.alignment
+            order = [Permutation.identity(seq.n)] * m
+            self.T = raw
+        else:
+            order = _chain_perms(seq.n, (raw[j, j + 1] for j in range(m - 1)))
+            self.alignment = tuple(order)
+            P = np.array([p.image for p in order])
+            j = np.arange(m)[:, None, None, None]
+            k = np.arange(m)[None, :, None, None]
+            # [j, k, p, q] = raw[j, k, P[j, p], P[k, q]]
+            self.T = raw[j, k, P[:, None, :, None], P[None, :, None, :]]
+        self.maps = [p.apply(term.maps) for term, p in zip(seq.terms, order)]
+        self.factors = [[f.contractivity for f in maps] for maps in self.maps]
+        self._matchings: dict[tuple[int, int], tuple[Permutation, float]] = {}
+
+    def matching(self, j: int, k: int) -> tuple[Permutation, float]:
+        """optimal_matching of aligned term j (rows) against term k."""
+        if (j, k) not in self._matchings:
+            self._matchings[j, k] = optimal_matching(self.T[j, k])
+        return self._matchings[j, k]
+
+    def decrease_flags(self) -> list[bool]:
+        """leq(term_{j+1}, term_j) for each consecutive pair."""
+        F = self.factors
+        flags = []
+        for j in range(len(F) - 1):
+            sigma = self.matching(j + 1, j)[0]
+            flags.append(all(F[j + 1][i] <= F[j][s] + FACTOR_TOL for i, s in enumerate(sigma.image)))
+        return flags
+
+
+def _distances(m: int, matching) -> np.ndarray:
+    """Symmetric matrix of D from matching(j, k) for each pair j < k."""
+    out = np.zeros((m, m))
+    for j in range(m):
+        for k in range(j + 1, m):
+            out[j, k] = out[k, j] = matching(j, k)[1]
+    return out
 
 
 def pairwise_distances(seq: IFSSequence) -> np.ndarray:
     """Symmetric matrix of D between all pairs of terms."""
-    m = len(seq)
-    out = np.zeros((m, m))
-    for j in range(m):
-        for k in range(j + 1, m):
-            out[j, k] = out[k, j] = big_d(seq.terms[j], seq.terms[k])
-    return out
-
-
-def _pair_flags(seq: IFSSequence) -> list[bool]:
-    """leq(term_{j+1}, term_j) for each consecutive pair of the aligned chain."""
-    aligned = align_chain(seq)
-    return [
-        leq(aligned.terms[j + 1], aligned.terms[j])
-        for j in range(len(aligned) - 1)
-    ]
+    T = cost_tensor(seq.terms)
+    return _distances(len(seq), lambda j, k: optimal_matching(T[j, k]))
 
 
 def is_decreasing(seq: IFSSequence) -> bool:
-    return all(_pair_flags(seq))
+    return all(_AlignedChain(seq).decrease_flags())
 
 
 def _eventually_from_flags(flags: list[bool]) -> int | None:
@@ -118,7 +188,7 @@ def _eventually_from_flags(flags: list[bool]) -> int | None:
 def eventually_decreasing_at(seq: IFSSequence) -> int | None:
     """Smallest k such that the chain decreases from term k on; None when the
     prefix holds no nonvacuous witness."""
-    return _eventually_from_flags(_pair_flags(seq))
+    return _eventually_from_flags(_AlignedChain(seq).decrease_flags())
 
 
 def _cauchy_from_matrix(dist: np.ndarray, eps: float) -> int | None:
@@ -150,6 +220,23 @@ def converges_to(seq: IFSSequence, target: IFS, eps: float) -> int | None:
     return (max(bad) + 2) if bad else 1
 
 
+def _decreasing_start(factors) -> int | None:
+    """First term of the decreasing tail of one slot's factor trace."""
+    return _eventually_from_flags(
+        [factors[j + 1] <= factors[j] + FACTOR_TOL for j in range(len(factors) - 1)]
+    )
+
+
+def _slot_problem(factors, dbar: np.ndarray, eps: float) -> str | None:
+    """Why a slot has no limit candidate, or None; dbar is the slot's
+    matrix of dbar between terms."""
+    if _decreasing_start(factors) is None:
+        return "contractivity factors are not eventually decreasing"
+    if _cauchy_from_matrix(dbar, eps) is None:
+        return f"sequence is not Cauchy at eps={eps}"
+    return None
+
+
 def limit_of_contractions(
     maps, domain: Box, eps: float
 ) -> tuple[AffineMap, float]:
@@ -165,22 +252,61 @@ def limit_of_contractions(
         raise InputError("need at least one map")
     if eps <= 0.0:
         raise InputError("eps must be positive")
-    factors = [m.contractivity for m in maps]
-    flags = [factors[j + 1] <= factors[j] + FACTOR_TOL for j in range(len(factors) - 1)]
-    start = _eventually_from_flags(flags)
-    if start is None:
-        raise PreconditionError(
-            "contractivity factors are not eventually decreasing"
-        )
-    m = len(maps)
-    dist = np.zeros((m, m))
-    for j in range(m):
-        for k in range(j + 1, m):
-            dist[j, k] = dist[k, j] = dbar_inf(maps[j], maps[k], domain)
-    if _cauchy_from_matrix(dist, eps) is None:
-        raise PreconditionError(f"sequence is not Cauchy at eps={eps}")
-    bound = min(factors[start - 1 :])
-    return maps[-1], float(bound)
+    if any(f.dim != domain.dim for f in maps):
+        raise InputError(f"dimension mismatch: maps on a {domain.dim}-box")
+    factors = [f.contractivity for f in maps]
+    dbar = dbar_tensor([[f.A] for f in maps], [[f.b] for f in maps], domain)[:, :, 0, 0]
+    problem = _slot_problem(factors, dbar, eps)
+    if problem is not None:
+        raise PreconditionError(problem)
+    return maps[-1], float(min(factors[_decreasing_start(factors) - 1 :]))
+
+
+def analyze_sequence(
+    seq: IFSSequence, eps: float, mo_max_terms: int = MO_CHECK_MAX_TERMS
+) -> SequenceReport:
+    """Every diagnostic of the aligned chain from one cost tensor.
+
+    The chain is aligned as by align_chain; D between the aligned terms, the
+    decrease flags, minimal-ordering transitivity (run for 2 to mo_max_terms
+    terms), the Cauchy index at eps, each slot's limit preconditions and the
+    residual are then read from the aligned tensor, and each matching is
+    solved once.  A failed limit extraction is returned in `failure`, not
+    raised, so the report still carries everything computed before it.
+    """
+    chain = _AlignedChain(seq)
+    m, n = len(seq), seq.n
+    dist = _distances(m, chain.matching)
+    flags = chain.decrease_flags()
+    mo_set = None
+    if 2 <= m <= mo_max_terms:
+        mo_set = _mo_transitive(chain.T, lambda i, j: chain.matching(i, j)[1])
+    traces = tuple(tuple(row[i] for row in chain.factors) for i in range(n))
+    limit, residual, cauchy_at, failure = None, math.nan, None, None
+    if eps <= 0.0:
+        failure = InputError("eps must be positive")
+    else:
+        cauchy_at = _cauchy_from_matrix(dist, eps)
+        for i in range(n):
+            problem = _slot_problem(traces[i], chain.T[:, :, i, i], eps)
+            if problem is not None:
+                failure = PreconditionError(f"slot {i + 1}: {problem}")
+                break
+        else:
+            limit = IFS(seq.domain, tuple(chain.maps[-1]))
+            residual = chain.matching(m - 1, m - 1)[1]
+    return SequenceReport(
+        pairwise=dist,
+        factor_traces=traces,
+        decreasing=all(flags),
+        eventually_decreasing_at=_eventually_from_flags(flags),
+        cauchy_at=cauchy_at,
+        alignment=chain.alignment,
+        limit=limit,
+        residual=residual,
+        mo_set=mo_set,
+        failure=failure,
+    )
 
 
 def limit_candidate(seq: IFSSequence, eps: float) -> SequenceReport:
@@ -188,31 +314,9 @@ def limit_candidate(seq: IFSSequence, eps: float) -> SequenceReport:
 
     The limit candidate is the final aligned term (no extrapolation), so the
     residual D(last term, limit) is zero whenever extraction succeeds.
-    Slot-level precondition failures are re-raised with the offending slot.
+    Slot-level precondition failures are raised with the offending slot.
     """
-    aligned = align_chain(seq)
-    dist = pairwise_distances(aligned)
-    flags = _pair_flags(aligned)
-    traces = tuple(
-        tuple(term.maps[i].contractivity for term in aligned.terms)
-        for i in range(aligned.n)
-    )
-    limit_maps = []
-    for i in range(aligned.n):
-        slot = [term.maps[i] for term in aligned.terms]
-        try:
-            limit_map, _ = limit_of_contractions(slot, aligned.domain, eps)
-        except PreconditionError as exc:
-            raise PreconditionError(f"slot {i + 1}: {exc}") from exc
-        limit_maps.append(limit_map)
-    limit = IFS(aligned.domain, tuple(limit_maps))
-    return SequenceReport(
-        pairwise=dist,
-        factor_traces=traces,
-        decreasing=all(flags),
-        eventually_decreasing_at=_eventually_from_flags(flags),
-        cauchy_at=_cauchy_from_matrix(dist, eps),
-        alignment=aligned.alignment,
-        limit=limit,
-        residual=big_d(aligned.terms[-1], limit),
-    )
+    report = analyze_sequence(seq, eps, mo_max_terms=0)
+    if report.failure is not None:
+        raise report.failure
+    return report

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, ResourceLimitError
-from .maps import AffineMap, Box, dbar_inf
+from .maps import AffineMap, Box, dbar_inf, dbar_tensor
 
 MATCH_TOL = 1e-12
 FACTOR_TOL = 1e-12
@@ -154,6 +154,17 @@ def cost_matrix(S: IFS, T: IFS) -> np.ndarray:
     return C
 
 
+def cost_tensor(terms) -> np.ndarray:
+    """Every pairwise cost matrix of a list of same-arity systems at once:
+    entry [j, k] equals cost_matrix(terms[j], terms[k]) bit for bit."""
+    terms = list(terms)
+    for term in terms[1:]:
+        _check_comparable(terms[0], term)
+    A = np.array([[f.A for f in term.maps] for term in terms])
+    b = np.array([[f.b for f in term.maps] for term in terms])
+    return dbar_tensor(A, b, terms[0].domain)
+
+
 def _solver_cost(C: np.ndarray) -> float:
     rows, cols = linear_sum_assignment(C)
     return float(C[rows, cols].sum())
@@ -179,7 +190,7 @@ def optimal_matching(C: np.ndarray) -> tuple[Permutation, float]:
     for i in range(n):
         for j in free:
             rest = [c for c in free if c != j]
-            completion = _solver_cost(C[np.ix_(range(i + 1, n), rest)]) if rest else 0.0
+            completion = _solver_cost(C[i + 1 :, rest]) if rest else 0.0
             if prefix + C[i, j] + completion <= best + MATCH_TOL:
                 image.append(j)
                 free.remove(j)
@@ -245,11 +256,22 @@ def is_mo_set(systems) -> bool:
     Reflexivity and symmetry hold for any collection, so the relation is an
     equivalence on the set exactly when every ordered triple is transitive.
     """
-    systems = list(systems)
-    for a in systems[1:]:
-        _check_comparable(systems[0], a)
-    m = len(systems)
-    rel = [[is_minimally_ordered(systems[j], systems[i]) for j in range(m)] for i in range(m)]
+    T = cost_tensor(systems)
+    return _mo_transitive(T, lambda i, j: optimal_matching(T[i, j])[1])
+
+
+def _mo_transitive(T: np.ndarray, best) -> bool:
+    """Transitivity of minimal ordering over the systems behind a cost tensor.
+
+    best(i, j) is the optimal matching cost of T[i, j].  Term j is minimally
+    ordered with respect to term i when the identity matching of T[i, j]
+    attains it; the diagonal always holds, as T[i, i] has a zero trace.
+    """
+    m = T.shape[0]
+    rel = [
+        [i == j or float(np.trace(T[i, j])) <= best(i, j) + MATCH_TOL for j in range(m)]
+        for i in range(m)
+    ]
     for i in range(m):
         for j in range(m):
             for k in range(m):

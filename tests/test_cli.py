@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +168,37 @@ class TestAnalyze:
         write_sequence(seqfile, IFSSequence((ifs_s, ifs_t, ifs_s, ifs_t)))
         assert main(["analyze", str(seqfile), "--eps", "0.01"]) == 4
         assert "precondition failed" in capsys.readouterr().err
+
+
+class TestAnalyzeRecordedOutput:
+    """stdout, stderr and --limit-out bytes of `analyze`, recorded before the
+    analysis was rebuilt on one cost tensor."""
+
+    FIXTURES = Path(__file__).parent / "fixtures" / "analyze"
+
+    @pytest.mark.parametrize(
+        "name, eps, code",
+        [
+            ("converging2d", "0.05", 0),
+            ("converging1d", "0.05", 0),
+            ("not_cauchy", "0.001", 4),
+            ("not_decreasing", "0.5", 4),
+            ("eps_zero", "0", 2),
+        ],
+    )
+    def test_matches_recording(self, tmp_path, monkeypatch, capsys, name, eps, code):
+        monkeypatch.chdir(tmp_path)
+        seqfile = self.FIXTURES / f"{name}.seq.json"
+        limit = f"{name}.limit.json"
+        assert main(["analyze", str(seqfile), "--eps", eps, "--limit-out", limit]) == code
+        captured = capsys.readouterr()
+        assert captured.out == (self.FIXTURES / f"{name}.stdout").read_text()
+        assert captured.err == (self.FIXTURES / f"{name}.stderr").read_text()
+        recorded = self.FIXTURES / limit
+        if code == 0:
+            assert Path(limit).read_bytes() == recorded.read_bytes()
+        else:
+            assert not Path(limit).exists() and not recorded.exists()
 
 
 class TestCollageFit:
@@ -376,3 +410,92 @@ class TestRejectedArguments:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {files['missing']}/")
         assert err.endswith(": No such file or directory\n") and err.count("\n") == 1
+
+
+class TestMalformedInputs:
+    """Malformed files exit 2 with one line, never with a traceback."""
+
+    def run(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"P2\n2 x\n255\n0 255\n", "bad raster dimensions"),
+            (b"P2\n2 1\n255\n0 1.5\n", "bad graymap sample"),
+        ],
+        ids=["header-dimension", "p2-sample"],
+    )
+    def test_raster(self, tmp_path, capsys, body, message):
+        image = tmp_path / "bad.pgm"
+        image.write_bytes(body)
+        err = self.run(capsys, ["collage-fit", str(image), "--n", "1", "--out", str(tmp_path / "f.json")])
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "hi, maps, message",
+        [
+            ([1.0], [{"A": [["a"]], "b": [0.0]}], "maps[0].A: expected numbers"),
+            ([1.0], [5], "maps[0]: expected an object"),
+            (["a"], [{"A": [[0.5]], "b": [0.0]}], "domain.hi: expected numbers"),
+        ],
+        ids=["non-numeric-matrix", "map-not-object", "non-numeric-domain"],
+    )
+    def test_spec(self, tmp_path, capsys, spec_files, hi, maps, message):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps({"dim": 1, "domain": {"lo": [0.0], "hi": hi}, "maps": maps}))
+        err = self.run(capsys, ["dist", str(spec), spec_files["s"]])
+        assert message in err
+
+
+class TestOutputFiles:
+    @pytest.fixture
+    def seqfile(self, tmp_path):
+        path = tmp_path / "seq.json"
+        write_sequence(path, IFSSequence(tuple(cantor_term(j) for j in range(1, 4))))
+        return str(path)
+
+    def test_outputs_follow_umask(self, tmp_path, seqfile):
+        old = os.umask(0o022)
+        try:
+            argv = ["predict", seqfile, "--model", "last", "--horizon", "1", "--depth", "3",
+                    "--out-prefix", str(tmp_path / "p"), "--image", str(tmp_path / "p.pgm"), "--px", "8"]
+            assert main(argv) == 0
+        finally:
+            os.umask(old)
+        for name in ("p.ifs.json", "p.points.csv", "p.pgm", "p.manifest.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644, name
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--render-delta", "0"], ["--image", "{out}.pgm", "--px", "0"]],
+        ids=["render-delta", "raster-width"],
+    )
+    def test_failed_predict_leaves_no_output(self, tmp_path, seqfile, flags):
+        out = str(tmp_path / "pp")
+        argv = ["predict", seqfile, "--model", "last", "--horizon", "1", "--out-prefix", out]
+        assert main(argv + [f.format(out=out) for f in flags]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["seq.json"]
+
+    def test_missing_directory_is_refused_before_the_fit(self, tmp_path, monkeypatch, capsys):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the fit must not start")
+
+        monkeypatch.setattr("ifsseq.cli.fit_ifs", no_fit)
+        monkeypatch.setattr("ifsseq.cli.fit_sequence", no_fit)
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        mask = np.zeros((2, 4), dtype=bool)
+        mask[0, 1] = True
+        for j in (1, 2):
+            write_pgm(frames / f"f{j}.pgm", mask)
+        missing = tmp_path / "missing"
+        for argv in (
+            ["collage-fit", str(frames / "f1.pgm"), "--n", "1", "--out", f"{missing}/fit.json"],
+            ["predict", str(frames), "--model", "last", "--horizon", "1", "--out-prefix", f"{missing}/p"],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot write {missing}/")

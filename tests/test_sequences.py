@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
 
-from ifsseq import IFS, AffineMap, Box, InputError, PreconditionError, big_d
+from ifsseq import (
+    IFS,
+    AffineMap,
+    Box,
+    InputError,
+    PreconditionError,
+    big_d,
+    dbar_inf,
+    is_minimally_ordered,
+    leq,
+)
 from ifsseq.sequences import (
     IFSSequence,
     align_chain,
+    analyze_sequence,
     cauchy_index,
     converges_to,
     eventually_decreasing_at,
@@ -240,3 +251,147 @@ class TestLimitCandidate:
         assert all(a > b for a, b in zip(dists, dists[1:]))
         for j, d in enumerate(dists, start=1):
             assert d == pytest.approx(1.0 / (3.0 * j + 1.0), abs=EXACT)
+
+
+def _start(flags):
+    """First term of the decreasing tail (1-based), or None without a witness."""
+    if all(flags):
+        return 1
+    start = max(j for j, ok in enumerate(flags) if not ok) + 2
+    return start if start <= len(flags) else None
+
+
+def _cauchy(dist, eps):
+    m = dist.shape[0]
+    if m == 1:
+        return 1
+    return next((s + 1 for s in range(m - 1) if dist[s:, s:].max() < eps), None)
+
+
+def reference_analysis(seq, eps):
+    """The analysis composed from per-pair primitives, as the CLI ran it
+    before the cost tensor: align_chain, then big_d per pair, leq per
+    consecutive pair, is_minimally_ordered per ordered pair and dbar_inf per
+    slot pair."""
+    aligned = align_chain(seq)
+    terms, m, n = aligned.terms, len(aligned), aligned.n
+    dist = np.zeros((m, m))
+    for j in range(m):
+        for k in range(j + 1, m):
+            dist[j, k] = dist[k, j] = big_d(terms[j], terms[k])
+    flags = [leq(terms[j + 1], terms[j]) for j in range(m - 1)]
+    rel = [[is_minimally_ordered(terms[j], terms[i]) for j in range(m)] for i in range(m)]
+    mo_set = all(
+        not (rel[i][j] and rel[j][k]) or rel[i][k]
+        for i in range(m) for j in range(m) for k in range(m)
+    )
+    traces = tuple(tuple(t.maps[i].contractivity for t in terms) for i in range(n))
+    failure = None
+    for i in range(n):
+        slot = [t.maps[i] for t in terms]
+        dbar = np.zeros((m, m))
+        for j in range(m):
+            for k in range(j + 1, m):
+                dbar[j, k] = dbar[k, j] = dbar_inf(slot[j], slot[k], aligned.domain)
+        f = traces[i]
+        if _start([f[j + 1] <= f[j] + 1e-12 for j in range(m - 1)]) is None:
+            failure = f"slot {i + 1}: contractivity factors are not eventually decreasing"
+        elif _cauchy(dbar, eps) is None:
+            failure = f"slot {i + 1}: sequence is not Cauchy at eps={eps}"
+        if failure:
+            break
+    limit = None if failure else IFS(aligned.domain, terms[-1].maps)
+    return {
+        "pairwise": dist,
+        "factor_traces": traces,
+        "decreasing": all(flags),
+        "eventually_decreasing_at": _start(flags),
+        "cauchy_at": _cauchy(dist, eps),
+        "alignment": aligned.alignment,
+        "mo_set": mo_set,
+        "failure": failure,
+        "limit": limit,
+        "residual": big_d(terms[-1], limit) if limit else None,
+    }
+
+
+def similitude_sequence(rng, box, n, length, rate, bump=None):
+    """Similitudes converging at `rate`, slots shuffled in every term; with
+    `bump`, that slot's factor jumps up in the last term."""
+    d = box.dim
+    fixed = rng.uniform(0.2, 0.8, size=(n, d))
+    scale = rng.uniform(0.2, 0.3, size=n)
+    theta = rng.uniform(-0.6, 0.6, size=n)
+    terms = []
+    for j in range(1, length + 1):
+        r = rate**j
+        maps = []
+        for i in range(n):
+            s = scale[i] * (1.5 if (i == bump and j == length) else 1.0 + 0.15 * r)
+            c, sn = np.cos(theta[i] + 0.2 * r), np.sin(theta[i] + 0.2 * r)
+            A = np.array([[s]]) if d == 1 else s * np.array([[c, -sn], [sn, c]])
+            p = fixed[i] + 0.05 * r
+            maps.append(AffineMap(A, p - A @ p))
+        terms.append(IFS(box, tuple(maps[k] for k in rng.permutation(n))))
+    return IFSSequence(tuple(terms))
+
+
+class TestAnalyzeSequence:
+    SQUARE = Box([0.0, 0.0], [1.0, 1.0])
+
+    def check(self, seq, eps):
+        report = analyze_sequence(seq, eps)
+        expected = reference_analysis(seq, eps)
+        assert np.array_equal(report.pairwise, expected["pairwise"])
+        assert report.factor_traces == expected["factor_traces"]
+        assert report.decreasing == expected["decreasing"]
+        assert report.eventually_decreasing_at == expected["eventually_decreasing_at"]
+        assert report.cauchy_at == expected["cauchy_at"]
+        assert report.alignment == expected["alignment"]
+        assert report.mo_set == (expected["mo_set"] if 2 <= len(seq) <= 12 else None)
+        assert (report.failure and str(report.failure)) == expected["failure"]
+        assert report.limit == expected["limit"]
+        if expected["limit"] is not None:
+            assert report.residual == expected["residual"]
+        return report
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_converging_shuffled_sequences(self, seed):
+        rng = np.random.default_rng(seed)
+        box = self.SQUARE if seed % 2 else Box([0.0], [1.0])
+        seq = similitude_sequence(rng, box, 3, 5 + 2 * seed, rate=0.7)
+        assert self.check(seq, 0.05).failure is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_shuffled_sequences(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        terms = tuple(random_ifs(rng, self.SQUARE, 3) for _ in range(4 + seed))
+        self.check(IFSSequence(terms), 0.9)
+
+    def test_plane_triple_is_not_mo_set(self, plane_s, plane_t, plane_u):
+        assert self.check(IFSSequence((plane_s, plane_t, plane_u)), 1.9).mo_set is False
+
+    def test_not_cauchy(self):
+        seq = similitude_sequence(np.random.default_rng(7), self.SQUARE, 3, 6, rate=0.9)
+        report = self.check(seq, 0.001)
+        assert str(report.failure) == "slot 1: sequence is not Cauchy at eps=0.001"
+        with pytest.raises(PreconditionError, match="slot 1: sequence is not Cauchy"):
+            limit_candidate(seq, 0.001)
+
+    def test_not_eventually_decreasing(self):
+        seq = similitude_sequence(np.random.default_rng(8), self.SQUARE, 3, 8, rate=0.7, bump=1)
+        report = self.check(seq, 0.5)
+        assert "contractivity factors are not eventually decreasing" in str(report.failure)
+        with pytest.raises(PreconditionError, match=str(report.failure)):
+            limit_candidate(seq, 0.5)
+
+    def test_nonpositive_eps_is_returned_as_input_error(self, cantor_seq):
+        report = analyze_sequence(cantor_seq, 0.0)
+        assert isinstance(report.failure, InputError)
+        assert report.limit is None and report.cauchy_at is None
+        with pytest.raises(InputError, match="eps must be positive"):
+            limit_candidate(cantor_seq, 0.0)
+
+    def test_already_aligned_chain_is_not_realigned(self, cantor_seq):
+        aligned = align_chain(cantor_seq)
+        assert analyze_sequence(aligned, 0.2).alignment is aligned.alignment

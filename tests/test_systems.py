@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsseq import (
     IFS,
@@ -12,6 +14,7 @@ from ifsseq import (
     Permutation,
     big_d,
     cost_matrix,
+    cost_tensor,
     ifs_contractivity,
     is_minimally_ordered,
     is_mo_set,
@@ -245,3 +248,29 @@ class TestLeq:
 
     def test_reflexive(self, ifs_u):
         assert leq(ifs_u, ifs_u)
+
+
+class TestCostTensor:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2, 3]),
+        n=st.integers(1, 5),
+        m=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_cost_matrix_bit_for_bit(self, dim, n, m, seed):
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-3.0, 2.0, dim)
+        box = Box(lo, lo + rng.uniform(0.1, 4.0, dim))
+        terms = [random_ifs(rng, box, n) for _ in range(m)]
+        T = cost_tensor(terms)
+        assert T.shape == (m, m, n, n)
+        # dbar is symmetric bit for bit, so either triangle may be read
+        assert np.array_equal(T, T.transpose(1, 0, 3, 2))
+        for j in range(m):
+            for k in range(m):
+                assert np.array_equal(T[j, k], cost_matrix(terms[j], terms[k]))
+
+    def test_rejects_mixed_arity(self, ifs_s, unit_box):
+        with pytest.raises(InputError, match="arity mismatch"):
+            cost_tensor([ifs_s, IFS(unit_box, (AffineMap([[0.5]], [0.0]),))])
