@@ -1,7 +1,10 @@
 """Command line surface: dist, attractor, analyze, collage-fit, predict.
 
 Exit codes: 0 success, 2 parse or validation error, 3 resource cap exceeded,
-4 precondition failure.  Commands that write files also write a manifest
+4 precondition failure.  `collage-fit` and `predict` share the fit flags
+(--seed, --restarts, --iters, --s-max, --delta, --threshold, --domain-lo,
+--domain-hi); `attractor` and `predict` share the render flags (--depth,
+--image, --px).  Commands that write files also write a manifest
 recording inputs (with digests), flags, seeds, and versions, so any run can
 be reproduced byte for byte.  IFSSEQ_SEED overrides the default seed when
 --seed is not given.
@@ -11,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 from fractions import Fraction
@@ -25,9 +27,8 @@ from .attractor import PointSet, attractor_points, default_resolution
 from .collage import ExtrapolationModel, FitConfig, collage_bound, extrapolate, fit_ifs, fit_sequence
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .formats import (
-    _atomic_write,
+    _write_json,
     foreground_mask,
-    ifs_to_dict,
     read_ifs,
     read_points_csv,
     read_raster,
@@ -83,7 +84,7 @@ def write_manifest(out_path, command: str, flags: dict, inputs: list, outputs: l
             "scipy": scipy.__version__,
         },
     }
-    _atomic_write(out_path, (json.dumps(manifest, indent=2) + "\n").encode())
+    _write_json(out_path, manifest)
 
 
 def _parse_domain(lo: str | None, hi: str | None):
@@ -118,6 +119,34 @@ def _load_frame(path, pitch: float | None, threshold: int | None) -> PointSet:
     return raster_to_points(mask, 1.0 / width if pitch is None else pitch)
 
 
+def _fit_setup(args):
+    """FitConfig, declared domain and manifest flags from the fit flags."""
+    cfg = FitConfig(
+        n=args.n,
+        restarts=args.restarts,
+        max_iters=args.iters,
+        s_max=args.s_max,
+        seed=args.seed if args.seed is not None else default_seed(),
+    )
+    flags = {
+        "n": args.n,
+        "restarts": args.restarts,
+        "iters": args.iters,
+        "s_max": args.s_max,
+        "seed": cfg.seed,
+    }
+    return cfg, _parse_domain(args.domain_lo, args.domain_hi), flags
+
+
+def _render(system, args, delta):
+    """Resolution, attractor points at --depth, and the --px raster when
+    --image is set (None otherwise)."""
+    resolution = default_resolution(system.dim) if delta is None else delta
+    render = attractor_points(system, args.depth, resolution=resolution)
+    mask = render_raster(render, system.domain, args.px) if args.image else None
+    return resolution, render, mask
+
+
 def cmd_dist(args) -> int:
     S = read_ifs(args.file_a)
     T = read_ifs(args.file_b)
@@ -132,10 +161,7 @@ def cmd_dist(args) -> int:
 
 def cmd_attractor(args) -> int:
     _require_out_dirs(args.out, args.image)
-    system = read_ifs(args.file)
-    resolution = default_resolution(system.dim) if args.delta is None else args.delta
-    render = attractor_points(system, args.depth, resolution=resolution)
-    mask = render_raster(render, system.domain, args.px) if args.image else None
+    resolution, render, mask = _render(read_ifs(args.file), args, args.delta)
     outputs = []
     if args.out:
         write_points_csv(args.out, render)
@@ -190,14 +216,8 @@ def cmd_analyze(args) -> int:
 def cmd_collage_fit(args) -> int:
     _require_out_dirs(args.out)
     target = _load_frame(args.image, args.delta, args.threshold)
-    cfg = FitConfig(
-        n=args.n,
-        restarts=args.restarts,
-        max_iters=args.iters,
-        s_max=args.s_max,
-        seed=args.seed if args.seed is not None else default_seed(),
-    )
-    result = fit_ifs(target, cfg, domain=_parse_domain(args.domain_lo, args.domain_hi))
+    cfg, domain, fit_flags = _fit_setup(args)
+    result = fit_ifs(target, cfg, domain=domain)
     bound = collage_bound(result.distance, result.ifs.contractivity)
     write_ifs(args.out, result.ifs)
     print(f"collage distance = {format_value(result.distance)}")
@@ -209,15 +229,7 @@ def cmd_collage_fit(args) -> int:
     write_manifest(
         str(args.out) + ".manifest.json",
         "collage-fit",
-        {
-            "n": args.n,
-            "restarts": args.restarts,
-            "iters": args.iters,
-            "s_max": args.s_max,
-            "seed": cfg.seed,
-            "delta": args.delta,
-            "threshold": args.threshold,
-        },
+        {**fit_flags, "delta": args.delta, "threshold": args.threshold},
         [args.image],
         [args.out],
     )
@@ -244,24 +256,11 @@ def cmd_predict(args) -> int:
         frames = [_load_frame(p, args.delta, args.threshold) for p in paths]
         if len(frames) < 2:
             raise PreconditionError("prediction needs at least 2 frames")
-        cfg = FitConfig(
-            n=args.n,
-            restarts=args.restarts,
-            max_iters=args.iters,
-            s_max=args.s_max,
-            seed=args.seed if args.seed is not None else default_seed(),
-        )
-        fit = fit_sequence(frames, cfg, domain=_parse_domain(args.domain_lo, args.domain_hi))
+        cfg, domain, fit_flags = _fit_setup(args)
+        fit = fit_sequence(frames, cfg, domain=domain)
         sequence = fit.sequence
         print("per-frame collage distances:", " ".join(f"{v:.6g}" for v in fit.distances))
         inputs = paths
-        fit_flags = {
-            "n": args.n,
-            "restarts": args.restarts,
-            "iters": args.iters,
-            "s_max": args.s_max,
-            "seed": cfg.seed,
-        }
     else:
         sequence = align_chain(read_sequence(source))
         if len(sequence) < 2:
@@ -270,9 +269,7 @@ def cmd_predict(args) -> int:
         fit_flags = {}
     model = ExtrapolationModel(MODEL_NAMES[args.model], horizon=args.horizon, s_max=args.s_max)
     predicted = extrapolate(sequence, model)
-    resolution = default_resolution(predicted.dim) if args.render_delta is None else args.render_delta
-    render = attractor_points(predicted, args.depth, resolution=resolution)
-    mask = render_raster(render, predicted.domain, args.px) if args.image else None
+    resolution, render, mask = _render(predicted, args, args.render_delta)
     write_ifs(out_spec, predicted)
     write_points_csv(out_csv, render)
     outputs = [out_spec, out_csv]
@@ -307,18 +304,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("--seed", type=int, default=None)
+    fit.add_argument("--restarts", type=int, default=8)
+    fit.add_argument("--iters", type=int, default=200)
+    fit.add_argument("--s-max", type=float, default=0.95, dest="s_max")
+    fit.add_argument("--delta", type=float, default=None, help="frame point pitch override")
+    fit.add_argument("--threshold", type=int, default=None, help="graymap foreground threshold")
+    fit.add_argument("--domain-lo", default=None, dest="domain_lo", help="declared box floor, comma-separated")
+    fit.add_argument("--domain-hi", default=None, dest="domain_hi", help="declared box ceiling, comma-separated")
+
+    render = argparse.ArgumentParser(add_help=False)
+    render.add_argument("--depth", type=int, default=10)
+    render.add_argument("--image", default=None, help="optional PGM raster of the attractor")
+    render.add_argument("--px", type=int, default=512, help="raster width in pixels")
+
     p = sub.add_parser("dist", help="assignment metric D between two systems")
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("attractor", help="render the attractor of a system")
+    p = sub.add_parser("attractor", parents=[render], help="render the attractor of a system")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=10)
     p.add_argument("--delta", type=float, default=None, help="snap resolution")
     p.add_argument("--out", default=None, help="points CSV path")
-    p.add_argument("--image", default=None, help="optional PGM raster path")
-    p.add_argument("--px", type=int, default=512, help="raster width in pixels")
     p.set_defaults(func=cmd_attractor)
 
     p = sub.add_parser("analyze", help="alignment, monotonicity, Cauchy and limit report")
@@ -327,38 +336,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit-out", default=None, help="write the limit candidate spec here")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("collage-fit", help="fit a system to an image or CSV point set")
+    p = sub.add_parser("collage-fit", parents=[fit], help="fit a system to an image or CSV point set")
     p.add_argument("image")
     p.add_argument("--n", type=int, required=True, help="number of maps")
     p.add_argument("--out", required=True, help="output spec path")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--s-max", type=float, default=0.95, dest="s_max")
-    p.add_argument("--delta", type=float, default=None, help="point pitch override")
-    p.add_argument("--threshold", type=int, default=None, help="graymap foreground threshold")
-    p.add_argument("--domain-lo", default=None, dest="domain_lo", help="declared box floor, comma-separated")
-    p.add_argument("--domain-hi", default=None, dest="domain_hi", help="declared box ceiling, comma-separated")
     p.set_defaults(func=cmd_collage_fit)
 
-    p = sub.add_parser("predict", help="fit frames, extrapolate, render the predicted attractor")
+    p = sub.add_parser(
+        "predict", parents=[fit, render], help="fit frames, extrapolate, render the predicted attractor"
+    )
     p.add_argument("frames", help="directory of frames or a sequence spec file")
     p.add_argument("--model", choices=sorted(MODEL_NAMES), required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--s-max", type=float, default=0.95, dest="s_max")
-    p.add_argument("--delta", type=float, default=None, help="frame point pitch override")
-    p.add_argument("--threshold", type=int, default=None)
-    p.add_argument("--domain-lo", default=None, dest="domain_lo", help="declared box floor, comma-separated")
-    p.add_argument("--domain-hi", default=None, dest="domain_hi", help="declared box ceiling, comma-separated")
-    p.add_argument("--depth", type=int, default=10)
     p.add_argument("--render-delta", type=float, default=None, dest="render_delta")
     p.add_argument("--out-prefix", default="predicted", dest="out_prefix")
-    p.add_argument("--image", default=None, help="optional PGM of the predicted attractor")
-    p.add_argument("--px", type=int, default=512)
     p.set_defaults(func=cmd_predict)
 
     return parser

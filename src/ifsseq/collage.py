@@ -23,6 +23,9 @@ from .maps import AffineMap, Box
 from .sequences import IFSSequence, align_chain
 from .systems import IFS
 
+INITIAL_STEP = 0.1  # first descent step, as a fraction of the domain diameter
+STEP_DECAY = 0.7  # step shrink after a sweep with no improving move
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -31,8 +34,6 @@ class FitConfig:
     n: int
     restarts: int = 8
     max_iters: int = 200
-    initial_step: float | None = None  # default: 0.1 * domain diameter
-    step_decay: float = 0.7
     s_max: float = 0.95
     seed: int = 0
 
@@ -45,10 +46,6 @@ class FitConfig:
             raise InputError("max_iters must be at least 1")
         if not 0.0 < self.s_max < 1.0:
             raise InputError("s_max must lie in (0, 1)")
-        if not 0.0 < self.step_decay < 1.0:
-            raise InputError("step_decay must lie in (0, 1)")
-        if self.initial_step is not None and self.initial_step <= 0.0:
-            raise InputError("initial_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -254,7 +251,7 @@ def _candidate_moves(params: np.ndarray, n: int, d: int, box: Box, step: float):
 
 def _descend(target, box, cfg, maps0):
     d = target.dim
-    step0 = cfg.initial_step if cfg.initial_step is not None else 0.1 * box.diameter
+    step0 = INITIAL_STEP * box.diameter
     if step0 <= 0.0:
         step0 = 0.1  # degenerate single-point domain
     stop_step = max(step0 * 1e-6, 1e-12)
@@ -275,7 +272,7 @@ def _descend(target, box, cfg, maps0):
                 improved = True
                 break
         if not improved:
-            step *= cfg.step_decay
+            step *= STEP_DECAY
             if step < stop_step:
                 break
     return _unpack(params, cfg.n, d, box, cfg.s_max), best, history
@@ -340,6 +337,9 @@ def fit_sequence(
     targets = list(targets)
     if not targets:
         raise InputError("need at least one target frame")
+    for k, target in enumerate(targets, start=1):
+        if target.dim != targets[0].dim:
+            raise InputError(f"frame {k}: dimension {target.dim} differs from frame 1's {targets[0].dim}")
     if domain is None:
         lo = np.min([t.points.min(axis=0) for t in targets], axis=0)
         hi = np.max([t.points.max(axis=0) for t in targets], axis=0)

@@ -77,6 +77,8 @@ def _floats(value, where: str) -> np.ndarray:
 
 def ifs_from_dict(data: dict, where: str = "spec") -> IFS:
     dim = _field(data, "dim", where)
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise InputError(f"{where}.dim: expected a positive integer, got {dim!r}")
     domain_obj = _field(data, "domain", where)
     lo = _field(domain_obj, "lo", f"{where}.domain")
     hi = _field(domain_obj, "hi", f"{where}.domain")
@@ -107,27 +109,29 @@ def ifs_from_dict(data: dict, where: str = "spec") -> IFS:
         raise InputError(f"{where}: {exc}") from exc
 
 
-def read_ifs(path) -> IFS:
+def _read_json(path):
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # unreadable, not UTF-8, nested too deep
         raise InputError(f"{path}: {exc}") from exc
-    return ifs_from_dict(data, where=str(path))
+
+
+def _write_json(path, data):
+    _atomic_write(path, (json.dumps(data, indent=2) + "\n").encode())
+
+
+def read_ifs(path) -> IFS:
+    return ifs_from_dict(_read_json(path), where=str(path))
 
 
 def write_ifs(path, system: IFS):
-    _atomic_write(path, (json.dumps(ifs_to_dict(system), indent=2) + "\n").encode())
+    _write_json(path, ifs_to_dict(system))
 
 
 def read_sequence(path) -> IFSSequence:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    data = _read_json(path)
     if isinstance(data, dict):
         data = _field(data, "terms", str(path))
     if not isinstance(data, list) or not data:
@@ -139,8 +143,7 @@ def read_sequence(path) -> IFSSequence:
 
 
 def write_sequence(path, seq: IFSSequence):
-    payload = {"terms": [ifs_to_dict(term) for term in seq.terms]}
-    _atomic_write(path, (json.dumps(payload, indent=2) + "\n").encode())
+    _write_json(path, {"terms": [ifs_to_dict(term) for term in seq.terms]})
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +158,7 @@ def read_points_csv(path, resolution: float) -> PointSet:
     rows = []
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

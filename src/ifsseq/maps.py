@@ -185,10 +185,6 @@ def compose(f: AffineMap, g: AffineMap) -> AffineMap:
     return AffineMap(f.A @ g.A, f.A @ g.b + f.b, check=False)
 
 
-def contractivity(f: AffineMap) -> float:
-    return f.contractivity
-
-
 def maps_close(f: AffineMap, g: AffineMap, tol: float = COEFF_TOL) -> bool:
     """Coefficient-wise identity up to tol (use == for exact comparison)."""
     return bool(

@@ -132,10 +132,6 @@ class IFS:
         return f"IFS(domain={self.domain!r}, n={self.n})"
 
 
-def ifs_contractivity(S: IFS) -> float:
-    return S.contractivity
-
-
 def _check_comparable(S: IFS, T: IFS):
     if S.n != T.n:
         raise InputError(f"arity mismatch: {S.n} vs {T.n} maps")

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import stat
 from pathlib import Path
 
@@ -199,6 +200,52 @@ class TestAnalyzeRecordedOutput:
             assert Path(limit).read_bytes() == recorded.read_bytes()
         else:
             assert not Path(limit).exists() and not recorded.exists()
+
+
+class TestFitRecordedOutput:
+    """stdout, output bytes and manifests (minus versions) of one `collage-fit`
+    and one frame-directory `predict`, recorded before the fit and render
+    flags were shared between commands.  Every shared flag is set away from
+    its default.  The inputs live beside the recordings: gray-110 pixels are
+    foreground only under --threshold 100."""
+
+    FIXTURES = Path(__file__).parent / "fixtures" / "fit"
+
+    @pytest.mark.parametrize(
+        "name, argv, outputs, manifest",
+        [
+            (
+                "collage_fit",
+                ["collage-fit", "target.pgm", "--n", "2", "--out", "fit.json", "--seed", "5",
+                 "--restarts", "2", "--iters", "12", "--s-max", "0.9", "--delta", "0.1",
+                 "--threshold", "100", "--domain-lo", "0,0", "--domain-hi", "1,1"],
+                ["fit.json"],
+                "fit.json.manifest.json",
+            ),
+            (
+                "predict",
+                ["predict", "frames", "--model", "geometric", "--horizon", "2", "--n", "2",
+                 "--seed", "4", "--restarts", "2", "--iters", "12", "--s-max", "0.85",
+                 "--delta", "0.03", "--threshold", "100", "--domain-lo", "0", "--domain-hi", "1",
+                 "--depth", "6", "--render-delta", "0.002", "--out-prefix", "pred",
+                 "--image", "pred.pgm", "--px", "40"],
+                ["pred.ifs.json", "pred.points.csv", "pred.pgm"],
+                "pred.manifest.json",
+            ),
+        ],
+        ids=["collage-fit", "predict"],
+    )
+    def test_matches_recording(self, tmp_path, monkeypatch, capsys, name, argv, outputs, manifest):
+        shutil.copy(self.FIXTURES / "target.pgm", tmp_path)
+        shutil.copytree(self.FIXTURES / "frames", tmp_path / "frames")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (self.FIXTURES / f"{name}.stdout").read_text()
+        for path in outputs:
+            assert Path(path).read_bytes() == (self.FIXTURES / path).read_bytes(), path
+        written = json.loads(Path(manifest).read_text())
+        del written["versions"]
+        assert json.dumps(written, indent=2) + "\n" == (self.FIXTURES / manifest).read_text()
 
 
 class TestCollageFit:
@@ -436,19 +483,36 @@ class TestMalformedInputs:
         assert message in err
 
     @pytest.mark.parametrize(
-        "hi, maps, message",
+        "dim, hi, maps, message",
         [
-            ([1.0], [{"A": [["a"]], "b": [0.0]}], "maps[0].A: expected numbers"),
-            ([1.0], [5], "maps[0]: expected an object"),
-            (["a"], [{"A": [[0.5]], "b": [0.0]}], "domain.hi: expected numbers"),
+            (1, [1.0], [{"A": [["a"]], "b": [0.0]}], "maps[0].A: expected numbers"),
+            (1, [1.0], [5], "maps[0]: expected an object"),
+            (1, ["a"], [{"A": [[0.5]], "b": [0.0]}], "domain.hi: expected numbers"),
+            (2.0, [1.0, 1.0], [{"A": [0.5, 0, 0, 0.5], "b": [0.0, 0.0]}], "dim: expected a positive integer"),
+            (True, [1.0], [{"A": [[0.5]], "b": [0.0]}], "dim: expected a positive integer"),
+            ("1", [1.0], [{"A": [[0.5]], "b": [0.0]}], "dim: expected a positive integer"),
+            (0, [1.0], [{"A": [[0.5]], "b": [0.0]}], "dim: expected a positive integer"),
         ],
-        ids=["non-numeric-matrix", "map-not-object", "non-numeric-domain"],
+        ids=["non-numeric-matrix", "map-not-object", "non-numeric-domain", "float-dim", "bool-dim",
+             "string-dim", "zero-dim"],
     )
-    def test_spec(self, tmp_path, capsys, spec_files, hi, maps, message):
+    def test_spec(self, tmp_path, capsys, spec_files, dim, hi, maps, message):
         spec = tmp_path / "bad.json"
-        spec.write_text(json.dumps({"dim": 1, "domain": {"lo": [0.0], "hi": hi}, "maps": maps}))
+        domain = {"lo": [0.0] * len(hi), "hi": hi}
+        spec.write_text(json.dumps({"dim": dim, "domain": domain, "maps": maps}))
         err = self.run(capsys, ["dist", str(spec), spec_files["s"]])
         assert message in err
+
+    def test_frames_of_mixed_dimension(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        (frames / "a.pbm").write_bytes(b"P1\n4 1\n0 1 1 0\n")
+        (frames / "b.csv").write_text("0.25,0.25\n0.5,0.75\n")
+        err = self.run(
+            capsys,
+            ["predict", str(frames), "--model", "last", "--horizon", "1", "--out-prefix", str(tmp_path / "p")],
+        )
+        assert err == "error: frame 2: dimension 2 differs from frame 1's 1\n"
 
 
 class TestOutputFiles:

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ifsseq import IFS, AffineMap, Box, IFSSequence, InputError, PointSet
+from ifsseq.cli import main
 from ifsseq.formats import (
     foreground_mask,
     ifs_from_dict,
@@ -177,3 +182,121 @@ class TestRasterPointConversions:
         assert mask.shape == (1, 81)
         assert mask[0, 0] and mask[0, -1]  # endpoints 0 and 1 are marked
         assert not mask[0, 40]  # the middle gap stays empty
+
+
+# ---------------------------------------------------------------------------
+# malformed input: readers raise InputError and nothing else
+
+# JSON values of every kind a hand-edited spec field might hold
+SCALARS = st.one_of(
+    st.integers(-2, 4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
+VECTORS = st.lists(SCALARS, max_size=5)
+MATRICES = st.one_of(VECTORS, st.lists(VECTORS, max_size=3))  # flat or nested
+
+
+@st.composite
+def mutated_specs(draw):
+    """A valid spec (dim 1 or 2, A nested or flat) with at most one field
+    replaced, so a bad value meets otherwise consistent neighbours."""
+    dim = draw(st.sampled_from([1, 2]))
+    flat = draw(st.booleans())
+
+    def matrix(scale):
+        A = np.eye(dim) * scale
+        return A.ravel().tolist() if flat else A.tolist()
+
+    spec = {
+        "dim": dim,
+        "domain": {"lo": [0.0] * dim, "hi": [1.0] * dim},
+        "maps": [{"A": matrix(0.5), "b": [0.0] * dim}, {"A": matrix(0.25), "b": [0.5] * dim}],
+    }
+    field = draw(st.sampled_from(["none", "dim", "lo", "hi", "A", "b", "map", "maps", "domain"]))
+    k = draw(st.sampled_from([0, 1]))
+    if field == "dim":
+        spec["dim"] = draw(st.one_of(SCALARS, st.just(float(dim)), st.just(str(dim))))
+    elif field in ("lo", "hi"):
+        spec["domain"][field] = draw(st.one_of(VECTORS, st.lists(st.floats(-2, 2), max_size=4)))
+    elif field == "A":
+        spec["maps"][k]["A"] = draw(MATRICES)
+    elif field == "b":
+        spec["maps"][k]["b"] = draw(VECTORS)
+    elif field == "map":
+        spec["maps"][k] = draw(st.one_of(SCALARS, st.just({"A": matrix(0.5)})))
+    elif field == "maps":
+        spec["maps"] = draw(st.one_of(SCALARS, st.just([])))
+    elif field == "domain":
+        spec["domain"] = draw(st.one_of(SCALARS, st.just({"lo": [0.0] * dim})))
+    return spec
+
+
+def _reads_or_input_error(read, path):
+    try:
+        read(path)
+    except InputError:
+        pass
+
+
+class TestReadersRaiseOnlyInputError:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=mutated_specs(), wrap=st.sampled_from(["list", "terms", "scalar"]))
+    def test_spec_and_sequence_files(self, tmp_path_factory, spec, wrap):
+        path = tmp_path_factory.mktemp("spec") / "spec.json"
+        path.write_text(json.dumps(spec))
+        _reads_or_input_error(read_ifs, path)
+        sequence = {"list": [spec, spec], "terms": {"terms": [spec]}, "scalar": spec}[wrap]
+        path.write_text(json.dumps(sequence))
+        _reads_or_input_error(read_sequence, path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(body=st.binary(max_size=40))
+    @example(body=b"[" * 100_000)
+    def test_json_bytes(self, tmp_path_factory, body):
+        path = tmp_path_factory.mktemp("json") / "spec.json"
+        path.write_bytes(body)
+        _reads_or_input_error(read_ifs, path)
+        _reads_or_input_error(read_sequence, path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=mutated_specs())
+    def test_dist_exit_code(self, tmp_path_factory, spec):
+        root = tmp_path_factory.mktemp("dist")
+        bad, good = root / "bad.json", root / "good.json"
+        bad.write_text(json.dumps(spec))
+        write_ifs(good, cantor_ifs())
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["dist", str(bad), str(good)])
+        assert code in (0, 2, 3, 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        magic=st.sampled_from([b"P1", b"P2", b"P4", b"P5", b"P3", b""]),
+        header=st.lists(
+            st.one_of(st.integers(-2, 6).map(lambda v: str(v).encode()), st.sampled_from([b"x", b"#c\n", b"1.5"])),
+            max_size=4,
+        ),
+        body=st.binary(max_size=40),
+    )
+    def test_raster_files(self, tmp_path_factory, magic, header, body):
+        path = tmp_path_factory.mktemp("raster") / "img.pgm"
+        path.write_bytes(b"\n".join([magic, *header]) + b"\n" + body)
+        _reads_or_input_error(read_raster, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        body=st.one_of(
+            st.binary(max_size=40),
+            st.lists(
+                st.lists(st.one_of(st.floats().map(repr), st.sampled_from(["", "x", "nan", "inf", "1e400"])), max_size=3),
+                max_size=4,
+            ).map(lambda rows: ("\n".join(",".join(row) for row in rows) + "\n").encode()),
+        )
+    )
+    def test_points_csv_files(self, tmp_path_factory, body):
+        path = tmp_path_factory.mktemp("csv") / "points.csv"
+        path.write_bytes(body)
+        _reads_or_input_error(lambda p: read_points_csv(p, 1e-3), path)

@@ -15,7 +15,6 @@ from ifsseq import (
     big_d,
     cost_matrix,
     cost_tensor,
-    ifs_contractivity,
     is_minimally_ordered,
     is_mo_set,
     leq,
@@ -62,9 +61,9 @@ class TestIFSConstruction:
             IFS(unit_box, ())
 
     def test_contractivity_examples(self, ifs_t, ifs_u, plane_s):
-        assert ifs_contractivity(ifs_t) == pytest.approx(1.0 / 3.0, abs=EXACT)
-        assert ifs_contractivity(ifs_u) == pytest.approx(0.75, abs=EXACT)
-        assert ifs_contractivity(plane_s) == 0.0
+        assert ifs_t.contractivity == pytest.approx(1.0 / 3.0, abs=EXACT)
+        assert ifs_u.contractivity == pytest.approx(0.75, abs=EXACT)
+        assert plane_s.contractivity == 0.0
 
 
 class TestCostMatrix:
