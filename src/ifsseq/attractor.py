@@ -36,8 +36,11 @@ def default_resolution(dim: int) -> float:
 class PointSet:
     """Finite set of d-dimensional points at a stated resolution.
 
-    Construction snaps every coordinate to the grid delta*Z, deduplicates and
-    sorts, so equal sets have identical storage regardless of input order.
+    Construction snaps every coordinate x to round(x/delta)*delta (the _snap
+    rule), writes a zero as +0.0 whatever the sign it rounded to, sorts the
+    rows lexicographically and keeps one row of each run of equal rows.  So
+    equal sets have identical storage regardless of input order.  A point
+    whose snapped coordinates overflow is rejected.
     """
 
     __slots__ = ("points", "resolution", "_tree")
@@ -50,7 +53,27 @@ class PointSet:
             raise InputError("a point set needs at least one point")
         if not np.all(np.isfinite(pts)):
             raise InputError("points must be finite")
-        canonical = np.unique(_snap(pts, resolution), axis=0)
+        # A fresh C-ordered copy, so the caller's array is never written and
+        # the complex view below sees each row as one contiguous pair.
+        with np.errstate(over="ignore"):
+            grid = np.divide(pts, resolution, order="C")
+            np.round(grid, out=grid)
+            grid *= resolution
+        grid += 0.0
+        # Sort and compare the snapped values themselves, so the rows are
+        # np.unique(_snap(pts), axis=0) by construction, up to the sign of zero.
+        if grid.shape[1] == 1:
+            grid.sort(axis=0)
+        elif grid.shape[1] == 2:
+            grid.view(np.complex128).sort(axis=0)  # by (real, imag)
+        else:
+            grid = grid[np.lexsort(grid.T[::-1])]
+        fresh = np.empty(grid.shape[0], dtype=bool)
+        fresh[0] = True
+        np.any(grid[1:] != grid[:-1], axis=1, out=fresh[1:])
+        canonical = grid[fresh]
+        if not np.all(np.isfinite(canonical)):
+            raise InputError(f"points overflow when snapped to the grid of pitch {resolution!r}")
         canonical.flags.writeable = False
         self.points = canonical
         self.resolution = float(resolution)

@@ -149,9 +149,22 @@ def write_sequence(path, seq: IFSSequence):
 # ---------------------------------------------------------------------------
 # point CSVs
 
+_CSV_BLOCK_ROWS = 4096
+
+
 def write_points_csv(path, points: PointSet):
-    lines = [",".join(f"{x:.12g}" for x in row) for row in points.points]
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    """One line per point, each coordinate as f"{x:.12g}".  A grid holds few
+    distinct values per column, so each is formatted once; rows are joined a
+    block at a time, so no string per row is ever held."""
+    columns = []
+    for column in points.points.T:
+        values, index = np.unique(column, return_inverse=True)
+        columns.append(np.array([f"{x:.12g}" for x in values.tolist()], dtype=object)[index])
+    blocks = []
+    for start in range(0, len(points), _CSV_BLOCK_ROWS):
+        rows = zip(*(cells[start : start + _CSV_BLOCK_ROWS] for cells in columns))
+        blocks.append(("\n".join(map(",".join, rows)) + "\n").encode())
+    _atomic_write(path, b"".join(blocks))
 
 
 def read_points_csv(path, resolution: float) -> PointSet:
@@ -340,7 +353,7 @@ def render_raster(points: PointSet, box: Box, width: int) -> np.ndarray:
 def write_pgm(path, mask: np.ndarray, maxval: int = 255):
     """Plain (P2) graymap with foreground pixels at maxval."""
     height, width = mask.shape
+    samples = np.array([b"0", str(maxval).encode()], dtype=object)
     lines = [b"P2", f"{width} {height}".encode(), str(maxval).encode()]
-    for row in mask:
-        lines.append(" ".join(str(maxval if v else 0) for v in row).encode())
+    lines.extend(b" ".join(samples[row]) for row in np.asarray(mask, dtype=bool).view(np.uint8))
     _atomic_write(path, b"\n".join(lines) + b"\n")

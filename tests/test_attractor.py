@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from ifsseq import (
     hausdorff_brute,
     hutchinson,
 )
-from ifsseq.attractor import _directed_sq, _min_sq_brute
+from ifsseq.attractor import _directed_sq, _min_sq_brute, _snap
 
 from conftest import cantor_ifs, cantor_term, constant_map, random_ifs
 
@@ -66,6 +68,57 @@ class TestPointSet:
         dist = np.sqrt((diff**2).sum(axis=2))
         np.fill_diagonal(dist, np.inf)
         assert dist.min() >= 0.05 / 2.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2, 3]),
+        pitch=st.sampled_from([1e-3, 0.05, 1.0 / 17.0, 0.1]),
+        offset=st.sampled_from([0.0, -3.0, 1.7e13]),
+        layout=st.sampled_from(["C", "F", "sliced"]),
+        data=st.data(),
+    )
+    def test_equals_unique_of_snap(self, dim, pitch, offset, layout, data):
+        # a few lattice ticks per axis, jittered by up to 0.6 pitch, so many
+        # rows share a grid point and some sit on a rounding boundary; near
+        # 1.7e13 the doubles are coarser than the 1e-3 grid
+        ticks = data.draw(st.lists(st.tuples(*[st.integers(-6, 6)] * dim), min_size=1, max_size=60))
+        jitter = data.draw(
+            st.lists(st.floats(-0.6, 0.6), min_size=len(ticks) * dim, max_size=len(ticks) * dim)
+        )
+        points = offset + (np.array(ticks, dtype=float) + np.reshape(jitter, (-1, dim))) * pitch
+        if layout == "F":
+            points = np.asfortranarray(points)
+        elif layout == "sliced":
+            wide = np.full((2 * len(ticks), 2 * dim), np.nan)
+            wide[::2, ::2] = points
+            points = wide[::2, ::2]
+        before = points.copy()
+        stored = PointSet(points, pitch).points
+        assert points.tobytes() == before.tobytes()  # the caller's array is untouched
+        # the oracle keeps whichever of -0.0 and 0.0 its sort met first;
+        # adding 0.0 takes that choice out (test_zero_is_stored_positive)
+        oracle = np.unique(_snap(before, pitch) + 0.0, axis=0)
+        assert stored.shape == oracle.shape
+        assert stored.tobytes() == oracle.tobytes()
+
+    def test_zero_is_stored_positive(self):
+        # -1e-5 rounds to -0.0 and 1e-5 to 0.0 at pitch 1e-3: input order
+        # must not pick the stored sign
+        forward = PointSet([[-1e-5, 0.5], [1e-5, 0.5]], 1e-3)
+        backward = PointSet([[1e-5, 0.5], [-1e-5, 0.5]], 1e-3)
+        assert forward.points.tobytes() == backward.points.tobytes()
+        assert not np.signbit(forward.points).any()
+        for dim in (1, 3):
+            assert not np.signbit(PointSet(np.full((1, dim), -1e-5), 1e-3).points).any()
+
+    @pytest.mark.parametrize("value, pitch", [(1.7e308, 1e-3), (-1.7e308, 1e-3), (1.7e308, 1e308)])
+    def test_rejects_overflow_when_snapped(self, value, pitch):
+        # 1.7e308 / 1e-3 overflows in the division; 1.7e308 at pitch 1e308
+        # rounds to 2 * 1e308, which overflows in the product
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="overflow"):
+                PointSet([[0.5], [value]], pitch)
 
 
 class TestHutchinson:

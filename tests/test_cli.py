@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import stat
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +460,37 @@ class TestRejectedArguments:
         assert err.endswith(": No such file or directory\n") and err.count("\n") == 1
 
 
+class TestRenderRecordedOutput:
+    """stdout, CSV and PGM bytes and manifests (minus versions) of `attractor`
+    on a 1D, a 2D and a 3D system over domains with negative corners,
+    recorded before PointSet deduplicated by sorting grid indices and the
+    writers formatted each distinct value once.  The coarse deltas make many
+    images share a grid point.  No recorded coordinate prints as -0."""
+
+    FIXTURES = Path(__file__).parent / "fixtures" / "render"
+
+    @pytest.mark.parametrize(
+        "name, flags",
+        [
+            ("line", ["--depth", "7", "--delta", "1e-4", "--px", "90"]),
+            ("plane", ["--depth", "6", "--delta", "0.004", "--px", "48"]),
+            ("space", ["--depth", "5", "--delta", "0.05", "--px", "30"]),
+        ],
+    )
+    def test_matches_recording(self, tmp_path, monkeypatch, capsys, name, flags):
+        shutil.copy(self.FIXTURES / f"{name}.json", tmp_path)
+        monkeypatch.chdir(tmp_path)
+        argv = ["attractor", f"{name}.json", *flags, "--out", f"{name}.csv", "--image", f"{name}.pgm"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (self.FIXTURES / f"{name}.stdout").read_text()
+        for path in (f"{name}.csv", f"{name}.pgm"):
+            assert Path(path).read_bytes() == (self.FIXTURES / path).read_bytes(), path
+        manifest = f"{name}.csv.manifest.json"
+        written = json.loads(Path(manifest).read_text())
+        del written["versions"]
+        assert json.dumps(written, indent=2) + "\n" == (self.FIXTURES / manifest).read_text()
+
+
 class TestMalformedInputs:
     """Malformed files exit 2 with one line, never with a traceback."""
 
@@ -502,6 +534,16 @@ class TestMalformedInputs:
         spec.write_text(json.dumps({"dim": dim, "domain": domain, "maps": maps}))
         err = self.run(capsys, ["dist", str(spec), spec_files["s"]])
         assert message in err
+
+    def test_points_overflowing_the_grid(self, tmp_path, capsys):
+        # 1.7e308 / 1e-3 overflows: the point is refused, not kept as inf
+        target = tmp_path / "target.csv"
+        target.write_text("0.5\n1.7e308\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self.run(capsys, ["collage-fit", str(target), "--n", "1", "--out", str(tmp_path / "f.json")])
+        assert "overflow" in err
+        assert not caught
 
     def test_frames_of_mixed_dimension(self, tmp_path, capsys):
         frames = tmp_path / "frames"

@@ -96,6 +96,67 @@ class TestPointsCSV:
             read_points_csv(path, 1e-3)
 
 
+def csv_per_element(points: PointSet) -> bytes:
+    """write_points_csv as it was: one f-string per coordinate."""
+    lines = [",".join(f"{x:.12g}" for x in row) for row in points.points]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def pgm_per_pixel(mask: np.ndarray, maxval: int) -> bytes:
+    """write_pgm as it was: one str() per pixel."""
+    height, width = mask.shape
+    lines = [b"P2", f"{width} {height}".encode(), str(maxval).encode()]
+    for row in mask:
+        lines.append(" ".join(str(maxval if v else 0) for v in row).encode())
+    return b"\n".join(lines) + b"\n"
+
+
+class TestWritersMatchPerElementOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 2, 3]),
+        rows=st.sampled_from([1, 7, 4095, 4096, 4097, 9000]),
+        pitch=st.sampled_from([1e-9, 1e-4, 1e-3, 0.37]),
+        scale=st.sampled_from([1.0, 1e6, 1e15]),
+        lattice=st.booleans(),
+    )
+    def test_points_csv(self, tmp_path_factory, seed, dim, rows, pitch, scale, lattice):
+        # both signs, tiny and large values, and, on a lattice, few distinct
+        # values per column; more than 4096 rows spans several blocks
+        rng = np.random.default_rng(seed)
+        if lattice:
+            pts = rng.integers(-40, 40, (rows, dim)) * (pitch * 3.0) + rng.uniform(-pitch, pitch, (rows, dim))
+        else:
+            pts = rng.uniform(-scale, scale, (rows, dim))
+        ps = PointSet(pts, pitch)
+        path = tmp_path_factory.mktemp("csv") / "points.csv"
+        write_points_csv(path, ps)
+        assert path.read_bytes() == csv_per_element(ps)
+
+    def test_points_csv_prints_zero_unsigned(self, tmp_path):
+        path = tmp_path / "points.csv"
+        write_points_csv(path, PointSet([[-1e-5, 0.5]], 1e-3))
+        assert path.read_text() == "0,0.5\n"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.one_of(
+            st.tuples(st.just(1), st.integers(1, 200)),
+            st.tuples(st.integers(1, 200), st.just(1)),
+            st.tuples(st.integers(1, 60), st.integers(1, 60)),
+        ),
+        density=st.sampled_from([0.0, 0.3, 1.0]),
+        maxval=st.sampled_from([1, 255, 65535]),
+    )
+    def test_pgm(self, tmp_path_factory, seed, shape, density, maxval):
+        mask = np.random.default_rng(seed).random(shape) < density
+        path = tmp_path_factory.mktemp("pgm") / "mask.pgm"
+        write_pgm(path, mask, maxval)
+        assert path.read_bytes() == pgm_per_pixel(mask, maxval)
+
+
 class TestRasters:
     def write_p2(self, path, rows, maxval=255):
         h = len(rows)
