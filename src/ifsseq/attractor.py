@@ -21,7 +21,7 @@ from scipy.spatial import cKDTree
 
 from .errors import InputError, ResourceLimitError
 from .maps import Box
-from .sequences import IFSSequence, align_chain
+from .sequences import IFSSequence
 from .systems import IFS
 
 POINT_CAP = 5_000_000
@@ -289,12 +289,11 @@ def attractor_convergence_report(
     """Hausdorff distances h(A_j, A) of rendered attractors against the
     rendered attractor of S, with the shared discretization error bound
     t^depth/(1-t) * h(seed, W(seed)) + 2*delta."""
-    aligned = align_chain(seq)
-    if S.domain != aligned.domain:
+    if S.domain != seq.domain:
         raise InputError("sequence and reference system must share the domain")
     seed = box_seed(S.domain, resolution)
     reference = attractor_points(S, depth, seed=seed)
-    systems = list(aligned.terms) + [S]
+    systems = list(seq.terms) + [S]
     bound = 0.0
     for system in systems:
         t = system.contractivity
@@ -303,6 +302,6 @@ def attractor_convergence_report(
     bound += 2.0 * resolution
     distances = tuple(
         hausdorff(attractor_points(term, depth, seed=seed), reference)
-        for term in aligned.terms
+        for term in seq.terms
     )
     return ConvergenceReport(distances, bound)

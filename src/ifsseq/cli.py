@@ -39,6 +39,7 @@ from .formats import (
     write_pgm,
     write_points_csv,
 )
+from .maps import Box
 from .sequences import align_chain, analyze_sequence
 from .systems import cost_matrix, optimal_matching
 
@@ -97,8 +98,6 @@ def _parse_domain(lo: str | None, hi: str | None):
         hi_vec = [float(v) for v in hi.split(",")]
     except ValueError as exc:
         raise InputError(f"bad domain bounds: {exc}") from exc
-    from .maps import Box
-
     return Box(lo_vec, hi_vec)
 
 

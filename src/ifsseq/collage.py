@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 
 from .attractor import PointSet, _hausdorff_sq, _images, _snap
 from .errors import InputError, PreconditionError
-from .maps import AffineMap, Box
+from .maps import AffineMap, Box, spectral_norm
 from .sequences import IFSSequence, align_chain
 from .systems import IFS
 
@@ -195,8 +195,6 @@ def _heuristic_maps(target: PointSet, box: Box, cfg: FitConfig):
 
 
 def _random_maps(target: PointSet, box: Box, cfg: FitConfig, rng):
-    from .maps import spectral_norm
-
     d = target.dim
     maps = []
     for _ in range(cfg.n):

@@ -4,6 +4,10 @@ The ambient metric is Euclidean.  For affine maps the pointwise distance
 x -> ||(A_f - A_g) x + (b_f - b_g)|| is convex, so its supremum over a box
 is attained at a vertex; `sup_distance` is therefore exact.  A grid-sampled
 estimator is kept alongside as an independent cross-check.
+
+`dbar_stacks` is the one vectorised dbar kernel: every cost matrix, cost
+tensor and consecutive link in `systems` and `sequences` comes from it.
+`sup_distance` and `dbar_inf` are the scalar reference it equals bit for bit.
 """
 
 from __future__ import annotations
@@ -22,18 +26,21 @@ COEFF_TOL = 1e-12
 
 
 def spectral_norm(A: np.ndarray) -> float:
-    """Largest singular value; closed form for d <= 2, LAPACK above."""
+    """Largest singular value; closed form for d <= 2 where finite, else LAPACK."""
     A = np.asarray(A, dtype=float)
     d = A.shape[0]
     if d == 1:
         return abs(float(A[0, 0]))
     if d == 2:
-        # eigenvalues of the 2x2 symmetric matrix A^T A
-        g = A.T @ A
-        p, q, r = g[0, 0], g[0, 1], g[1, 1]
-        disc = math.sqrt(((p - r) / 2.0) ** 2 + q * q)
-        lam = (p + r) / 2.0 + disc
-        return math.sqrt(max(lam, 0.0))
+        # eigenvalues of the 2x2 symmetric matrix A^T A, which overflow
+        # (to inf or nan) once entries pass ~1e76
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = A.T @ A
+            p, q, r = g[0, 0], g[0, 1], g[1, 1]
+            disc = math.sqrt(((p - r) / 2.0) ** 2 + q * q)
+            lam = (p + r) / 2.0 + disc
+        if math.isfinite(lam):
+            return math.sqrt(max(lam, 0.0))
     return float(np.linalg.norm(A, 2))
 
 
@@ -99,7 +106,8 @@ class Box:
     def __eq__(self, other):
         if not isinstance(other, Box):
             return NotImplemented
-        return np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
+        # list equality is np.array_equal on 1-D arrays, at a tenth of the cost
+        return self.lo.tolist() == other.lo.tolist() and self.hi.tolist() == other.hi.tolist()
 
     def __hash__(self):
         return hash((self.lo.tobytes(), self.hi.tobytes()))
@@ -135,7 +143,7 @@ class AffineMap:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_norm", spectral_norm(A))
-        if check and self._norm >= 1.0:
+        if check and not self._norm < 1.0:
             raise ContractionError(
                 f"spectral norm {self._norm} is not below 1; not a contraction"
             )
@@ -231,27 +239,23 @@ def dbar_inf(f: AffineMap, g: AffineMap, domain: Box) -> float:
     return s / (1.0 + s)
 
 
-def dbar_tensor(A: np.ndarray, b: np.ndarray, domain: Box) -> np.ndarray:
-    """dbar between every pair of maps in a stack of m rows of n maps each.
+def dbar_stacks(Af, bf, Ag, bg, V: np.ndarray) -> np.ndarray:
+    """dbar between every map of one stack and every map of another.
 
-    A has shape (m, n, d, d) and b (m, n, d); entry [j, k, p, q] of the
-    (m, m, n, n) result is dbar_inf(map (j, p), map (k, q), domain).  It is
-    built one row j at a time from the same expression as sup_distance, so
-    every entry equals dbar_inf bit for bit.
+    Af (..., p, d, d) and bf (..., p, d) hold maps f_i; Ag (..., q, d, d) and
+    bg (..., q, d) hold maps g_j; the leading axes broadcast.  V is
+    domain.vertices().  Entry [..., i, j] of the (..., p, q) result is
+    dbar_inf(f_i, g_j, domain) bit for bit, as it is the same vertex
+    expression as sup_distance.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, n, d = b.shape
-    if A.shape != (m, n, d, d) or d != domain.dim:
+    Af, bf, Ag, bg = (np.asarray(x, dtype=float) for x in (Af, bf, Ag, bg))
+    d = V.shape[1]
+    if not (Af.shape[-2:] == Ag.shape[-2:] == (d, d) and bf.shape[-1] == bg.shape[-1] == d):
         raise InputError(
-            f"dimension mismatch: map stack {A.shape}/{b.shape} on a {domain.dim}-box"
+            f"dimension mismatch: map stacks {Af.shape}/{Ag.shape} on a {d}-box"
         )
-    V = domain.vertices()
-    out = np.empty((m, m, n, n))
-    for j in range(m):
-        dA = A[j][None, :, None] - A[:, None, :]  # [k, p, q] = A[j, p] - A[k, q]
-        db = b[j][None, :, None] - b[:, None, :]
-        vals = ((V @ dA.swapaxes(-1, -2) + db[..., None, :]) ** 2).sum(axis=-1)
-        s = np.sqrt(vals.max(axis=-1))
-        out[j] = s / (1.0 + s)
-    return out
+    dA = Af[..., :, None, :, :] - Ag[..., None, :, :, :]
+    db = bf[..., :, None, :] - bg[..., None, :, :]
+    vals = ((V @ dA.swapaxes(-1, -2) + db[..., None, :]) ** 2).sum(axis=-1)
+    s = np.sqrt(vals.max(axis=-1))
+    return s / (1.0 + s)

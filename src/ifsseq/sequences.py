@@ -6,30 +6,33 @@ All predicates act on finite prefixes.  "For every eps there is an N" becomes
 nonvacuous: it has to cover at least one consecutive pair (or, for Cauchy,
 one pair of distinct indices).  Returned indices count terms from 1.
 
-Whole-sequence diagnostics read the cost tensor of the terms
-(systems.cost_tensor): analyze_sequence builds it once and derives the
-alignment, D, monotonicity, minimal-ordering transitivity, the Cauchy index and
-the limit from it; pairwise_distances, is_decreasing, eventually_decreasing_at,
-cauchy_index and limit_candidate are views of the same code.  align_chain needs
-only consecutive pairs and matches them one at a time.
+align_chain is the one alignment path: it matches each consecutive cost
+matrix (systems.cost_links) against the previous term as already reindexed.
+is_decreasing and eventually_decreasing_at then match only the consecutive
+links of the aligned chain.  analyze_sequence builds the cost tensor of the
+aligned terms (systems.cost_tensor) once and reads D, monotonicity,
+minimal-ordering transitivity, the Cauchy index and the limit from it, solving
+each matching at most once; limit_candidate is a view of it, and
+pairwise_distances and cauchy_index read the tensor of the raw terms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .maps import AffineMap, Box, dbar_tensor
+from .maps import AffineMap, Box, dbar_stacks
 from .systems import (
     FACTOR_TOL,
     IFS,
     Permutation,
     _mo_transitive,
     big_d,
-    cost_matrix,
+    cost_links,
     cost_tensor,
     optimal_matching,
 )
@@ -96,66 +99,36 @@ class SequenceReport:
     failure: InputError | PreconditionError | None = None
 
 
-def _chain_perms(n: int, links) -> list[Permutation]:
-    """Alignment permutations from the raw cost matrix of each consecutive
-    pair: term k is matched against term k-1 as already reindexed."""
-    perms = [Permutation.identity(n)]
-    for C in links:
-        perms.append(optimal_matching(C[list(perms[-1].image)])[0])
-    return perms
-
-
 def align_chain(seq: IFSSequence) -> IFSSequence:
     """Reindex each term so it is minimally ordered with respect to the
     previous (already reindexed) term.  Idempotent; term 1 is unchanged."""
     if seq.aligned:
         return seq
+    perms = [Permutation.identity(seq.n)]
+    for C in cost_links(seq.terms):
+        perms.append(optimal_matching(C[list(perms[-1].image)])[0])
     terms = seq.terms
-    perms = _chain_perms(seq.n, (cost_matrix(a, b) for a, b in zip(terms, terms[1:])))
     aligned = terms[:1] + tuple(t.reordered(p) for t, p in zip(terms[1:], perms[1:]))
     return IFSSequence(aligned, aligned=True, alignment=tuple(perms))
 
 
-class _AlignedChain:
-    """Cost tensor of the aligned chain, with matchings solved on demand.
+def _decrease_flags(aligned: IFSSequence, sigmas) -> list[bool]:
+    """leq(term_{j+1}, term_j) for each consecutive pair of an aligned chain,
+    where sigmas[j] is the optimal matching of term j+1 (rows) against term j."""
+    factors = [[f.contractivity for f in term.maps] for term in aligned.terms]
+    return [
+        all(factors[j + 1][i] <= factors[j][s] + FACTOR_TOL for i, s in enumerate(sigma.image))
+        for j, sigma in enumerate(sigmas)
+    ]
 
-    The alignment comes from the raw tensor, and the aligned tensor is the
-    raw one with each term's rows and columns reindexed by its permutation.
-    """
 
-    def __init__(self, seq: IFSSequence):
-        raw = cost_tensor(seq.terms)
-        m = len(seq)
-        if seq.aligned:
-            self.alignment = seq.alignment
-            order = [Permutation.identity(seq.n)] * m
-            self.T = raw
-        else:
-            order = _chain_perms(seq.n, (raw[j, j + 1] for j in range(m - 1)))
-            self.alignment = tuple(order)
-            P = np.array([p.image for p in order])
-            j = np.arange(m)[:, None, None, None]
-            k = np.arange(m)[None, :, None, None]
-            # [j, k, p, q] = raw[j, k, P[j, p], P[k, q]]
-            self.T = raw[j, k, P[:, None, :, None], P[None, :, None, :]]
-        self.maps = [p.apply(term.maps) for term, p in zip(seq.terms, order)]
-        self.factors = [[f.contractivity for f in maps] for maps in self.maps]
-        self._matchings: dict[tuple[int, int], tuple[Permutation, float]] = {}
-
-    def matching(self, j: int, k: int) -> tuple[Permutation, float]:
-        """optimal_matching of aligned term j (rows) against term k."""
-        if (j, k) not in self._matchings:
-            self._matchings[j, k] = optimal_matching(self.T[j, k])
-        return self._matchings[j, k]
-
-    def decrease_flags(self) -> list[bool]:
-        """leq(term_{j+1}, term_j) for each consecutive pair."""
-        F = self.factors
-        flags = []
-        for j in range(len(F) - 1):
-            sigma = self.matching(j + 1, j)[0]
-            flags.append(all(F[j + 1][i] <= F[j][s] + FACTOR_TOL for i, s in enumerate(sigma.image)))
-        return flags
+def _link_flags(seq: IFSSequence) -> list[bool]:
+    """Decrease flags of the aligned chain from its consecutive links alone.
+    dbar is symmetric bit for bit, so the transpose of link j is the cost
+    matrix of term j+1 against term j."""
+    aligned = align_chain(seq)
+    sigmas = [optimal_matching(C.T)[0] for C in cost_links(aligned.terms)]
+    return _decrease_flags(aligned, sigmas)
 
 
 def _distances(m: int, matching) -> np.ndarray:
@@ -174,7 +147,7 @@ def pairwise_distances(seq: IFSSequence) -> np.ndarray:
 
 
 def is_decreasing(seq: IFSSequence) -> bool:
-    return all(_AlignedChain(seq).decrease_flags())
+    return all(_link_flags(seq))
 
 
 def _eventually_from_flags(flags: list[bool]) -> int | None:
@@ -188,7 +161,7 @@ def _eventually_from_flags(flags: list[bool]) -> int | None:
 def eventually_decreasing_at(seq: IFSSequence) -> int | None:
     """Smallest k such that the chain decreases from term k on; None when the
     prefix holds no nonvacuous witness."""
-    return _eventually_from_flags(_AlignedChain(seq).decrease_flags())
+    return _eventually_from_flags(_link_flags(seq))
 
 
 def _cauchy_from_matrix(dist: np.ndarray, eps: float) -> int | None:
@@ -255,7 +228,9 @@ def limit_of_contractions(
     if any(f.dim != domain.dim for f in maps):
         raise InputError(f"dimension mismatch: maps on a {domain.dim}-box")
     factors = [f.contractivity for f in maps]
-    dbar = dbar_tensor([[f.A] for f in maps], [[f.b] for f in maps], domain)[:, :, 0, 0]
+    A = np.array([f.A for f in maps])
+    b = np.array([f.b for f in maps])
+    dbar = dbar_stacks(A, b, A, b, domain.vertices())
     problem = _slot_problem(factors, dbar, eps)
     if problem is not None:
         raise PreconditionError(problem)
@@ -267,41 +242,43 @@ def analyze_sequence(
 ) -> SequenceReport:
     """Every diagnostic of the aligned chain from one cost tensor.
 
-    The chain is aligned as by align_chain; D between the aligned terms, the
+    The chain is aligned by align_chain; D between the aligned terms, the
     decrease flags, minimal-ordering transitivity (run for 2 to mo_max_terms
     terms), the Cauchy index at eps, each slot's limit preconditions and the
     residual are then read from the aligned tensor, and each matching is
     solved once.  A failed limit extraction is returned in `failure`, not
     raised, so the report still carries everything computed before it.
     """
-    chain = _AlignedChain(seq)
+    aligned = align_chain(seq)
+    T = cost_tensor(aligned.terms)
+    matching = functools.cache(lambda j, k: optimal_matching(T[j, k]))
     m, n = len(seq), seq.n
-    dist = _distances(m, chain.matching)
-    flags = chain.decrease_flags()
+    dist = _distances(m, matching)
+    flags = _decrease_flags(aligned, [matching(j + 1, j)[0] for j in range(m - 1)])
     mo_set = None
     if 2 <= m <= mo_max_terms:
-        mo_set = _mo_transitive(chain.T, lambda i, j: chain.matching(i, j)[1])
-    traces = tuple(tuple(row[i] for row in chain.factors) for i in range(n))
+        mo_set = _mo_transitive(T, lambda i, j: matching(i, j)[1])
+    traces = tuple(tuple(t.maps[i].contractivity for t in aligned.terms) for i in range(n))
     limit, residual, cauchy_at, failure = None, math.nan, None, None
     if eps <= 0.0:
         failure = InputError("eps must be positive")
     else:
         cauchy_at = _cauchy_from_matrix(dist, eps)
         for i in range(n):
-            problem = _slot_problem(traces[i], chain.T[:, :, i, i], eps)
+            problem = _slot_problem(traces[i], T[:, :, i, i], eps)
             if problem is not None:
                 failure = PreconditionError(f"slot {i + 1}: {problem}")
                 break
         else:
-            limit = IFS(seq.domain, tuple(chain.maps[-1]))
-            residual = chain.matching(m - 1, m - 1)[1]
+            limit = aligned.terms[-1]
+            residual = matching(m - 1, m - 1)[1]
     return SequenceReport(
         pairwise=dist,
         factor_traces=traces,
         decreasing=all(flags),
         eventually_decreasing_at=_eventually_from_flags(flags),
         cauchy_at=cauchy_at,
-        alignment=chain.alignment,
+        alignment=aligned.alignment,
         limit=limit,
         residual=residual,
         mo_set=mo_set,

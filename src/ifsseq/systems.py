@@ -4,6 +4,10 @@ D(S, T) is the minimum over permutations sigma of sum_i dbar(f_i, g_sigma(i)).
 The minimum is found with a Hungarian-style solver; ties between co-optimal
 permutations are broken toward the lexicographically smallest image, which
 makes reordering operations deterministic.
+
+Every cost matrix comes from the one dbar kernel, maps.dbar_stacks: cost_matrix
+for one pair of systems, cost_links for the consecutive pairs of a list and
+cost_tensor for all of its pairs.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, ResourceLimitError
-from .maps import AffineMap, Box, dbar_inf, dbar_tensor
+from .maps import AffineMap, Box, dbar_stacks
 
 MATCH_TOL = 1e-12
 FACTOR_TOL = 1e-12
@@ -97,7 +101,7 @@ class IFS:
         for k, m in enumerate(maps):
             if m.dim != self.domain.dim:
                 raise InputError(f"map {k} has dimension {m.dim}, domain has {self.domain.dim}")
-            if m.contractivity >= 1.0:
+            if not m.contractivity < 1.0:
                 raise InputError(f"map {k} is not a contraction (factor {m.contractivity})")
             if not m.maps_into(self.domain):
                 raise InputError(f"map {k} does not send the domain into itself")
@@ -118,7 +122,11 @@ class IFS:
 
     def reordered(self, sigma: Permutation) -> "IFS":
         """Same system with maps[i] replaced by maps[sigma(i)]."""
-        return IFS(self.domain, tuple(sigma.apply(self.maps)))
+        # permuted checked maps pass every check, so __post_init__ is skipped
+        out = object.__new__(IFS)
+        object.__setattr__(out, "domain", self.domain)
+        object.__setattr__(out, "maps", tuple(sigma.apply(self.maps)))
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, IFS):
@@ -132,33 +140,45 @@ class IFS:
         return f"IFS(domain={self.domain!r}, n={self.n})"
 
 
-def _check_comparable(S: IFS, T: IFS):
-    if S.n != T.n:
-        raise InputError(f"arity mismatch: {S.n} vs {T.n} maps")
-    if S.domain != T.domain:
-        raise InputError("systems live on different domains")
+def _stacks(terms) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients A (m, n, d, d) and b (m, n, d) of systems that share
+    their arity and domain."""
+    S = terms[0]
+    for T in terms[1:]:
+        if S.n != T.n:
+            raise InputError(f"arity mismatch: {S.n} vs {T.n} maps")
+        if S.domain != T.domain:
+            raise InputError("systems live on different domains")
+    A = np.array([[f.A for f in term.maps] for term in terms])
+    b = np.array([[f.b for f in term.maps] for term in terms])
+    return A, b
 
 
 def cost_matrix(S: IFS, T: IFS) -> np.ndarray:
     """Entry (i, j) = dbar(f_i, g_j) over the shared domain; all in [0, 1)."""
-    _check_comparable(S, T)
-    n = S.n
-    C = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            C[i, j] = dbar_inf(S.maps[i], T.maps[j], S.domain)
-    return C
+    return cost_links([S, T])[0]
+
+
+def cost_links(terms) -> np.ndarray:
+    """The consecutive cost matrices of a list of same-arity systems: entry
+    [j] of the (m - 1, n, n) result is cost_matrix(terms[j], terms[j + 1])."""
+    terms = list(terms)
+    A, b = _stacks(terms)
+    return dbar_stacks(A[:-1], b[:-1], A[1:], b[1:], terms[0].domain.vertices())
 
 
 def cost_tensor(terms) -> np.ndarray:
-    """Every pairwise cost matrix of a list of same-arity systems at once:
-    entry [j, k] equals cost_matrix(terms[j], terms[k]) bit for bit."""
+    """Every pairwise cost matrix of a list of same-arity systems: entry
+    [j, k] of the (m, m, n, n) result is cost_matrix(terms[j], terms[k]).
+    Filled row by row, so the kernel's temporaries hold one row at a time."""
     terms = list(terms)
-    for term in terms[1:]:
-        _check_comparable(terms[0], term)
-    A = np.array([[f.A for f in term.maps] for term in terms])
-    b = np.array([[f.b for f in term.maps] for term in terms])
-    return dbar_tensor(A, b, terms[0].domain)
+    A, b = _stacks(terms)
+    m, n = b.shape[:2]
+    V = terms[0].domain.vertices()
+    out = np.empty((m, m, n, n))
+    for j in range(m):
+        out[j] = dbar_stacks(A[j], b[j], A, b, V)
+    return out
 
 
 def _solver_cost(C: np.ndarray) -> float:
@@ -264,13 +284,9 @@ def _mo_transitive(T: np.ndarray, best) -> bool:
     attains it; the diagonal always holds, as T[i, i] has a zero trace.
     """
     m = T.shape[0]
-    rel = [
+    rel = np.array([
         [i == j or float(np.trace(T[i, j])) <= best(i, j) + MATCH_TOL for j in range(m)]
         for i in range(m)
-    ]
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                if rel[i][j] and rel[j][k] and not rel[i][k]:
-                    return False
-    return True
+    ])
+    # (rel @ rel)[i, k] holds when rel[i, j] and rel[j, k] for some j
+    return not np.any(rel @ rel & ~rel)

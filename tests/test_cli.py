@@ -545,6 +545,23 @@ class TestMalformedInputs:
         assert "overflow" in err
         assert not caught
 
+    @pytest.mark.parametrize("hi, scale", [(1e-300, 1e160), (1.0, 1e200)], ids=["tiny-domain", "unit-domain"])
+    @pytest.mark.parametrize("command", ["attractor", "dist"])
+    def test_spec_whose_closed_form_norm_overflows(self, tmp_path, capsys, hi, scale, command):
+        # A^T A overflows in the 2x2 closed form; the norm must not read as nan
+        spec = tmp_path / "big.json"
+        A = [[scale, scale], [scale, scale]]
+        domain = {"lo": [0.0, 0.0], "hi": [hi, hi]}
+        spec.write_text(json.dumps({"dim": 2, "domain": domain, "maps": [{"A": A, "b": [0.0, 0.0]}]}))
+        argv = ["attractor", str(spec), "--out", str(tmp_path / "a.csv")]
+        if command == "dist":
+            argv = ["dist", str(spec), str(spec)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self.run(capsys, argv)
+        assert "not a contraction" in err
+        assert not caught
+
     def test_frames_of_mixed_dimension(self, tmp_path, capsys):
         frames = tmp_path / "frames"
         frames.mkdir()

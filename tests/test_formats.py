@@ -329,9 +329,12 @@ class TestReadersRaiseOnlyInputError:
         bad, good = root / "bad.json", root / "good.json"
         bad.write_text(json.dumps(spec))
         write_ifs(good, cantor_ifs())
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["dist", str(bad), str(good)])
         assert code in (0, 2, 3, 4)
+        if code == 2:
+            assert err.getvalue().count("\n") == 1
 
     @settings(max_examples=300, deadline=None)
     @given(

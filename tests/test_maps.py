@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,15 @@ class TestContractivity:
         for _ in range(20):
             A = rng.standard_normal((4, 4)) * 0.2
             assert spectral_norm(A) == pytest.approx(char_poly_spectral_norm(A), abs=1e-10)
+
+    @pytest.mark.parametrize("scale", [1e77, 1e160, 1e200, 1e300])
+    def test_2x2_closed_form_overflow_falls_back_to_lapack(self, scale):
+        A = scale * np.array([[1.0, 1.0], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectral_norm(A) == float(np.linalg.norm(A, 2))
+            with pytest.raises(ContractionError, match="not a contraction"):
+                AffineMap(A, [0.0, 0.0])
 
     def test_composition_submultiplicative(self):
         rng = np.random.default_rng(11)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,19 @@ class TestMonotonicity:
             tuple(scaling_pair(unit_box, 0.1 * j, 0.1 * j) for j in range(1, 6))
         )
         assert eventually_decreasing_at(seq) is None
+
+    @pytest.mark.parametrize("predicate", [is_decreasing, eventually_decreasing_at])
+    def test_long_chain_reads_only_consecutive_links(self, predicate):
+        # the (m, m, n, n) cost tensor of 500 terms of 4 maps alone is 32 MB
+        square = Box([0.0, 0.0], [1.0, 1.0])
+        seq = similitude_sequence(np.random.default_rng(0), square, 4, 500, rate=0.99)
+        tracemalloc.start()
+        try:
+            predicate(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 class TestCauchy:

@@ -13,8 +13,10 @@ from ifsseq import (
     InputError,
     Permutation,
     big_d,
+    cost_links,
     cost_matrix,
     cost_tensor,
+    dbar_inf,
     is_minimally_ordered,
     is_mo_set,
     leq,
@@ -257,18 +259,27 @@ class TestCostTensor:
         m=st.integers(1, 8),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_equals_cost_matrix_bit_for_bit(self, dim, n, m, seed):
+    def test_every_entry_equals_dbar_inf_bit_for_bit(self, dim, n, m, seed):
         rng = np.random.default_rng(seed)
         lo = rng.uniform(-3.0, 2.0, dim)
         box = Box(lo, lo + rng.uniform(0.1, 4.0, dim))
         terms = [random_ifs(rng, box, n) for _ in range(m)]
         T = cost_tensor(terms)
+        links = cost_links(terms)
         assert T.shape == (m, m, n, n)
-        # dbar is symmetric bit for bit, so either triangle may be read
+        assert links.shape == (m - 1, n, n)
+        # dbar is symmetric bit for bit, so either triangle, or a link's
+        # transpose, may be read
         assert np.array_equal(T, T.transpose(1, 0, 3, 2))
         for j in range(m):
             for k in range(m):
-                assert np.array_equal(T[j, k], cost_matrix(terms[j], terms[k]))
+                expected = np.array(
+                    [[dbar_inf(f, g, box) for g in terms[k].maps] for f in terms[j].maps]
+                )
+                assert np.array_equal(cost_matrix(terms[j], terms[k]), expected)
+                assert np.array_equal(T[j, k], expected)
+                if k == j + 1:
+                    assert np.array_equal(links[j], expected)
 
     def test_rejects_mixed_arity(self, ifs_s, unit_box):
         with pytest.raises(InputError, match="arity mismatch"):
