@@ -2,10 +2,10 @@
 extrapolation.
 
 Fitting minimizes the collage distance h(L, W(L)) by random-restart
-coordinate descent over the affine coefficients, with every candidate
-projected back to the feasible set (singular values clamped, translation
-pulled inside the domain), so iterates never leave the space of valid
-systems.
+coordinate descent over the flat coefficient vector, projecting every
+candidate back to the feasible set (singular values clamped, flat axes
+zeroed, translation pulled inside the domain).  A projection that repeats
+another is kept: it is not bitwise idempotent, and fits are golden-checked.
 """
 
 from __future__ import annotations
@@ -88,18 +88,19 @@ class FitSequenceResult:
     results: tuple[FitResult, ...]
 
 
-def collage_distance(S: IFS, target: PointSet) -> float:
-    """h(L, W(L)): how far the target is from being W-invariant.
-
-    Bit for bit hausdorff(target, hutchinson(S, target)), but W(L) is snapped
-    without deduplication (repeats and row order cannot change a max of mins),
-    and the target's cached tree serves every candidate system of a fit."""
-    images = _snap(_images(S, target), target.resolution)
+def _collage(images: np.ndarray, target: PointSet) -> float:
+    """h(L, images): images snapped, not deduplicated, on the target's tree."""
+    images = _snap(images, target.resolution)
     if target.dim == 1:
         images, tree = np.sort(images, axis=0), None
     else:
         tree = cKDTree(images)
     return math.sqrt(_hausdorff_sq(target.points, target.tree, images, tree))
+
+
+def collage_distance(S: IFS, target: PointSet) -> float:
+    """h(L, W(L)), bit for bit hausdorff(target, hutchinson(S, target))."""
+    return _collage(_images(S, target), target)
 
 
 def collage_bound(eps: float, t: float) -> float:
@@ -112,43 +113,33 @@ def collage_bound(eps: float, t: float) -> float:
     return eps / (1.0 - t)
 
 
-def project_map(A: np.ndarray, b: np.ndarray, box: Box, s_max: float) -> AffineMap:
-    """Nearest feasible map: singular values clamped to s_max, translation
-    shifted (and A shrunk when even that cannot fit) so the box maps into
-    itself."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+def _project(A: np.ndarray, b: np.ndarray, box: Box, V: np.ndarray, s_max: float):
+    """project_map on arrays, given the box's vertices V."""
     u, s, vt = np.linalg.svd(A)
     if s.size and s[0] > s_max:
         A = u @ np.diag(np.minimum(s, s_max)) @ vt
     extent = box.hi - box.lo
+    if extent.any():
+        A = np.where((extent > 0)[:, None], A, 0.0)  # constant on flat axes
     for _ in range(64):
-        img = box.vertices() @ A.T + b
-        img_lo = img.min(axis=0)
-        img_hi = img.max(axis=0)
-        if np.all(img_hi - img_lo <= extent + 1e-15):
+        img = V @ A.T + b
+        if np.all(img.max(axis=0) - img.min(axis=0) <= extent + 1e-15):
             break
         A = A * 0.8  # image larger than the box along some axis
     else:
         raise PreconditionError("cannot project the map into the domain")
-    img = box.vertices() @ A.T + b
     shift = np.maximum(box.lo - img.min(axis=0), 0.0) + np.minimum(
         box.hi - img.max(axis=0), 0.0
     )
-    return AffineMap(A, b + shift)
+    return A, b + shift
 
 
-def _pack(maps) -> np.ndarray:
-    return np.concatenate([np.concatenate([m.A.ravel(), m.b]) for m in maps])
-
-
-def _unpack(params: np.ndarray, n: int, d: int, box: Box, s_max: float):
-    per = d * d + d
-    maps = []
-    for i in range(n):
-        block = params[i * per : (i + 1) * per]
-        maps.append(project_map(block[: d * d].reshape(d, d), block[d * d :], box, s_max))
-    return tuple(maps)
+def project_map(A: np.ndarray, b: np.ndarray, box: Box, s_max: float) -> AffineMap:
+    """Nearest feasible map: singular values clamped to s_max, rows of flat
+    axes zeroed, translation shifted (and A shrunk when even that cannot fit)
+    so the box maps into itself."""
+    A, b = np.atleast_2d(np.asarray(A, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    return AffineMap(*_project(A, b, box, box.vertices(), s_max))
 
 
 def _tiles(points: np.ndarray, n: int):
@@ -248,24 +239,36 @@ def _candidate_moves(params: np.ndarray, n: int, d: int, box: Box, step: float):
 
 
 def _descend(target, box, cfg, maps0):
-    d = target.dim
+    n, d = cfg.n, target.dim
+    V = box.vertices()
     step0 = INITIAL_STEP * box.diameter
     if step0 <= 0.0:
         step0 = 0.1  # degenerate single-point domain
     stop_step = max(step0 * 1e-6, 1e-12)
 
-    params = _pack(_unpack(_pack(maps0), cfg.n, d, box, cfg.s_max))
-    best = collage_distance(IFS(box, _unpack(params, cfg.n, d, box, cfg.s_max)), target)
+    def project(params):
+        return [_project(p[:-d].reshape(d, d), p[-d:], box, V, cfg.s_max) for p in params.reshape(n, -1)]
+    def pack(maps):
+        return np.concatenate([np.concatenate([A.ravel(), b]) for A, b in maps])
+    def collage(maps):
+        return _collage(np.vstack([target.points @ A.T + b for A, b in maps]), target)
+
+    # Each projection stays, as it is not bitwise idempotent and fits are
+    # golden-checked: the start twice more, each candidate, the result.
+    params = pack(project(pack([(m.A, m.b) for m in maps0])))
+    best = collage(project(params))
     history = [best]
     step = step0
     for _ in range(cfg.max_iters):
+        if best == 0.0:
+            break  # no candidate can score below an exact collage
         improved = False
-        for trial in _candidate_moves(params, cfg.n, d, box, step):
-            trial_maps = _unpack(trial, cfg.n, d, box, cfg.s_max)
-            value = collage_distance(IFS(box, trial_maps), target)
+        for trial in _candidate_moves(params, n, d, box, step):
+            trial_maps = project(trial)
+            value = collage(trial_maps)
             if value < best:
                 best = value
-                params = _pack(trial_maps)  # keep the projected coefficients
+                params = pack(trial_maps)  # keep the projected coefficients
                 history.append(best)
                 improved = True
                 break
@@ -273,7 +276,7 @@ def _descend(target, box, cfg, maps0):
             step *= STEP_DECAY
             if step < stop_step:
                 break
-    return _unpack(params, cfg.n, d, box, cfg.s_max), best, history
+    return tuple(AffineMap(A, b) for A, b in project(params)), best, history
 
 
 def _baseline_maps(target: PointSet, box: Box, cfg: FitConfig):
@@ -300,6 +303,9 @@ def fit_ifs(
     box = domain if domain is not None else Box(target.points.min(axis=0), target.points.max(axis=0))
     if not box.contains(target.points, tol=target.resolution / 2.0 + 1e-9):
         raise InputError("target points must lie inside the declared domain")
+    # checks the target, domain and point cap once for every candidate
+    baseline = IFS(box, _baseline_maps(target, box, cfg))
+    baseline_value = collage_distance(baseline, target)
     rng = np.random.default_rng(cfg.seed)
 
     starts = []
@@ -317,13 +323,11 @@ def fit_ifs(
         # which preserves orientation across warm-started frame sequences
         if value < best_value - 1e-9:
             best_maps, best_value, best_history = maps, value, history
+        if best_value == 0.0:
+            break  # no later restart can win
 
-    baseline = _baseline_maps(target, box, cfg)
-    baseline_value = collage_distance(IFS(box, baseline), target)
     if best_maps is None or best_value > baseline_value:
-        return FitResult(
-            IFS(box, baseline), baseline_value, (baseline_value,), baseline_fallback=True
-        )
+        return FitResult(baseline, baseline_value, (baseline_value,), baseline_fallback=True)
     return FitResult(IFS(box, best_maps), best_value, tuple(best_history))
 
 

@@ -170,14 +170,16 @@ def cost_links(terms) -> np.ndarray:
 def cost_tensor(terms) -> np.ndarray:
     """Every pairwise cost matrix of a list of same-arity systems: entry
     [j, k] of the (m, m, n, n) result is cost_matrix(terms[j], terms[k]).
-    Filled row by row, so the kernel's temporaries hold one row at a time."""
+    Filled row by row, so the kernel's temporaries hold one row at a time;
+    [k, j] is [j, k] transposed, as dbar is symmetric bit for bit."""
     terms = list(terms)
     A, b = _stacks(terms)
     m, n = b.shape[:2]
     V = terms[0].domain.vertices()
     out = np.empty((m, m, n, n))
     for j in range(m):
-        out[j] = dbar_stacks(A[j], b[j], A, b, V)
+        out[j, j:] = dbar_stacks(A[j], b[j], A[j:], b[j:], V)
+        out[j + 1 :, j] = out[j, j + 1 :].swapaxes(-1, -2)
     return out
 
 

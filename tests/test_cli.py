@@ -233,8 +233,17 @@ class TestFitRecordedOutput:
                 ["pred.ifs.json", "pred.points.csv", "pred.pgm"],
                 "pred.manifest.json",
             ),
+            (
+                # random starts and ~4,100 objective evaluations: the
+                # descent itself, not only its first candidates
+                "collage_fit_descent",
+                ["collage-fit", "target.pgm", "--n", "3", "--restarts", "3", "--iters", "25",
+                 "--seed", "2", "--threshold", "100", "--out", "descent.json"],
+                ["descent.json"],
+                "descent.json.manifest.json",
+            ),
         ],
-        ids=["collage-fit", "predict"],
+        ids=["collage-fit", "predict", "collage-fit-descent"],
     )
     def test_matches_recording(self, tmp_path, monkeypatch, capsys, name, argv, outputs, manifest):
         shutil.copy(self.FIXTURES / "target.pgm", tmp_path)
@@ -308,6 +317,29 @@ class TestCollageFit:
         fitted = read_ifs(out)
         center = (3 + 0.5) / 8
         assert fitted.maps[0]([center])[0] == pytest.approx(center, abs=1.0 / 8)
+
+    def test_foreground_in_one_pixel_row(self, tmp_path, capsys):
+        # a 2-row raster marked in one row infers a domain of zero height
+        mask = np.zeros((2, 16), dtype=bool)
+        mask[1] = np.arange(16) % 4 != 3
+        img = tmp_path / "line.pgm"
+        write_pgm(img, mask)
+        out = tmp_path / "fit.json"
+        code = main(
+            ["collage-fit", str(img), "--n", "2", "--out", str(out),
+             "--restarts", "2", "--iters", "10", "--s-max", "0.9"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.count("spec written to") == 1
+        assert read_ifs(out).contractivity <= 0.9
+
+    def test_point_cap_exits_3(self, tmp_path, monkeypatch, capsys):
+        img = self.cantor_pgm(tmp_path, width=243, depth=5)
+        monkeypatch.setattr("ifsseq.attractor.POINT_CAP", 10)
+        code = main(["collage-fit", str(img), "--n", "2", "--out", str(tmp_path / "fit.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         img = self.cantor_pgm(tmp_path, width=243, depth=5)

@@ -11,6 +11,7 @@ from ifsseq import (
     InputError,
     PointSet,
     PreconditionError,
+    ResourceLimitError,
     attractor_points,
     big_d,
     box_seed,
@@ -18,10 +19,13 @@ from ifsseq import (
     hausdorff_brute,
     hutchinson,
     minimal_order,
+    spectral_norm,
 )
+from ifsseq import attractor, collage
 from ifsseq.collage import (
     ExtrapolationModel,
     FitConfig,
+    FitResult,
     collage_bound,
     collage_distance,
     extrapolate,
@@ -110,6 +114,26 @@ class TestProjectMap:
         m = project_map(np.array([[0.5]]), np.array([0.25]), unit_box, s_max=0.9)
         assert np.allclose(m.A, [[0.5]]) and np.allclose(m.b, [0.25])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 2, 3]),
+        flat=st.lists(st.booleans(), min_size=3, max_size=3),
+    )
+    def test_output_passes_ifs_validation(self, seed, dim, flat):
+        # the fit scores projected candidates without building a system, so
+        # every projection must be one that IFS would accept
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-2.0, 2.0, dim)
+        box = Box(lo, lo + np.where(flat[:dim], 0.0, rng.uniform(0.1, 3.0, dim)))
+        A = rng.standard_normal((dim, dim))
+        A *= rng.uniform(0.0, 10.0) / spectral_norm(A)
+        b = rng.uniform(lo - 20.0, lo + 20.0)
+        s_max = rng.uniform(0.05, 0.99)
+        m = project_map(A, b, box, s_max)
+        assert m.contractivity <= s_max + 1e-12
+        IFS(box, (m,))  # contraction sending the box into itself
+
 
 class TestFitIFS:
     def test_recovers_cantor_coefficients(self, unit_box, cantor_render):
@@ -153,6 +177,25 @@ class TestFitIFS:
         a = fit_ifs(cantor_render, cfg, domain=unit_box)
         b = fit_ifs(cantor_render, cfg, domain=unit_box)
         assert a.ifs == b.ifs and a.distance == b.distance
+
+    def test_exact_collage_ends_the_search(self, monkeypatch):
+        # the Sierpinski maps reproduce their render on the 1/32 lattice, so
+        # no candidate and no later restart can score below the warm start
+        box = Box([0.0, 0.0], [1.0, 1.0])
+        maps = tuple(AffineMap(0.5 * np.eye(2), b) for b in ([0.0, 0.0], [0.5, 0.0], [0.0, 0.5]))
+        target = attractor_points(IFS(box, maps), 8, box_seed(box, 1 / 32))
+        scored = []
+        kernel = collage._collage
+        monkeypatch.setattr(collage, "_collage", lambda *args: scored.append(1) or kernel(*args))
+        cfg = FitConfig(n=3, restarts=3, max_iters=200)
+        assert fit_ifs(target, cfg, init_maps=maps) == FitResult(IFS(box, maps), 0.0, (0.0,))
+        assert len(scored) <= cfg.restarts + 1
+
+    def test_point_cap_is_checked_before_any_descent(self, monkeypatch, cantor_render):
+        monkeypatch.setattr(attractor, "POINT_CAP", 2 * len(cantor_render) - 1)
+        monkeypatch.setattr(collage, "_descend", lambda *args: pytest.fail("a descent ran"))
+        with pytest.raises(ResourceLimitError, match="raise the resolution"):
+            fit_ifs(cantor_render, FitConfig(n=2))
 
 
 class TestFitSequence:
