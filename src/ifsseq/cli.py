@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import os
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -195,7 +196,7 @@ def cmd_analyze(args) -> int:
     consecutive = [report.pairwise[j, j + 1] for j in range(len(seq) - 1)]
     if consecutive:
         print("consecutive D:", " ".join(f"{v:.6g}" for v in consecutive))
-    if report.mo_set is False:
+    if not report.mo_set:
         print("note: minimal ordering is not transitive over these terms")
     if report.failure is not None:
         if isinstance(report.failure, PreconditionError):
@@ -267,7 +268,12 @@ def cmd_predict(args) -> int:
         inputs = [source]
         fit_flags = {}
     model = ExtrapolationModel(MODEL_NAMES[args.model], horizon=args.horizon, s_max=args.s_max)
-    predicted = extrapolate(sequence, model)
+    # each distinct extrapolation warning becomes one line, like collage-fit's
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        predicted = extrapolate(sequence, model)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}")
     resolution, render, mask = _render(predicted, args, args.render_delta)
     write_ifs(out_spec, predicted)
     write_points_csv(out_csv, render)

@@ -280,11 +280,12 @@ def _descend(target, box, cfg, maps0):
 
 
 def _baseline_maps(target: PointSet, box: Box, cfg: FitConfig):
-    """Constant maps pinned at evenly spaced target points."""
+    """Constant maps pinned at evenly spaced target points, clipped into the
+    box: a target point may lie up to half a pitch outside a declared one."""
     d = target.dim
     picks = np.linspace(0, len(target) - 1, cfg.n).round().astype(int)
     return tuple(
-        AffineMap(np.zeros((d, d)), target.points[p]) for p in picks
+        AffineMap(np.zeros((d, d)), np.clip(target.points[p], box.lo, box.hi)) for p in picks
     )
 
 

@@ -8,17 +8,17 @@ one pair of distinct indices).  Returned indices count terms from 1.
 
 align_chain is the one alignment path: it matches each consecutive cost
 matrix (systems.cost_links) against the previous term as already reindexed.
-is_decreasing and eventually_decreasing_at then match only the consecutive
-links of the aligned chain.  analyze_sequence builds the cost tensor of the
-aligned terms (systems.cost_tensor) once and reads D, monotonicity,
-minimal-ordering transitivity, the Cauchy index and the limit from it, solving
-each matching at most once; limit_candidate is a view of it, and
-pairwise_distances and cauchy_index read the tensor of the raw terms.
+The identity, the smallest permutation, is then the tie-broken optimal
+matching of every aligned link, so the decrease flags compare the aligned
+contraction-factor traces slot by slot.  analyze_sequence builds the cost
+tensor of the aligned terms once and reads everything else from it and its
+matrix of D (systems._distances, one matching per pair of terms);
+limit_candidate is a view of it, and pairwise_distances and cauchy_index read
+the tensor of the raw terms.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -30,16 +30,13 @@ from .systems import (
     FACTOR_TOL,
     IFS,
     Permutation,
+    _distances,
     _mo_transitive,
     big_d,
     cost_links,
     cost_tensor,
     optimal_matching,
 )
-
-# is_mo_set solves a matching per ordered pair of terms, so analyze runs it
-# only on short sequences.
-MO_CHECK_MAX_TERMS = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +80,9 @@ class SequenceReport:
     """Aggregate of the sequence diagnostics produced by analyze_sequence.
 
     When limit extraction fails, `limit` is None, `residual` is NaN and
-    `failure` holds the error that limit_candidate raises.  `mo_set` is None
-    when the transitivity check was not run.
+    `failure` holds the error that limit_candidate raises.  `mo_set` says
+    whether minimal ordering is transitive over the terms; it is True for a
+    single term.
     """
 
     pairwise: np.ndarray
@@ -95,7 +93,7 @@ class SequenceReport:
     alignment: tuple[Permutation, ...]
     limit: IFS | None
     residual: float
-    mo_set: bool | None = None
+    mo_set: bool
     failure: InputError | PreconditionError | None = None
 
 
@@ -112,45 +110,32 @@ def align_chain(seq: IFSSequence) -> IFSSequence:
     return IFSSequence(aligned, aligned=True, alignment=tuple(perms))
 
 
-def _decrease_flags(aligned: IFSSequence, sigmas) -> list[bool]:
-    """leq(term_{j+1}, term_j) for each consecutive pair of an aligned chain,
-    where sigmas[j] is the optimal matching of term j+1 (rows) against term j."""
-    factors = [[f.contractivity for f in term.maps] for term in aligned.terms]
-    return [
-        all(factors[j + 1][i] <= factors[j][s] + FACTOR_TOL for i, s in enumerate(sigma.image))
-        for j, sigma in enumerate(sigmas)
-    ]
+def _traces(aligned: IFSSequence) -> np.ndarray:
+    """(n, m) contraction factors of each slot along an aligned chain."""
+    return np.array([[t.maps[i].contractivity for t in aligned.terms] for i in range(aligned.n)])
 
 
-def _link_flags(seq: IFSSequence) -> list[bool]:
-    """Decrease flags of the aligned chain from its consecutive links alone.
-    dbar is symmetric bit for bit, so the transpose of link j is the cost
-    matrix of term j+1 against term j."""
-    aligned = align_chain(seq)
-    sigmas = [optimal_matching(C.T)[0] for C in cost_links(aligned.terms)]
-    return _decrease_flags(aligned, sigmas)
+def _decreases(factors: np.ndarray) -> np.ndarray:
+    """factors[..., j + 1] <= factors[..., j] for each consecutive pair."""
+    return factors[..., 1:] <= factors[..., :-1] + FACTOR_TOL
 
 
-def _distances(m: int, matching) -> np.ndarray:
-    """Symmetric matrix of D from matching(j, k) for each pair j < k."""
-    out = np.zeros((m, m))
-    for j in range(m):
-        for k in range(j + 1, m):
-            out[j, k] = out[k, j] = matching(j, k)[1]
-    return out
+def _link_flags(seq: IFSSequence) -> np.ndarray:
+    """leq(term_{j+1}, term_j) for each consecutive pair of the aligned chain:
+    the identity matches every aligned link, so leq compares slot by slot."""
+    return np.all(_decreases(_traces(align_chain(seq))), axis=0)
 
 
 def pairwise_distances(seq: IFSSequence) -> np.ndarray:
     """Symmetric matrix of D between all pairs of terms."""
-    T = cost_tensor(seq.terms)
-    return _distances(len(seq), lambda j, k: optimal_matching(T[j, k]))
+    return _distances(cost_tensor(seq.terms))
 
 
 def is_decreasing(seq: IFSSequence) -> bool:
     return all(_link_flags(seq))
 
 
-def _eventually_from_flags(flags: list[bool]) -> int | None:
+def _eventually_from_flags(flags) -> int | None:
     if all(flags):
         return 1
     last_bad = max(j for j, ok in enumerate(flags) if not ok)  # 0-based pair index
@@ -193,17 +178,11 @@ def converges_to(seq: IFSSequence, target: IFS, eps: float) -> int | None:
     return (max(bad) + 2) if bad else 1
 
 
-def _decreasing_start(factors) -> int | None:
-    """First term of the decreasing tail of one slot's factor trace."""
-    return _eventually_from_flags(
-        [factors[j + 1] <= factors[j] + FACTOR_TOL for j in range(len(factors) - 1)]
-    )
-
-
-def _slot_problem(factors, dbar: np.ndarray, eps: float) -> str | None:
-    """Why a slot has no limit candidate, or None; dbar is the slot's
-    matrix of dbar between terms."""
-    if _decreasing_start(factors) is None:
+def _slot_problem(start: int | None, dbar: np.ndarray, eps: float) -> str | None:
+    """Why a slot has no limit candidate, or None; start is the first term of
+    the slot's decreasing factor tail and dbar its matrix of dbar between
+    terms."""
+    if start is None:
         return "contractivity factors are not eventually decreasing"
     if _cauchy_from_matrix(dbar, eps) is None:
         return f"sequence is not Cauchy at eps={eps}"
@@ -227,61 +206,57 @@ def limit_of_contractions(
         raise InputError("eps must be positive")
     if any(f.dim != domain.dim for f in maps):
         raise InputError(f"dimension mismatch: maps on a {domain.dim}-box")
-    factors = [f.contractivity for f in maps]
+    factors = np.array([f.contractivity for f in maps])
     A = np.array([f.A for f in maps])
     b = np.array([f.b for f in maps])
     dbar = dbar_stacks(A, b, A, b, domain.vertices())
-    problem = _slot_problem(factors, dbar, eps)
+    start = _eventually_from_flags(_decreases(factors))
+    problem = _slot_problem(start, dbar, eps)
     if problem is not None:
         raise PreconditionError(problem)
-    return maps[-1], float(min(factors[_decreasing_start(factors) - 1 :]))
+    return maps[-1], float(min(factors[start - 1 :]))
 
 
-def analyze_sequence(
-    seq: IFSSequence, eps: float, mo_max_terms: int = MO_CHECK_MAX_TERMS
-) -> SequenceReport:
+def analyze_sequence(seq: IFSSequence, eps: float) -> SequenceReport:
     """Every diagnostic of the aligned chain from one cost tensor.
 
-    The chain is aligned by align_chain; D between the aligned terms, the
-    decrease flags, minimal-ordering transitivity (run for 2 to mo_max_terms
-    terms), the Cauchy index at eps, each slot's limit preconditions and the
-    residual are then read from the aligned tensor, and each matching is
-    solved once.  A failed limit extraction is returned in `failure`, not
+    The chain is aligned by align_chain.  Its cost tensor gives D between the
+    aligned terms, one matching per pair j < k; minimal-ordering
+    transitivity, the Cauchy index at eps, each slot's dbar matrix and the
+    residual D(last term, limit) are read from D and the tensor.  The
+    decrease flags and each slot's decreasing tail come from the aligned
+    factor traces.  A failed limit extraction is returned in `failure`, not
     raised, so the report still carries everything computed before it.
     """
     aligned = align_chain(seq)
     T = cost_tensor(aligned.terms)
-    matching = functools.cache(lambda j, k: optimal_matching(T[j, k]))
-    m, n = len(seq), seq.n
-    dist = _distances(m, matching)
-    flags = _decrease_flags(aligned, [matching(j + 1, j)[0] for j in range(m - 1)])
-    mo_set = None
-    if 2 <= m <= mo_max_terms:
-        mo_set = _mo_transitive(T, lambda i, j: matching(i, j)[1])
-    traces = tuple(tuple(t.maps[i].contractivity for t in aligned.terms) for i in range(n))
+    dist = _distances(T)
+    traces = _traces(aligned)
+    decreases = _decreases(traces)
+    flags = np.all(decreases, axis=0)
     limit, residual, cauchy_at, failure = None, math.nan, None, None
     if eps <= 0.0:
         failure = InputError("eps must be positive")
     else:
         cauchy_at = _cauchy_from_matrix(dist, eps)
-        for i in range(n):
-            problem = _slot_problem(traces[i], T[:, :, i, i], eps)
+        for i, slot in enumerate(decreases):
+            problem = _slot_problem(_eventually_from_flags(slot), T[:, :, i, i], eps)
             if problem is not None:
                 failure = PreconditionError(f"slot {i + 1}: {problem}")
                 break
         else:
             limit = aligned.terms[-1]
-            residual = matching(m - 1, m - 1)[1]
+            residual = float(dist[-1, -1])
     return SequenceReport(
         pairwise=dist,
-        factor_traces=traces,
+        factor_traces=tuple(map(tuple, traces.tolist())),
         decreasing=all(flags),
         eventually_decreasing_at=_eventually_from_flags(flags),
         cauchy_at=cauchy_at,
         alignment=aligned.alignment,
         limit=limit,
         residual=residual,
-        mo_set=mo_set,
+        mo_set=_mo_transitive(T, dist),
         failure=failure,
     )
 
@@ -290,10 +265,11 @@ def limit_candidate(seq: IFSSequence, eps: float) -> SequenceReport:
     """Per-slot limit extraction over the aligned chain.
 
     The limit candidate is the final aligned term (no extrapolation), so the
-    residual D(last term, limit) is zero whenever extraction succeeds.
-    Slot-level precondition failures are raised with the offending slot.
+    residual D(last term, limit) is the zero diagonal entry of the D matrix
+    whenever extraction succeeds.  Slot-level precondition failures are raised
+    with the offending slot; the report is analyze_sequence's.
     """
-    report = analyze_sequence(seq, eps, mo_max_terms=0)
+    report = analyze_sequence(seq, eps)
     if report.failure is not None:
         raise report.failure
     return report

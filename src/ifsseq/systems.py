@@ -7,7 +7,9 @@ makes reordering operations deterministic.
 
 Every cost matrix comes from the one dbar kernel, maps.dbar_stacks: cost_matrix
 for one pair of systems, cost_links for the consecutive pairs of a list and
-cost_tensor for all of its pairs.
+cost_tensor for all of its pairs.  _distances reads the matrix of D from a
+cost tensor, and is_mo_set and the sequence diagnostics read everything else
+from that matrix and the tensor's traces.
 """
 
 from __future__ import annotations
@@ -268,27 +270,35 @@ def leq(S: IFS, T: IFS) -> bool:
     )
 
 
+def _distances(T: np.ndarray) -> np.ndarray:
+    """Symmetric matrix of D over the systems behind a cost tensor, from one
+    optimal matching per pair j < k."""
+    m = T.shape[0]
+    out = np.zeros((m, m))
+    for j in range(m):
+        for k in range(j + 1, m):
+            out[j, k] = out[k, j] = optimal_matching(T[j, k])[1]
+    return out
+
+
 def is_mo_set(systems) -> bool:
     """Whether minimal ordering restricted to the collection is transitive.
 
     Reflexivity and symmetry hold for any collection, so the relation is an
     equivalence on the set exactly when every ordered triple is transitive.
+    Symmetry also means one matching per unordered pair decides it.
     """
     T = cost_tensor(systems)
-    return _mo_transitive(T, lambda i, j: optimal_matching(T[i, j])[1])
+    return _mo_transitive(T, _distances(T))
 
 
-def _mo_transitive(T: np.ndarray, best) -> bool:
+def _mo_transitive(T: np.ndarray, D: np.ndarray) -> bool:
     """Transitivity of minimal ordering over the systems behind a cost tensor.
 
-    best(i, j) is the optimal matching cost of T[i, j].  Term j is minimally
+    D is their matrix of the metric D (_distances).  Term j is minimally
     ordered with respect to term i when the identity matching of T[i, j]
-    attains it; the diagonal always holds, as T[i, i] has a zero trace.
+    attains D[i, j]; the diagonal always holds, as T[i, i] has a zero trace.
     """
-    m = T.shape[0]
-    rel = np.array([
-        [i == j or float(np.trace(T[i, j])) <= best(i, j) + MATCH_TOL for j in range(m)]
-        for i in range(m)
-    ])
+    rel = np.trace(T, axis1=2, axis2=3) <= D + MATCH_TOL
     # (rel @ rel)[i, k] holds when rel[i, j] and rel[j, k] for some j
     return not np.any(rel @ rel & ~rel)

@@ -156,11 +156,12 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "terms: 1" in out
 
+    @pytest.mark.parametrize("copies", [0, 10])
     def test_plane_triple_notes_transitivity_failure(
-        self, tmp_path, capsys, plane_s, plane_t, plane_u
+        self, tmp_path, capsys, plane_s, plane_t, plane_u, copies
     ):
         seqfile = tmp_path / "seq.json"
-        write_sequence(seqfile, IFSSequence((plane_s, plane_t, plane_u)))
+        write_sequence(seqfile, IFSSequence((plane_s, plane_t, plane_u) + (plane_u,) * copies))
         assert main(["analyze", str(seqfile), "--eps", "1.9"]) == 0
         out = capsys.readouterr().out
         assert "minimal ordering is not transitive" in out
@@ -333,6 +334,21 @@ class TestCollageFit:
         assert capsys.readouterr().out.count("spec written to") == 1
         assert read_ifs(out).contractivity <= 0.9
 
+    def test_target_half_a_pitch_outside_declared_domain(self, tmp_path, capsys):
+        # the first pixel center, 1/32, lies below --domain-lo but within half
+        # a pitch of it, so the constant-map baseline must pin inside the box
+        mask = np.zeros((1, 16), dtype=bool)
+        mask[0, ::3] = True
+        img = tmp_path / "row.pgm"
+        write_pgm(img, mask)
+        out = tmp_path / "fit.json"
+        code = main(
+            ["collage-fit", str(img), "--n", "2", "--out", str(out),
+             "--restarts", "2", "--iters", "10", "--domain-lo", "0.035", "--domain-hi", "1"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.count("spec written to") == 1
+
     def test_point_cap_exits_3(self, tmp_path, monkeypatch, capsys):
         img = self.cantor_pgm(tmp_path, width=243, depth=5)
         monkeypatch.setattr("ifsseq.attractor.POINT_CAP", 10)
@@ -417,6 +433,26 @@ class TestPredict:
         assert code == 0
         predicted = read_ifs(prefix + ".ifs.json")
         assert big_d(predicted, cantor_ifs()) <= 0.01
+
+    def test_unidentifiable_decay_warns_once(self, tmp_path, capsys):
+        # the first map's scale grows faster each step, so its decay ratio >= 1
+        box = Box([0.0], [1.0])
+        terms = tuple(
+            IFS(box, (AffineMap([[a]], [0.0]), AffineMap([[0.3]], [0.7])))
+            for a in (0.1, 0.2, 0.35, 0.55)
+        )
+        seqfile = tmp_path / "seq.json"
+        write_sequence(seqfile, IFSSequence(terms))
+        prefix = str(tmp_path / "pred")
+        code = main(
+            ["predict", str(seqfile), "--model", "geometric", "--horizon", "2", "--out-prefix", prefix]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        warned = [line for line in captured.out.splitlines() if line.startswith("warning:")]
+        assert warned == ["warning: geometric decay not identifiable (step ratio >= 1); "
+                          "falling back to the linear model"]
+        assert "RuntimeWarning" not in captured.err
 
     def test_single_frame_rejected(self, tmp_path, capsys):
         frames = self.frames_dir(tmp_path, count=1)

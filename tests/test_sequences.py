@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,9 +11,12 @@ from ifsseq import (
     InputError,
     PreconditionError,
     big_d,
+    cost_matrix,
     dbar_inf,
     is_minimally_ordered,
+    is_mo_set,
     leq,
+    optimal_matching,
 )
 from ifsseq.sequences import (
     IFSSequence,
@@ -351,6 +355,25 @@ def similitude_sequence(rng, box, n, length, rate, bump=None):
     return IFSSequence(tuple(terms))
 
 
+def dyadic_sequence(rng, box, length, settle):
+    """4-map 2D similitudes with scales in {1/4, 1/2} and translations in
+    {0, 1/4, 1/2}, slots shuffled in every term, so maps repeat and matchings
+    tie.  Without `settle` every term is drawn afresh; with it the
+    translations stay fixed and one slot's scale drops to 1/4 per term."""
+    scale = np.full(4, 0.5)
+    shift = rng.choice([0.0, 0.25, 0.5], size=(4, 2))
+    terms = []
+    for _ in range(length):
+        if settle:
+            scale[rng.integers(4)] = 0.25
+        else:
+            scale = rng.choice([0.25, 0.5], size=4)
+            shift = rng.choice([0.0, 0.25, 0.5], size=(4, 2))
+        maps = [AffineMap(scale[i] * np.eye(2), shift[i]) for i in range(4)]
+        terms.append(IFS(box, tuple(maps[k] for k in rng.permutation(4))))
+    return IFSSequence(tuple(terms))
+
+
 class TestAnalyzeSequence:
     SQUARE = Box([0.0, 0.0], [1.0, 1.0])
 
@@ -363,7 +386,7 @@ class TestAnalyzeSequence:
         assert report.eventually_decreasing_at == expected["eventually_decreasing_at"]
         assert report.cauchy_at == expected["cauchy_at"]
         assert report.alignment == expected["alignment"]
-        assert report.mo_set == (expected["mo_set"] if 2 <= len(seq) <= 12 else None)
+        assert report.mo_set == expected["mo_set"]
         assert (report.failure and str(report.failure)) == expected["failure"]
         assert report.limit == expected["limit"]
         if expected["limit"] is not None:
@@ -382,6 +405,30 @@ class TestAnalyzeSequence:
         rng = np.random.default_rng(100 + seed)
         terms = tuple(random_ifs(rng, self.SQUARE, 3) for _ in range(4 + seed))
         self.check(IFSSequence(terms), 0.9)
+
+    @pytest.mark.parametrize("settle", [False, True])
+    @pytest.mark.parametrize("length", [3, 8, 13, 16])
+    def test_tie_heavy_sequences(self, length, settle):
+        seq = dyadic_sequence(np.random.default_rng(length), self.SQUARE, length, settle)
+        self.check(seq, 0.3)
+
+    @pytest.mark.parametrize("settle", [False, True])
+    @pytest.mark.parametrize("length", [3, 8, 13, 16])
+    def test_tie_heavy_reads_match_primitives(self, length, settle):
+        seq = dyadic_sequence(np.random.default_rng(length), self.SQUARE, length, settle)
+        terms = align_chain(seq).terms
+        links = list(zip(terms, terms[1:]))
+        # the identity is the tie-broken optimal matching of every aligned link
+        assert all(optimal_matching(cost_matrix(b, a))[0].is_identity for a, b in links)
+        flags = [leq(b, a) for a, b in links]
+        assert is_decreasing(seq) == all(flags)
+        assert eventually_decreasing_at(seq) == _start(flags)
+        rel = [[is_minimally_ordered(t, s) for t in seq.terms] for s in seq.terms]
+        transitive = all(
+            not (rel[i][j] and rel[j][k]) or rel[i][k]
+            for i, j, k in itertools.product(range(length), repeat=3)
+        )
+        assert is_mo_set(seq.terms) == transitive
 
     def test_plane_triple_is_not_mo_set(self, plane_s, plane_t, plane_u):
         assert self.check(IFSSequence((plane_s, plane_t, plane_u)), 1.9).mo_set is False
