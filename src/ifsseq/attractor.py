@@ -8,21 +8,26 @@ O(|A||B|) reference and an accelerated path (sorted scan in one dimension;
 above, a KD-tree screen whose survivors the brute expression decides).  Both
 reduce squared distances built from the same expressions, so the agreement is
 exact, not approximate.
+
+scipy.spatial loads where the first tree is built, not at import: it is most
+of a cold start, and a render never builds a tree.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InputError, ResourceLimitError
 from .maps import Box
 from .sequences import IFSSequence
 from .systems import IFS
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 POINT_CAP = 5_000_000
 
@@ -83,6 +88,8 @@ class PointSet:
     def tree(self) -> cKDTree | None:
         """KD-tree over the read-only points, built on first use; None on the line."""
         if self._tree is None and self.dim > 1:
+            from scipy.spatial import cKDTree
+
             self._tree = cKDTree(self.points)
         return self._tree
 

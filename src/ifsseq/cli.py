@@ -21,7 +21,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .attractor import PointSet, attractor_points, default_resolution
@@ -75,6 +74,8 @@ def _sha256(path) -> str:
 
 
 def write_manifest(out_path, command: str, flags: dict, inputs: list, outputs: list):
+    import scipy  # here, not at import: a bare CLI start loads no scipy
+
     manifest = {
         "command": command,
         "flags": flags,

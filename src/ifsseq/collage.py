@@ -6,6 +6,9 @@ coordinate descent over the flat coefficient vector, projecting every
 candidate back to the feasible set (singular values clamped, flat axes
 zeroed, translation pulled inside the domain).  A projection that repeats
 another is kept: it is not bitwise idempotent, and fits are golden-checked.
+
+scipy.spatial loads at the first collage evaluation, not at import, so
+commands that never fit start without it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .attractor import PointSet, _hausdorff_sq, _images, _snap
 from .errors import InputError, PreconditionError
@@ -94,6 +96,8 @@ def _collage(images: np.ndarray, target: PointSet) -> float:
     if target.dim == 1:
         images, tree = np.sort(images, axis=0), None
     else:
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(images)
     return math.sqrt(_hausdorff_sq(target.points, target.tree, images, tree))
 

@@ -10,6 +10,9 @@ for one pair of systems, cost_links for the consecutive pairs of a list and
 cost_tensor for all of its pairs.  _distances reads the matrix of D from a
 cost tensor, and is_mo_set and the sequence diagnostics read everything else
 from that matrix and the tensor's traces.
+
+scipy.optimize loads at the first solve, not at import: it is most of a cold
+start, and commands that never match systems (attractor, collage-fit) skip it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, ResourceLimitError
 from .maps import AffineMap, Box, dbar_stacks
@@ -185,6 +187,20 @@ def cost_tensor(terms) -> np.ndarray:
     return out
 
 
+_solve = None
+
+
+def linear_sum_assignment(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy.optimize.linear_sum_assignment, imported on the first call.
+
+    Every solve goes through this name, so wrapping it sees them all; it
+    binds scipy's solver to _solve and never rebinds itself."""
+    global _solve
+    if _solve is None:
+        from scipy.optimize import linear_sum_assignment as _solve
+    return _solve(C)
+
+
 def _solver_cost(C: np.ndarray) -> float:
     rows, cols = linear_sum_assignment(C)
     return float(C[rows, cols].sum())
@@ -210,7 +226,10 @@ def optimal_matching(C: np.ndarray) -> tuple[Permutation, float]:
     for i in range(n):
         for j in free:
             rest = [c for c in free if c != j]
-            completion = _solver_cost(C[i + 1 :, rest]) if rest else 0.0
+            if len(rest) > 1:
+                completion = _solver_cost(C[i + 1 :, rest])
+            else:  # a 1x1 completion is its entry: the solver's one-term sum, bit for bit
+                completion = float(C[i + 1, rest[0]]) if rest else 0.0
             if prefix + C[i, j] + completion <= best + MATCH_TOL:
                 image.append(j)
                 free.remove(j)

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import ifsseq
 from ifsseq import IFS, AffineMap, Box, attractor_points, box_seed, big_d, hausdorff
 from ifsseq.cli import format_value, main
 from ifsseq.formats import (
@@ -85,6 +87,11 @@ class TestAttractor:
         manifest = json.loads((tmp_path / "points.csv.manifest.json").read_text())
         assert manifest["command"] == "attractor"
         assert manifest["flags"]["depth"] == 8
+        assert manifest["versions"] == {
+            "ifsseq": ifsseq.__version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        }
 
     def test_dyadic_grid_collapse(self, tmp_path):
         spec = tmp_path / "dyadic.json"

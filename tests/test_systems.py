@@ -24,6 +24,7 @@ from ifsseq import (
     minimal_order,
     optimal_matching,
     sup_distance,
+    systems,
 )
 
 from conftest import random_ifs
@@ -124,9 +125,53 @@ class TestOptimalMatching:
             assert sigma == sigma_bf
             assert cost == pytest.approx(cost_bf, abs=EXACT)
 
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 6), data=st.data())
+    def test_matches_brute_force_on_tie_heavy_integer_matrices(self, n, data):
+        # entries in {0, 1, 2} make many co-optimal permutations, and integer
+        # sums are exact, so the lexicographic tie-break must agree exactly
+        C = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n)), dtype=float)
+        C = C.reshape(n, n)
+        sigma, cost = optimal_matching(C)
+        sigma_bf, cost_bf = matching_brute_force(C)
+        assert sigma == sigma_bf
+        assert cost == cost_bf
+
     def test_rejects_non_square(self):
         with pytest.raises(InputError):
             optimal_matching(np.zeros((2, 3)))
+
+
+class TestSolverRouting:
+    """Every solve goes through the module-level systems.linear_sum_assignment,
+    the name the benchmark tracer wraps."""
+
+    # zero on the anti-diagonal only: row 0 tries 4 columns and row 1 tries 3,
+    # each with a solve; row 2's last column is read, not solved
+    REVERSAL = 1.0 - np.eye(4)[::-1]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        solve = systems.linear_sum_assignment
+
+        def counting(C):
+            counted.append(C.shape)
+            return solve(C)
+
+        monkeypatch.setattr(systems, "linear_sum_assignment", counting)
+        return counted
+
+    def test_optimal_matching(self, calls):
+        sigma, cost = optimal_matching(self.REVERSAL)
+        assert sigma.image == (3, 2, 1, 0) and cost == 0.0
+        assert calls == [(4, 4)] + [(3, 3)] * 4 + [(2, 2)] * 3
+
+    def test_big_d(self, calls, unit_box):
+        S = IFS(unit_box, tuple(AffineMap([[0.5]], [t]) for t in (0.0, 0.125, 0.25, 0.5)))
+        T = S.reordered(Permutation((3, 2, 1, 0)))
+        assert big_d(S, T) == 0.0
+        assert calls == [(4, 4)] + [(3, 3)] * 4 + [(2, 2)] * 3
 
 
 class TestBigD:
