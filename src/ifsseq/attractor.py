@@ -129,20 +129,21 @@ def _check_inside(S: IFS, B: PointSet):
         raise InputError("point set leaves the system domain")
 
 
-def _images(S: IFS, B: PointSet) -> np.ndarray:
-    """Images of B under every map, stacked, before snapping."""
+def _check_images(S: IFS, B: PointSet):
+    """Reject a point set outside the domain, or one whose images under all
+    maps would exceed the point cap."""
     _check_inside(S, B)
     if S.n * len(B) > POINT_CAP:
         raise ResourceLimitError(
             f"image would hold {S.n * len(B)} points before deduplication; "
             "raise the resolution delta"
         )
-    return np.vstack([m.transform(B.points) for m in S.maps])
 
 
 def hutchinson(S: IFS, B: PointSet) -> PointSet:
     """Union of the images of B under every map, snapped and deduplicated."""
-    return PointSet(_images(S, B), B.resolution)
+    _check_images(S, B)
+    return PointSet(np.vstack([m.transform(B.points) for m in S.maps]), B.resolution)
 
 
 def attractor_points(
@@ -206,8 +207,8 @@ def _min_sq_sorted_1d(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Nearest squared distance on the line; points must be sorted ascending."""
     flat = points[:, 0]
     idx = np.searchsorted(flat, queries[:, 0])
-    left = np.clip(idx - 1, 0, flat.size - 1)
-    right = np.clip(idx, 0, flat.size - 1)
+    left = np.maximum(idx - 1, 0)  # np.clip's wrapper costs more than the clamp
+    right = np.minimum(idx, flat.size - 1)
     d_left = (queries[:, 0] - flat[left]) ** 2
     d_right = (queries[:, 0] - flat[right]) ** 2
     return np.minimum(d_left, d_right)
@@ -218,37 +219,46 @@ def _directed_sq(queries: np.ndarray, points: np.ndarray, tree: cKDTree | None) 
     bit for bit _min_sq_brute(queries, points).max().
 
     On the line the points must be sorted and the scan is exact.  Above, the
-    tree over the points screens and the brute expression decides: tree
-    distances are off by a few ulps, far inside the 1e-9 margins, so a query
-    attaining the brute maximum survives the `top * (1 - 1e-9)` screen and
-    its brute nearest point lies in its `dist * (1 + 1e-9)` ball.  Min-then-max
-    over the ball pairs, scored by the brute expression, is the brute value,
-    lattice ties included."""
+    tree over the points screens and the brute expression decides
+    (_screened_max_sq)."""
     if points.shape[1] == 1:
         return float(_min_sq_sorted_1d(queries, points).max())
     dist, _ = tree.query(queries)
+    return _screened_max_sq(queries, dist, [(points, tree)])
+
+
+def _screened_max_sq(queries: np.ndarray, dist: np.ndarray, parts) -> float:
+    """max over the queries of the brute nearest squared distance into the
+    union of the parts' points, given each query's tree distance `dist` to
+    that union (the min over the parts' trees).
+
+    Tree distances are off by a few ulps, far inside the 1e-9 margins, so a
+    query attaining the brute maximum survives the `top * (1 - 1e-9)` screen
+    and its brute nearest point lies in its `dist * (1 + 1e-9)` ball of some
+    part's tree.  Min-then-max over the ball pairs, scored by the brute
+    expression, is the brute value, lattice ties included."""
     top = dist.max()
     if top == 0.0:
         return 0.0
     keep = np.flatnonzero(dist >= top * (1.0 - 1e-9))
-    balls = tree.query_ball_point(queries[keep], dist[keep] * (1.0 + 1e-9), return_sorted=False)
-    owner = np.repeat(np.arange(keep.size), [len(ball) for ball in balls])
-    near = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=owner.size)
-    sq = ((queries[keep[owner]] - points[near]) ** 2).sum(axis=1)
+    survivors = queries[keep]
+    radii = dist[keep] * (1.0 + 1e-9)
     mins = np.full(keep.size, np.inf)
-    np.minimum.at(mins, owner, sq)
+    for points, tree in parts:
+        balls = tree.query_ball_point(survivors, radii, return_sorted=False)
+        owner = np.repeat(np.arange(keep.size), [len(ball) for ball in balls])
+        near = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=owner.size)
+        sq = ((survivors[owner] - points[near]) ** 2).sum(axis=1)
+        np.minimum.at(mins, owner, sq)
     return float(mins.max())
-
-
-def _hausdorff_sq(a: np.ndarray, a_tree, b: np.ndarray, b_tree) -> float:
-    """Squared Hausdorff distance of two point arrays through _directed_sq."""
-    return max(_directed_sq(a, b, b_tree), _directed_sq(b, a, a_tree))
 
 
 def hausdorff(A: PointSet, B: PointSet) -> float:
     """Hausdorff distance between two nonempty point sets (accelerated path)."""
     _check_dims(A, B)
-    return math.sqrt(_hausdorff_sq(A.points, A.tree, B.points, B.tree))
+    return math.sqrt(
+        max(_directed_sq(A.points, B.points, B.tree), _directed_sq(B.points, A.points, A.tree))
+    )
 
 
 def hausdorff_brute(A: PointSet, B: PointSet) -> float:

@@ -7,6 +7,21 @@ candidate back to the feasible set (singular values clamped, flat axes
 zeroed, translation pulled inside the domain).  A projection that repeats
 another is kept: it is not bitwise idempotent, and fits are golden-checked.
 
+The objective is scored per map.  A map's share is the directed max from
+its snapped images into L and, per point of L, the distance to those
+images.  h(L, W(L)) is the max of the directed maxima and the max over L of
+the min over maps, and max and min are exact, so the combined shares give
+the brute value bit for bit: on the line the per-point values are exact
+squared distances; above they are tree distances that only screen, and the
+brute expression decides over every map's ball (attractor._screened_max_sq).
+On the line the images of the ascending target under x -> ax + b are
+ascending (a >= 0) or descending (a < 0), so they need no sort.
+
+The descent keeps the incumbent's shares and scores only the maps that a
+candidate moves (see _descend).  Most candidates are rejected on the moved
+map's directed max alone, as h is at least every map's directed max, so the
+per-point distances are taken only when that does not decide.
+
 scipy.spatial loads at the first collage evaluation, not at import, so
 commands that never fit start without it.
 """
@@ -16,10 +31,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .attractor import PointSet, _hausdorff_sq, _images, _snap
+from .attractor import PointSet, _check_images, _directed_sq, _min_sq_sorted_1d, _screened_max_sq, _snap
 from .errors import InputError, PreconditionError
 from .maps import AffineMap, Box, spectral_norm
 from .sequences import IFSSequence, align_chain
@@ -90,21 +106,63 @@ class FitSequenceResult:
     results: tuple[FitResult, ...]
 
 
-def _collage(images: np.ndarray, target: PointSet) -> float:
-    """h(L, images): images snapped, not deduplicated, on the target's tree."""
-    images = _snap(images, target.resolution)
-    if target.dim == 1:
-        images, tree = np.sort(images, axis=0), None
-    else:
-        from scipy.spatial import cKDTree
+class _Share:
+    """One map's part of the collage objective h(L, W(L)) on a target L.
 
-        tree = cKDTree(images)
-    return math.sqrt(_hausdorff_sq(target.points, target.tree, images, tree))
+    out_sq, the max squared distance from the map's snapped images into L,
+    is taken at once.  near, per point of L the distance to those images
+    (the exact square on the line, the tree's distance above, with the tree
+    kept in `tree`), is taken at first use: a candidate whose moved map
+    alone reaches the incumbent's value is rejected without it."""
+
+    __slots__ = ("target", "images", "out_sq", "tree", "_near")
+
+    def __init__(self, target: PointSet, A: np.ndarray, b: np.ndarray):
+        # images as AffineMap.transform takes them, snapped, not deduplicated
+        images = _snap(target.points @ A.T + b, target.resolution)
+        if target.dim == 1:
+            # L is ascending and x -> ax + b and the snap are monotone, so
+            # the images come out ascending, or descending when a < 0
+            if A[0, 0] < 0.0:
+                images = images[::-1]
+            self.out_sq = float(_min_sq_sorted_1d(images, target.points).max())
+        else:
+            self.out_sq = _directed_sq(images, target.points, target.tree)
+        self.target, self.images, self.tree, self._near = target, images, None, None
+
+    @property
+    def near(self) -> np.ndarray:
+        if self._near is None:
+            if self.target.dim == 1:
+                self._near = _min_sq_sorted_1d(self.target.points, self.images)
+            else:
+                from scipy.spatial import cKDTree
+
+                self.tree = cKDTree(self.images)
+                self._near, _ = self.tree.query(self.target.points)
+        return self._near
+
+
+def _score(target: PointSet, shares, bound: float = math.inf) -> float:
+    """h(L, union of the shares' images), bit for bit the brute value: max
+    and min over the maps combine the per-map values exactly.  When the
+    images alone reach `bound`, their directed value, which lies in
+    [bound, h], stands in for h."""
+    out_sq = max(share.out_sq for share in shares)
+    if math.sqrt(out_sq) >= bound:
+        return math.sqrt(out_sq)
+    near = reduce(np.minimum, [share.near for share in shares])
+    if target.dim == 1:
+        in_sq = float(near.max())
+    else:
+        in_sq = _screened_max_sq(target.points, near, [(s.images, s.tree) for s in shares])
+    return math.sqrt(max(in_sq, out_sq))
 
 
 def collage_distance(S: IFS, target: PointSet) -> float:
     """h(L, W(L)), bit for bit hausdorff(target, hutchinson(S, target))."""
-    return _collage(_images(S, target), target)
+    _check_images(S, target)
+    return _score(target, [_Share(target, m.A, m.b) for m in S.maps])
 
 
 def collage_bound(eps: float, t: float) -> float:
@@ -152,9 +210,10 @@ def _tiles(points: np.ndarray, n: int):
 
     The cut lands on the largest coordinate gap near the count split, which
     separates the pieces of a disconnected self-affine target cleanly; for
-    gap-free targets it degenerates to the plain count median."""
-    if n == 1:
-        return [points]
+    gap-free targets it degenerates to the plain count median.  A single
+    point cannot be split, so with more maps than points its tile repeats."""
+    if n == 1 or len(points) == 1:
+        return [points] * n
     left_n = n // 2
     axis = int(np.argmax(points.max(axis=0) - points.min(axis=0)))
     order = np.argsort(points[:, axis], kind="stable")
@@ -250,29 +309,52 @@ def _descend(target, box, cfg, maps0):
         step0 = 0.1  # degenerate single-point domain
     stop_step = max(step0 * 1e-6, 1e-12)
 
-    def project(params):
-        return [_project(p[:-d].reshape(d, d), p[-d:], box, V, cfg.s_max) for p in params.reshape(n, -1)]
+    def project(block):
+        return _project(block[: d * d].reshape(d, d), block[d * d :], box, V, cfg.s_max)
     def pack(maps):
         return np.concatenate([np.concatenate([A.ravel(), b]) for A, b in maps])
-    def collage(maps):
-        return _collage(np.vstack([target.points @ A.T + b for A, b in maps]), target)
+    def scored(block, known=None):
+        # a block's projection and its share; the share of `known`, a
+        # (projection, share) pair, when the projection equals it
+        A, b = project(block)
+        if known is not None and np.array_equal(A, known[0][0]) and np.array_equal(b, known[0][1]):
+            return (A, b), known[1]
+        return (A, b), _Share(target, A, b)
 
     # Each projection stays, as it is not bitwise idempotent and fits are
-    # golden-checked: the start twice more, each candidate, the result.
-    params = pack(project(pack([(m.A, m.b) for m in maps0])))
-    best = collage(project(params))
+    # golden-checked: the start twice more, each candidate, the result.  A
+    # candidate projects every block, so the cache holds, per map of the
+    # incumbent, _project of its block and that projection's share.  A
+    # block equal bit for bit to the incumbent's projects to the cached map,
+    # so a candidate projects and scores only the blocks it moves, and the
+    # max/min combination of the shares is exact; it is scored against the
+    # incumbent's value, which rejects most candidates on their out_sq.
+    # After an accepted move the incumbent's blocks are the accepted
+    # projections, and the cache must hold their re-projections.  It is
+    # rebuilt at the next candidate, not at once, as the search may end
+    # first (n projections for nothing when the iteration budget ends
+    # there); a re-projection equal to the accepted map keeps its share.
+    params = pack([project(block) for block in pack([(m.A, m.b) for m in maps0]).reshape(n, -1)])
+    cache = [scored(block) for block in params.reshape(n, -1)]
+    best = _score(target, [share for _, share in cache])
     history = [best]
+    accepted = None
     step = step0
     for _ in range(cfg.max_iters):
         if best == 0.0:
             break  # no candidate can score below an exact collage
         improved = False
         for trial in _candidate_moves(params, n, d, box, step):
-            trial_maps = project(trial)
-            value = collage(trial_maps)
+            if accepted is not None:
+                cache = [scored(block, known) for block, known in zip(params.reshape(n, -1), accepted)]
+                accepted = None
+            moved = (trial.view(np.int64) != params.view(np.int64)).reshape(n, -1).any(axis=1)
+            entries = [scored(block) if m else kept for block, m, kept in zip(trial.reshape(n, -1), moved, cache)]
+            value = _score(target, [share for _, share in entries], best)
             if value < best:
                 best = value
-                params = pack(trial_maps)  # keep the projected coefficients
+                params = pack([m for m, _ in entries])  # keep the projected coefficients
+                accepted = entries
                 history.append(best)
                 improved = True
                 break
@@ -280,7 +362,7 @@ def _descend(target, box, cfg, maps0):
             step *= STEP_DECAY
             if step < stop_step:
                 break
-    return tuple(AffineMap(A, b) for A, b in project(params)), best, history
+    return tuple(AffineMap(*project(block)) for block in params.reshape(n, -1)), best, history
 
 
 def _baseline_maps(target: PointSet, box: Box, cfg: FitConfig):

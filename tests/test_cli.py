@@ -356,6 +356,15 @@ class TestCollageFit:
         assert code == 0
         assert capsys.readouterr().out.count("spec written to") == 1
 
+    def test_more_maps_than_target_points(self, tmp_path, capsys):
+        # two pixels cannot be cut into three tiles, so a tile repeats
+        img = tmp_path / "two.pbm"
+        img.write_bytes(b"P1\n4 1\n0 1 1 0\n")
+        assert main(["collage-fit", str(img), "--n", "3", "--out", str(tmp_path / "fit.json")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("spec written to") == 1
+        assert "Traceback" not in captured.err
+
     def test_point_cap_exits_3(self, tmp_path, monkeypatch, capsys):
         img = self.cantor_pgm(tmp_path, width=243, depth=5)
         monkeypatch.setattr("ifsseq.attractor.POINT_CAP", 10)
@@ -460,6 +469,20 @@ class TestPredict:
         assert warned == ["warning: geometric decay not identifiable (step ratio >= 1); "
                           "falling back to the linear model"]
         assert "RuntimeWarning" not in captured.err
+
+    def test_more_maps_than_frame_points(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for name in ("a.pbm", "b.pbm"):
+            (frames / name).write_bytes(b"P1\n4 1\n0 1 1 0\n")
+        code = main(
+            ["predict", str(frames), "--n", "3", "--model", "linear", "--horizon", "1",
+             "--out-prefix", str(tmp_path / "pred")]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("extrapolated spec written to") == 1
+        assert "Traceback" not in captured.err
 
     def test_single_frame_rejected(self, tmp_path, capsys):
         frames = self.frames_dir(tmp_path, count=1)

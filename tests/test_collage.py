@@ -76,6 +76,132 @@ class TestCollageDistance:
         )
 
 
+def reference_descend(target, box, cfg, maps0):
+    """The descent as it was before per-map caching: every candidate
+    re-projects every map and is scored on the whole system, here by the
+    brute Hausdorff distance of its Hutchinson image."""
+    n, d = cfg.n, target.dim
+    V = box.vertices()
+    step0 = collage.INITIAL_STEP * box.diameter
+    if step0 <= 0.0:
+        step0 = 0.1
+    stop_step = max(step0 * 1e-6, 1e-12)
+
+    def project(params):
+        return [collage._project(p[:-d].reshape(d, d), p[-d:], box, V, cfg.s_max) for p in params.reshape(n, -1)]
+
+    def pack(maps):
+        return np.concatenate([np.concatenate([A.ravel(), b]) for A, b in maps])
+
+    def score(maps):
+        system = IFS(box, tuple(AffineMap(A, b) for A, b in maps))
+        return hausdorff_brute(target, hutchinson(system, target))
+
+    params = pack(project(pack([(m.A, m.b) for m in maps0])))
+    best = score(project(params))
+    history = [best]
+    step = step0
+    for _ in range(cfg.max_iters):
+        if best == 0.0:
+            break
+        improved = False
+        for trial in collage._candidate_moves(params, n, d, box, step):
+            trial_maps = project(trial)
+            value = score(trial_maps)
+            if value < best:
+                best = value
+                params = pack(trial_maps)
+                history.append(best)
+                improved = True
+                break
+        if not improved:
+            step *= collage.STEP_DECAY
+            if step < stop_step:
+                break
+    return tuple(AffineMap(A, b) for A, b in project(params)), best, history
+
+
+class TestPerMapKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 2, 3]),
+        n=st.integers(1, 4),
+        flat=st.booleans(),
+        lattice=st.sampled_from([4, 8, 64]),
+    )
+    def test_one_map_moves_combine_to_the_brute_value(self, seed, dim, n, flat, lattice):
+        # targets on a coarse sublattice of the pitch make exact distance
+        # ties; a moved map is re-scored alone and combined with the shares
+        # of the maps that stayed
+        rng = np.random.default_rng(seed)
+        extent = np.ones(dim)
+        if flat:
+            extent[rng.integers(dim)] = 0.0
+        box = Box(np.zeros(dim), extent)
+        target = PointSet(rng.integers(0, lattice + 1, (rng.integers(1, 40), dim)) * extent / lattice, 1.0 / 64)
+
+        def draw(A, b):
+            if dim == 1:  # slopes negative, -0.0, 0.0 and positive
+                A = np.array([[(-rng.uniform(0.05, 0.9), -0.0, 0.0, rng.uniform(0.05, 0.9))[rng.integers(4)]]])
+            return project_map(A, b, box, 0.9)
+
+        def brute(maps):
+            return hausdorff_brute(target, hutchinson(IFS(box, tuple(maps)), target))
+
+        maps = [draw(rng.standard_normal((dim, dim)), rng.uniform(0.0, 1.0, dim) * extent) for _ in range(n)]
+        shares = [collage._Share(target, m.A, m.b) for m in maps]
+        incumbent = brute(maps)
+        assert collage._score(target, shares) == incumbent
+        for _ in range(3):
+            j = rng.integers(n)
+            maps[j] = draw(maps[j].A + rng.normal(0.0, 0.1, (dim, dim)), maps[j].b + rng.normal(0.0, 0.1, dim))
+            shares[j] = collage._Share(target, maps[j].A, maps[j].b)
+            value, exact = collage._score(target, shares, incumbent), brute(maps)
+            # scored against the incumbent, as the descent does: exact below
+            # it, and at or above it a stand-in that rejects all the same
+            assert value == exact if exact < incumbent else incumbent <= value <= exact
+            assert collage._score(target, shares) == exact
+            incumbent = exact
+
+    @pytest.mark.parametrize(
+        "case, start",
+        [(case, start) for case in ("cantor", "reversed", "sierpinski") for start in ("warm", "random")]
+        + [("raster", "tiles"), ("raster", "random")],
+    )
+    def test_descent_matches_the_full_rescoring_reference(self, case, start):
+        rng = np.random.default_rng(3)
+        if case in ("cantor", "reversed"):
+            box = Box([0.0], [1.0])
+            slope = 1.0 / 3.0 if case == "cantor" else -1.0 / 3.0
+            truth = IFS(box, (AffineMap([[slope]], [0.5 - slope / 2 - 1 / 3]), AffineMap([[1 / 3]], [2 / 3])))
+            target = attractor_points(truth, 5, box_seed(box, 1e-3))
+        elif case == "sierpinski":
+            box = Box([0.0, 0.0], [1.0, 1.0])
+            truth = IFS(box, tuple(AffineMap(0.5 * np.eye(2), b) for b in ([0.0, 0.0], [0.5, 0.0], [0.0, 0.5])))
+            target = attractor_points(truth, 4, box_seed(box, 1 / 16))
+        else:
+            truth = None
+            target = raster_to_points(rng.random((10, 10)) < 0.3, 0.1)
+            box = Box(target.points.min(axis=0), target.points.max(axis=0))
+        cfg = FitConfig(n=3 if case == "sierpinski" else 2, max_iters=12, s_max=0.9, seed=0)
+        if start == "warm":
+            maps0 = tuple(
+                project_map(m.A + rng.normal(0.0, 0.05, m.A.shape), m.b + rng.normal(0.0, 0.05, m.b.shape), box, 0.9)
+                for m in truth.maps
+            )
+        elif start == "tiles":
+            maps0 = collage._heuristic_maps(target, box, cfg)
+        else:
+            maps0 = collage._random_maps(target, box, cfg, rng)
+        maps, value, history = collage._descend(target, box, cfg, maps0)
+        ref_maps, ref_value, ref_history = reference_descend(target, box, cfg, maps0)
+        assert value == ref_value and history == ref_history
+        for m, ref in zip(maps, ref_maps, strict=True):
+            assert m.A.tobytes() == ref.A.tobytes() and m.b.tobytes() == ref.b.tobytes()
+        assert len(history) > 1 or value == 0.0  # the search moved
+
+
 class TestCollageBound:
     def test_arithmetic(self):
         assert collage_bound(0.1, 1.0 / 3.0) == pytest.approx(0.15, abs=1e-15)
@@ -185,8 +311,8 @@ class TestFitIFS:
         maps = tuple(AffineMap(0.5 * np.eye(2), b) for b in ([0.0, 0.0], [0.5, 0.0], [0.0, 0.5]))
         target = attractor_points(IFS(box, maps), 8, box_seed(box, 1 / 32))
         scored = []
-        kernel = collage._collage
-        monkeypatch.setattr(collage, "_collage", lambda *args: scored.append(1) or kernel(*args))
+        kernel = collage._score  # every candidate and every baseline is scored here
+        monkeypatch.setattr(collage, "_score", lambda *args: scored.append(1) or kernel(*args))
         cfg = FitConfig(n=3, restarts=3, max_iters=200)
         assert fit_ifs(target, cfg, init_maps=maps) == FitResult(IFS(box, maps), 0.0, (0.0,))
         assert len(scored) <= cfg.restarts + 1
