@@ -2,12 +2,19 @@
 Hausdorff distance, code-space addressing.
 
 Compact sets are represented as finite point sets snapped to a grid of pitch
-delta, which buys a provable 2*delta slack in every Hausdorff statement.  The
-Hausdorff distance ships in two variants that must agree bit for bit: a plain
-O(|A||B|) reference and an accelerated path (sorted scan in one dimension;
-above, a KD-tree screen whose survivors the brute expression decides).  Both
-reduce squared distances built from the same expressions, so the agreement is
-exact, not approximate.
+delta, which buys a provable 2*delta slack in every Hausdorff statement.
+PointSet deduplicates on one float64 lattice key per point, the mixed-radix
+number of its ticks round(x/delta).  The key is exact while every |tick| is
+below 2^51 and the column spans multiply to less than 2^53, and then
+fl(tick*delta) lies within delta/4 of tick*delta, so the stored rows equal
+the sorted unique snapped values bit for bit.  Beyond those limits PointSet
+sorts the snapped values themselves (np.lexsort).
+
+The Hausdorff distance ships in two variants that must agree bit for bit: a
+plain O(|A||B|) reference and an accelerated path (sorted scan in one
+dimension; above, a KD-tree screen whose survivors the brute expression
+decides).  Both reduce squared distances built from the same expressions, so
+the agreement is exact, not approximate.
 
 scipy.spatial loads where the first tree is built, not at import: it is most
 of a cold start, and a render never builds a tree.
@@ -30,6 +37,10 @@ if TYPE_CHECKING:
     from scipy.spatial import cKDTree
 
 POINT_CAP = 5_000_000
+# PointSet's lattice-key limits: every |round(x/delta)| below _TICK_LIMIT and
+# the product of the column spans below _KEY_LIMIT
+_TICK_LIMIT = 2.0**51
+_KEY_LIMIT = 2**53
 
 Address = Sequence[int]
 
@@ -43,9 +54,21 @@ class PointSet:
 
     Construction snaps every coordinate x to round(x/delta)*delta (the _snap
     rule), writes a zero as +0.0 whatever the sign it rounded to, sorts the
-    rows lexicographically and keeps one row of each run of equal rows.  So
-    equal sets have identical storage regardless of input order.  A point
-    whose snapped coordinates overflow is rejected.
+    rows lexicographically and keeps one row of each run of equal rows: the
+    rows are np.unique(_snap(points) + 0.0, axis=0) byte for byte, so equal
+    sets have identical storage regardless of input order.  A point whose
+    snapped coordinates overflow is rejected.
+
+    The rows are found on the lattice, one float64 key per point: the
+    mixed-radix number whose digits are the ticks k_j = round(x_j/delta)
+    less their column's lowest tick.  The keys are sorted, one of each run
+    of equal keys is kept, and its digits are decoded and multiplied back by
+    delta.  That is exact while every |k_j| < 2^51 and the product of the
+    column spans (highest tick - lowest tick + 1) is below 2^53: each key is
+    then an exact float64 integer, and fl(k*delta) lies within delta/4 of
+    k*delta (a subnormal product is exact), so distinct ticks give distinct
+    values in the same order.  Beyond those limits the snapped values
+    themselves are sorted (np.lexsort).
     """
 
     __slots__ = ("points", "resolution", "_tree")
@@ -58,25 +81,19 @@ class PointSet:
             raise InputError("a point set needs at least one point")
         if not np.all(np.isfinite(pts)):
             raise InputError("points must be finite")
-        # A fresh C-ordered copy, so the caller's array is never written and
-        # the complex view below sees each row as one contiguous pair.
+        # rounding is monotone, so a column's extremes give its tick range;
+        # one column at a time, as an axis-0 reduction of an (N, 2) array is
+        # slow.  np.rint is the half-even rounding np.round does, minus the
+        # wrapper's cost on a scalar.
         with np.errstate(over="ignore"):
-            grid = np.divide(pts, resolution, order="C")
-            np.round(grid, out=grid)
-            grid *= resolution
-        grid += 0.0
-        # Sort and compare the snapped values themselves, so the rows are
-        # np.unique(_snap(pts), axis=0) by construction, up to the sign of zero.
-        if grid.shape[1] == 1:
-            grid.sort(axis=0)
-        elif grid.shape[1] == 2:
-            grid.view(np.complex128).sort(axis=0)  # by (real, imag)
+            lo = [np.rint(column.min() / resolution) for column in pts.T]
+            hi = [np.rint(column.max() / resolution) for column in pts.T]
+        if max(map(abs, lo + hi)) < _TICK_LIMIT and math.prod(
+            int(h - l) + 1 for l, h in zip(lo, hi)
+        ) < _KEY_LIMIT:
+            canonical = _lattice_rows(pts, resolution, lo, hi)
         else:
-            grid = grid[np.lexsort(grid.T[::-1])]
-        fresh = np.empty(grid.shape[0], dtype=bool)
-        fresh[0] = True
-        np.any(grid[1:] != grid[:-1], axis=1, out=fresh[1:])
-        canonical = grid[fresh]
+            canonical = _value_rows(pts, resolution)
         if not np.all(np.isfinite(canonical)):
             raise InputError(f"points overflow when snapped to the grid of pitch {resolution!r}")
         canonical.flags.writeable = False
@@ -114,6 +131,47 @@ class PointSet:
 def _snap(points: np.ndarray, resolution: float) -> np.ndarray:
     """Nearest points of the grid resolution*Z^d."""
     return np.round(points / resolution) * resolution
+
+
+def _lattice_rows(pts: np.ndarray, resolution: float, lo, hi) -> np.ndarray:
+    """PointSet's rows by the lattice key, given each column's lowest and
+    highest tick inside the limits PointSet states.  Beside the input it holds
+    one key column and one work column, never an (N, d) grid."""
+    spans = [h - l + 1.0 for l, h in zip(lo, hi)]
+    key = np.empty(pts.shape[0])
+    work = np.empty_like(key)
+    for j, column in enumerate(pts.T):
+        ticks = work if j else key
+        np.divide(column, resolution, out=ticks)
+        np.rint(ticks, out=ticks)
+        ticks -= lo[j]
+        if j:
+            key *= spans[j]
+            key += work
+    del work, ticks
+    key.sort()
+    fresh = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    key = key[fresh]
+    rows = np.empty((key.size, pts.shape[1]))
+    for j in range(pts.shape[1] - 1, 0, -1):
+        np.divmod(key, spans[j], out=(key, rows[:, j]))
+    rows[:, 0] = key
+    rows += lo  # a digit plus its lowest tick is never -0.0
+    with np.errstate(over="ignore"):
+        rows *= resolution
+    return rows
+
+
+def _value_rows(pts: np.ndarray, resolution: float) -> np.ndarray:
+    """PointSet's rows by sorting the snapped values themselves."""
+    with np.errstate(over="ignore"):
+        grid = _snap(pts, resolution)
+    grid += 0.0
+    grid = grid[np.lexsort(grid.T[::-1])]
+    fresh = np.ones(grid.shape[0], dtype=bool)
+    np.any(grid[1:] != grid[:-1], axis=1, out=fresh[1:])
+    return grid[fresh]
 
 
 def box_seed(box: Box, resolution: float) -> PointSet:

@@ -351,9 +351,13 @@ def render_raster(points: PointSet, box: Box, width: int) -> np.ndarray:
 
 
 def write_pgm(path, mask: np.ndarray, maxval: int = 255):
-    """Plain (P2) graymap with foreground pixels at maxval."""
+    """Plain (P2) graymap with foreground pixels at maxval.  Each pixel is
+    one cell byte and one separator byte of a single buffer; a foreground
+    cell is 0x01, which no other byte is, until replaced by maxval's digits."""
     height, width = mask.shape
-    samples = np.array([b"0", str(maxval).encode()], dtype=object)
-    lines = [b"P2", f"{width} {height}".encode(), str(maxval).encode()]
-    lines.extend(b" ".join(samples[row]) for row in np.asarray(mask, dtype=bool).view(np.uint8))
-    _atomic_write(path, b"\n".join(lines) + b"\n")
+    cells = np.empty((height, width, 2), dtype=np.uint8)
+    cells[..., 0] = ord("0") - (ord("0") - 1) * np.asarray(mask, dtype=bool).view(np.uint8)
+    cells[..., 1] = ord(" ")
+    cells[:, -1:, 1] = ord("\n")
+    body = cells.tobytes().replace(b"\x01", str(maxval).encode())
+    _atomic_write(path, f"P2\n{width} {height}\n{maxval}\n".encode() + body)

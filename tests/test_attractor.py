@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from ifsseq import (
     hausdorff_brute,
     hutchinson,
 )
+from ifsseq import attractor
 from ifsseq.attractor import _directed_sq, _min_sq_brute, _snap
 
 from conftest import cantor_ifs, cantor_term, constant_map, random_ifs
@@ -100,6 +102,84 @@ class TestPointSet:
         oracle = np.unique(_snap(before, pitch) + 0.0, axis=0)
         assert stored.shape == oracle.shape
         assert stored.tobytes() == oracle.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 3]),
+        pitch=st.sampled_from([1e-3, 1.0 / 17.0, 1.0, 2.0**-30]),
+        limit=st.sampled_from(["tick", "span"]),
+        step=st.integers(-3, 3),
+        sign=st.sampled_from([1, -1]),
+        data=st.data(),
+    )
+    def test_equals_unique_of_snap_at_the_key_limits(self, dim, pitch, limit, step, sign, data):
+        # "tick": one column's largest |round(x/delta)| is 2^51 + step (up to
+        # the rounding of x/delta); "span": the column spans multiply to 2^53
+        # plus step times the product of all spans but the last.  Either way
+        # step < 0 falls below the lattice key's limit and step >= 0 at or
+        # above it, where the value sort takes over.
+        n = data.draw(st.integers(3, 40))
+        draws = st.lists(st.integers(0, 2**62), min_size=n * dim, max_size=n * dim)
+        ticks = np.reshape(data.draw(draws), (n, dim)).astype(float)
+        if limit == "tick":
+            column = data.draw(st.integers(0, dim - 1))
+            ticks %= 9.0
+            ticks[0, column] = 0.0
+            ticks[:, column] = sign * (2.0**51 + step - ticks[:, column])
+        else:
+            spans = np.array([2.0**26, 2.0**27 + step] if dim == 2 else [2.0**17, 2.0**18, 2.0**18 + step])
+            ticks = ticks % (spans - 2.0) + 1.0  # strictly inside each column's span
+            ticks[0], ticks[1] = 0.0, spans - 1.0
+            ticks += sign * data.draw(st.integers(0, 2**20))
+        # rows 0 and 1 stay on the lattice, so they fix the largest tick and the spans
+        jitter = np.zeros((n, dim))
+        jitter[2:] = np.reshape(
+            data.draw(st.lists(st.floats(-0.45, 0.45), min_size=(n - 2) * dim, max_size=(n - 2) * dim)),
+            (n - 2, dim),
+        )
+        points = (ticks + jitter) * pitch
+        oracle = np.unique(_snap(points, pitch) + 0.0, axis=0)
+        assert PointSet(points, pitch).points.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize(
+        "points, lattice",
+        [
+            # largest |round(x/delta)| one below 2^51, then at it
+            ([[2.0**51 - 1, 0.0], [2.0**51 - 3, 1.0]], True),
+            ([[2.0**51, 0.0], [2.0**51 - 2, 1.0]], False),
+            ([[-(2.0**51) + 1, 0.0, 1.0], [-5.0, 1.0, 0.0]], True),
+            ([[-(2.0**51), 0.0, 1.0], [-5.0, 1.0, 0.0]], False),
+            # spans 6361 * 69431 * 20394401 = 2^53 - 1, then 2^26 * 2^27
+            ([[0.0, 0.0, 0.0], [6360.0, 69430.0, 20394400.0], [17.0, 5.0, 3.0]], True),
+            ([[0.0, 0.0], [2.0**26 - 1, 2.0**27 - 1], [5.0, 7.0]], False),
+        ],
+    )
+    def test_key_limits_pick_the_path(self, monkeypatch, points, lattice):
+        calls = []
+        value_rows = attractor._value_rows
+        monkeypatch.setattr(attractor, "_value_rows", lambda *args: calls.append(1) or value_rows(*args))
+        stored = PointSet(points, 1.0).points
+        assert calls == ([] if lattice else [1])
+        assert stored.tobytes() == np.unique(np.asarray(points) + 0.0, axis=0).tobytes()
+
+    def test_peak_memory_stays_near_the_input(self):
+        # the images of a depth-9 Sierpinski render at delta 1e-3, a
+        # render-sized input: PointSet holds one key and one work column
+        # beside it, no snapped (N, d) copy and no sort index
+        box = Box(np.zeros(2), np.ones(2))
+        corners = ([0.0, 0.0], [0.5, 0.0], [0.25, 0.5])
+        system = IFS(box, tuple(AffineMap(0.5 * np.eye(2), np.array(b)) for b in corners))
+        render = attractor_points(system, 9, resolution=1e-3)
+        images = np.vstack([m.transform(render.points) for m in system.maps])
+        assert images.shape[0] >= 150_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            PointSet(images, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * images.nbytes
 
     def test_zero_is_stored_positive(self):
         # -1e-5 rounds to -0.0 and 1e-5 to 0.0 at pitch 1e-3: input order
