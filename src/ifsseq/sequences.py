@@ -12,7 +12,7 @@ The identity, the smallest permutation, is then the tie-broken optimal
 matching of every aligned link, so the decrease flags compare the aligned
 contraction-factor traces slot by slot.  analyze_sequence builds the cost
 tensor of the aligned terms once and reads everything else from it and its
-matrix of D (systems._distances, one matching per pair of terms);
+matrix of D (systems._distances, which matches a row of pairs at a time);
 limit_candidate is a view of it, and pairwise_distances and cauchy_index read
 the tensor of the raw terms.
 """

@@ -53,8 +53,16 @@ class TestColdStart:
         snippet = f"from ifsseq.cli import main\nassert main({argv!r}) == 0"
         assert "scipy.optimize" not in loaded_after(snippet, tmp_path)
 
+    def test_analyze_loads_no_optimize(self, tmp_path):
+        seqfile = FIXTURES / "analyze" / "converging2d.seq.json"
+        snippet = f"from ifsseq.cli import main\nassert main(['analyze', {str(seqfile)!r}, '--eps', '0.05']) == 0"
+        assert "scipy.optimize" not in loaded_after(snippet, tmp_path)
+
     def test_dist_loads_optimize(self, tmp_path):
-        # the probe sees a first-use load when one happens
-        spec = FIXTURES / "render" / "plane.json"
+        # the probe sees a first-use load when one happens: 7 maps are
+        # matched with the solver, as enumeration stops at 6
+        maps = [{"A": [[0.125]], "b": [k / 8.0]} for k in range(7)]
+        spec = tmp_path / "seven.json"
+        spec.write_text(json.dumps({"dim": 1, "domain": {"lo": [0.0], "hi": [1.0]}, "maps": maps}))
         snippet = f"from ifsseq.cli import main\nassert main(['dist', {str(spec)!r}, {str(spec)!r}]) == 0"
         assert "scipy.optimize" in loaded_after(snippet, tmp_path)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,11 +145,14 @@ class TestOptimalMatching:
 
 class TestSolverRouting:
     """Every solve goes through the module-level systems.linear_sum_assignment,
-    the name the benchmark tracer wraps."""
+    the name the benchmark tracer wraps.  Only matrices of more than
+    ENUMERATE_MAX_N rows solve at all."""
 
-    # zero on the anti-diagonal only: row 0 tries 4 columns and row 1 tries 3,
-    # each with a solve; row 2's last column is read, not solved
-    REVERSAL = 1.0 - np.eye(4)[::-1]
+    # zero on the anti-diagonal only: row i tries 7 - i columns, each with a
+    # solve while the completion is 2x2 or larger; row 5's last column is
+    # read, not solved
+    REVERSAL = 1.0 - np.eye(7)[::-1]
+    SOLVES = [(7, 7)] + [(k, k) for k in (6, 5, 4, 3, 2) for _ in range(k + 1)]
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -164,14 +168,91 @@ class TestSolverRouting:
 
     def test_optimal_matching(self, calls):
         sigma, cost = optimal_matching(self.REVERSAL)
-        assert sigma.image == (3, 2, 1, 0) and cost == 0.0
-        assert calls == [(4, 4)] + [(3, 3)] * 4 + [(2, 2)] * 3
+        assert sigma.image == (6, 5, 4, 3, 2, 1, 0) and cost == 0.0
+        assert calls == self.SOLVES
 
     def test_big_d(self, calls, unit_box):
-        S = IFS(unit_box, tuple(AffineMap([[0.5]], [t]) for t in (0.0, 0.125, 0.25, 0.5)))
-        T = S.reordered(Permutation((3, 2, 1, 0)))
+        offsets = (0.0, 0.0625, 0.125, 0.25, 0.3125, 0.375, 0.5)
+        S = IFS(unit_box, tuple(AffineMap([[0.5]], [t]) for t in offsets))
+        T = S.reordered(Permutation((6, 5, 4, 3, 2, 1, 0)))
         assert big_d(S, T) == 0.0
-        assert calls == [(4, 4)] + [(3, 3)] * 4 + [(2, 2)] * 3
+        assert calls == self.SOLVES
+
+    def test_enumerated_sizes_make_no_solve(self, calls):
+        assert systems.ENUMERATE_MAX_N == 6
+        for n in range(1, 7):
+            sigma, cost = optimal_matching(1.0 - np.eye(n)[::-1])
+            assert sigma.image == tuple(range(n - 1, -1, -1)) and cost == 0.0
+        assert calls == []
+
+
+class TestEnumeration:
+    """_lex_optimal (n <= 6) against the row-pinning path and the brute force."""
+
+    @staticmethod
+    def tie_heavy(data, shape):
+        # entries in {0, 1, 2} sum exactly; multiples of 1/7 round, so their
+        # co-optimal sums differ in the last bits
+        size = int(np.prod(shape))
+        if data.draw(st.booleans()):
+            k = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+            return np.array(k, dtype=float).reshape(shape)
+        k = data.draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))
+        return (np.array(k) / 7.0).reshape(shape)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 6), data=st.data())
+    def test_equals_the_pinning_path_bit_for_bit(self, n, data):
+        C = self.tie_heavy(data, (n, n))
+        first, cost = systems._lex_optimal(C)
+        sigma, pinned = systems._pinned_matching(C)
+        assert tuple(systems._PERMUTATIONS[n][first]) == sigma.image
+        assert np.float64(cost).tobytes() == np.float64(pinned).tobytes()
+        assert optimal_matching(C) == (sigma, pinned)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), m=st.integers(1, 7), data=st.data())
+    def test_distances_equal_one_matching_per_pair(self, n, m, data):
+        T = self.tie_heavy(data, (m, m, n, n))
+        D = systems._distances(T)
+        for j in range(m):
+            assert D[j, j] == 0.0
+            for k in range(j + 1, m):
+                cost = optimal_matching(T[j, k])[1]
+                assert D[j, k].tobytes() == D[k, j].tobytes() == np.float64(cost).tobytes()
+
+    def test_distances_chunk_long_rows(self):
+        # n = 6 holds 45 pairs per call, so the first rows of m = 100 split
+        rng = np.random.default_rng(3)
+        T = rng.integers(0, 7, size=(100, 100, 6, 6)) / 7.0
+        D = systems._distances(T)
+        for j, k in [(0, 1), (0, 45), (0, 46), (0, 91), (0, 99), (1, 47), (53, 99)]:
+            assert D[j, k] == D[k, j] == optimal_matching(T[j, k])[1]
+
+    def test_cost_at_the_tolerance_band_edge(self):
+        # the (0, 1, 2) cost exceeds the (1, 0, 2) optimum by about
+        # MATCH_TOL: _pinned_matching's check pins row 0 to column 0, summed
+        # as 2/7 + (C[1, 1] + 1/7), then row 1's check, summed as
+        # (2/7 + C[1, 1]) + 1/7, rounds above the bound for every column.
+        # Enumeration compares each left-to-right sum with the least one.
+        C = np.array([
+            [2 / 7, 2 / 7, 6 / 7],
+            [1 / 7, float.fromhex("0x1.249249249b14fp-3"), 5 / 7],
+            [3 / 7, 5 / 7, 1 / 7],
+        ])
+        assert optimal_matching(C) == matching_brute_force(C) == (Permutation((1, 0, 2)), 4 / 7)
+
+    def test_peak_memory_is_bounded_by_the_chunk(self):
+        # one call holds ENUMERATE_CHUNK sums and one gathered term (2 x 256
+        # KiB); a whole row of m = 200 would hold 2 x 199 x 720 sums (2.2 MiB)
+        T = np.random.default_rng(4).uniform(size=(200, 200, 6, 6))
+        tracemalloc.start()
+        try:
+            D = systems._distances(T)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - D.nbytes <= 4 * 8 * systems.ENUMERATE_CHUNK
 
 
 class TestBigD:
