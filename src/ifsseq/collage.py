@@ -4,8 +4,9 @@ extrapolation.
 Fitting minimizes the collage distance h(L, W(L)) by random-restart
 coordinate descent over the flat coefficient vector, projecting every
 candidate back to the feasible set (singular values clamped, flat axes
-zeroed, translation pulled inside the domain).  A projection that repeats
-another is kept: it is not bitwise idempotent, and fits are golden-checked.
+zeroed, translation pulled inside the domain).  The projection is bitwise
+idempotent: a feasible map projects to itself, so the descent projects each
+candidate once and keeps the projected coefficients.
 
 The objective is scored per map.  A map's share is the directed max from
 its snapped images into L and, per point of L, the distance to those
@@ -177,30 +178,44 @@ def collage_bound(eps: float, t: float) -> float:
 
 def _project(A: np.ndarray, b: np.ndarray, box: Box, V: np.ndarray, s_max: float):
     """project_map on arrays, given the box's vertices V."""
-    u, s, vt = np.linalg.svd(A)
-    if s.size and s[0] > s_max:
-        A = u @ np.diag(np.minimum(s, s_max)) @ vt
+
+    def svd_above(A):  # LAPACK's SVD when its norm exceeds s_max; the closed form screens d <= 2
+        if A.shape[0] > 2 or spectral_norm(A) > s_max * (1.0 - 1e-12):
+            u, s, vt = np.linalg.svd(A)
+            return (u, s, vt) if s[0] > s_max else None
+        return None
+
     extent = box.hi - box.lo
-    if extent.any():
-        A = np.where((extent > 0)[:, None], A, 0.0)  # constant on flat axes
-    for _ in range(64):
+    usv, flat = svd_above(A), extent.any() and not extent.all()  # constant on flat axes, unless all are
+    if usv:
+        A = usv[0] @ np.diag(np.minimum(usv[1], s_max)) @ usv[2]
+    if flat:
+        A = np.where((extent > 0)[:, None], A, 0.0)
+    while (usv or flat) and svd_above(A):  # clamping or zeroing can leave LAPACK's norm ulps over s_max
+        A = np.nextafter(A, 0.0)
+    shrinks, seen = 0, {b.tobytes()}
+    while True:
         img = V @ A.T + b
-        if np.all(img.max(axis=0) - img.min(axis=0) <= extent + 1e-15):
-            break
-        A = A * 0.8  # image larger than the box along some axis
-    else:
-        raise PreconditionError("cannot project the map into the domain")
-    shift = np.maximum(box.lo - img.min(axis=0), 0.0) + np.minimum(
-        box.hi - img.max(axis=0), 0.0
-    )
-    return A, b + shift
+        if not np.all(img.max(axis=0) - img.min(axis=0) <= extent + 1e-15):
+            if shrinks == 63:
+                raise PreconditionError("cannot project the map into the domain")
+            A, shrinks, seen = A * 0.8, shrinks + 1, {b.tobytes()}  # image wider than the box on some axis
+            continue
+        # b + shift can land an ulp outside the box, and an image that fits only
+        # within the slack above can shift back and forth: a repeat ends it
+        shift = np.maximum(box.lo - img.min(axis=0), 0.0) + np.minimum(box.hi - img.max(axis=0), 0.0)
+        b = b + shift
+        if b.tobytes() in seen:
+            return A, b
+        seen.add(b.tobytes())
 
 
 def project_map(A: np.ndarray, b: np.ndarray, box: Box, s_max: float) -> AffineMap:
     """Nearest feasible map: singular values clamped to s_max, rows of flat
     axes zeroed, translation shifted (and A shrunk when even that cannot fit)
-    so the box maps into itself."""
-    A, b = np.atleast_2d(np.asarray(A, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    so the box maps into itself.  Idempotent bit for bit; LAPACK's largest
+    singular value of the result is at most s_max."""
+    A, b = np.atleast_2d(np.array(A, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
     return AffineMap(*_project(A, b, box, box.vertices(), s_max))
 
 
@@ -309,60 +324,36 @@ def _descend(target, box, cfg, maps0):
         step0 = 0.1  # degenerate single-point domain
     stop_step = max(step0 * 1e-6, 1e-12)
 
-    def project(block):
-        return _project(block[: d * d].reshape(d, d), block[d * d :], box, V, cfg.s_max)
-    def pack(maps):
-        return np.concatenate([np.concatenate([A.ravel(), b]) for A, b in maps])
-    def scored(block, known=None):
-        # a block's projection and its share; the share of `known`, a
-        # (projection, share) pair, when the projection equals it
-        A, b = project(block)
-        if known is not None and np.array_equal(A, known[0][0]) and np.array_equal(b, known[0][1]):
-            return (A, b), known[1]
-        return (A, b), _Share(target, A, b)
-
-    # Each projection stays, as it is not bitwise idempotent and fits are
-    # golden-checked: the start twice more, each candidate, the result.  A
-    # candidate projects every block, so the cache holds, per map of the
-    # incumbent, _project of its block and that projection's share.  A
-    # block equal bit for bit to the incumbent's projects to the cached map,
-    # so a candidate projects and scores only the blocks it moves, and the
-    # max/min combination of the shares is exact; it is scored against the
+    # The starts are project_map outputs and a feasible map projects to
+    # itself, so the incumbent's blocks are their own projections.  A
+    # candidate projects and scores only the blocks it moves, and the max/min
+    # combination of the shares is exact; it is scored against the
     # incumbent's value, which rejects most candidates on their out_sq.
-    # After an accepted move the incumbent's blocks are the accepted
-    # projections, and the cache must hold their re-projections.  It is
-    # rebuilt at the next candidate, not at once, as the search may end
-    # first (n projections for nothing when the iteration budget ends
-    # there); a re-projection equal to the accepted map keeps its share.
-    params = pack([project(block) for block in pack([(m.A, m.b) for m in maps0]).reshape(n, -1)])
-    cache = [scored(block) for block in params.reshape(n, -1)]
-    best = _score(target, [share for _, share in cache])
+    params = np.concatenate([np.concatenate([m.A.ravel(), m.b]) for m in maps0])
+    shares = [_Share(target, m.A, m.b) for m in maps0]
+    best = _score(target, shares)
     history = [best]
-    accepted = None
     step = step0
     for _ in range(cfg.max_iters):
         if best == 0.0:
             break  # no candidate can score below an exact collage
-        improved = False
         for trial in _candidate_moves(params, n, d, box, step):
-            if accepted is not None:
-                cache = [scored(block, known) for block, known in zip(params.reshape(n, -1), accepted)]
-                accepted = None
             moved = (trial.view(np.int64) != params.view(np.int64)).reshape(n, -1).any(axis=1)
-            entries = [scored(block) if m else kept for block, m, kept in zip(trial.reshape(n, -1), moved, cache)]
-            value = _score(target, [share for _, share in entries], best)
+            blocks, trial_shares = trial.reshape(n, -1), list(shares)
+            for i in np.flatnonzero(moved):
+                A, b = _project(blocks[i, : d * d].reshape(d, d), blocks[i, d * d :], box, V, cfg.s_max)
+                blocks[i] = np.concatenate([A.ravel(), b])  # keep the projected coefficients
+                trial_shares[i] = _Share(target, A, b)
+            value = _score(target, trial_shares, best)
             if value < best:
-                best = value
-                params = pack([m for m, _ in entries])  # keep the projected coefficients
-                accepted = entries
+                best, params, shares = value, trial, trial_shares
                 history.append(best)
-                improved = True
                 break
-        if not improved:
+        else:
             step *= STEP_DECAY
             if step < stop_step:
                 break
-    return tuple(AffineMap(*project(block)) for block in params.reshape(n, -1)), best, history
+    return tuple(AffineMap(p[: d * d].reshape(d, d), p[d * d :]) for p in params.reshape(n, -1)), best, history
 
 
 def _baseline_maps(target: PointSet, box: Box, cfg: FitConfig):

@@ -241,26 +241,30 @@ def _lex_optimal(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _pinned_matching(C: np.ndarray) -> tuple[Permutation, float]:
     """Row-pinning assignment: each row in turn takes the smallest column
-    whose optimal completion (a solve) still reaches the overall minimum."""
+    whose optimal completion (a solve) still reaches the overall minimum, or,
+    when rounding leaves no such column, the one of least total."""
     n = C.shape[0]
     best = _solver_cost(C)
     image: list[int] = []
     free = list(range(n))
     prefix = 0.0
     for i in range(n):
+        totals = []
         for j in free:
             rest = [c for c in free if c != j]
             if len(rest) > 1:
                 completion = _solver_cost(C[i + 1 :, rest])
             else:  # a 1x1 completion is its entry: the solver's one-term sum, bit for bit
                 completion = float(C[i + 1, rest[0]]) if rest else 0.0
-            if prefix + C[i, j] + completion <= best + MATCH_TOL:
-                image.append(j)
-                free.remove(j)
-                prefix += C[i, j]
+            total = prefix + C[i, j] + completion
+            if total <= best + MATCH_TOL:
                 break
+            totals.append((total, j))
         else:  # only when a cost lies in the rounding band at optimum + MATCH_TOL
-            raise AssertionError("assignment refinement failed to pin a column")
+            _, j = min(totals)
+        image.append(j)
+        free.remove(j)
+        prefix += C[i, j]
     sigma = Permutation(tuple(image))
     cost = float(sum(C[i, sigma.image[i]] for i in range(n)))
     return sigma, cost
@@ -279,7 +283,8 @@ def optimal_matching(C: np.ndarray) -> tuple[Permutation, float]:
     least sum + MATCH_TOL.  For entries in [0, 1) these differ by about
     n^2 * 2^-53, so the paths can disagree only when some permutation's exact
     cost lies within that band of the optimum + MATCH_TOL.  In that band
-    pinning can also find no column for a row, and raises AssertionError.
+    pinning can also find no column within the bound for a row; it then pins
+    the column of least total.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1] or C.size == 0:

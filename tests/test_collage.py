@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ifsseq import (
@@ -164,6 +164,31 @@ class TestPerMapKernel:
             assert collage._score(target, shares) == exact
             incumbent = exact
 
+    def test_descent_projects_each_moved_block_once(self, monkeypatch):
+        # no re-projection of the starts, of the incumbent or of the result
+        box = Box([0.0, 0.0], [1.0, 1.0])
+        truth = IFS(box, tuple(AffineMap(0.5 * np.eye(2), b) for b in ([0.0, 0.0], [0.5, 0.0], [0.0, 0.5])))
+        target = attractor_points(truth, 4, box_seed(box, 1 / 16))
+        cfg = FitConfig(n=3, max_iters=12, s_max=0.9, seed=0)
+        maps0 = collage._random_maps(target, box, cfg, np.random.default_rng(3))
+        moved, projected = [], []
+        candidate_moves, project = collage._candidate_moves, collage._project
+
+        def counted_moves(params, n, d, box, step):
+            for trial in candidate_moves(params, n, d, box, step):
+                changed = trial.view(np.int64) != params.view(np.int64)
+                moved.append(int(changed.reshape(n, -1).any(axis=1).sum()))
+                yield trial
+
+        def counted_project(*args):
+            projected.append(1)
+            return project(*args)
+
+        monkeypatch.setattr(collage, "_candidate_moves", counted_moves)
+        monkeypatch.setattr(collage, "_project", counted_project)
+        _, _, history = collage._descend(target, box, cfg, maps0)
+        assert len(history) > 1 and len(projected) == sum(moved)
+
     @pytest.mark.parametrize(
         "case, start",
         [(case, start) for case in ("cantor", "reversed", "sierpinski") for start in ("warm", "random")]
@@ -238,7 +263,58 @@ class TestProjectMap:
 
     def test_feasible_map_unchanged(self, unit_box):
         m = project_map(np.array([[0.5]]), np.array([0.25]), unit_box, s_max=0.9)
-        assert np.allclose(m.A, [[0.5]]) and np.allclose(m.b, [0.25])
+        assert m.A.tolist() == [[0.5]] and m.b.tolist() == [0.25]
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 2, 3]),
+        axes=st.lists(st.sampled_from(["wide", "flat", "thin"]), min_size=3, max_size=3),
+        kind=st.sampled_from(["orthogonal", "random", "tight"]),
+        ulps=st.integers(-1, 1),
+    )
+    def test_projection_is_idempotent(self, seed, dim, axes, kind, ulps):
+        # the descent keeps a projected candidate as it is, so projecting it
+        # again must give the same bits
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-2.0, 2.0, dim) * 10.0 ** rng.integers(-2, 3)
+        widths = {"wide": rng.uniform(0.1, 3.0), "flat": 0.0, "thin": 10.0 ** rng.uniform(-8.0, -2.0)}
+        box = Box(lo, lo + np.array([widths[axis] for axis in axes[:dim]]))
+        extent = box.hi - box.lo
+        s_max = rng.uniform(0.05, 0.99)
+        if kind == "orthogonal":  # LAPACK's norm lands ulps either side of s_max
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            A = q * (np.nextafter(s_max, 0.0), s_max, np.nextafter(s_max, 1.0))[ulps + 1]
+        elif kind == "random":
+            A = rng.standard_normal((dim, dim)) * rng.uniform(0.0, 3.0)
+        else:  # the image spans the thinnest axis exactly, up to an ulp
+            A = np.diag(rng.uniform(-0.5, 0.5, dim))
+            r, c = int(np.argmin(np.where(extent > 0, extent, np.inf))), int(np.argmax(extent))
+            if r != c:
+                A[r, r] = 0.0
+                A[r, c] = rng.choice([-1.0, 1.0]) * extent[r] / extent[c] * (1.0 + ulps * 2.0**-52)
+        reach = 3.0 * max(extent.max(), 1.0)  # translations outside the box
+        b = rng.uniform(lo - reach, box.hi + reach)
+        V = box.vertices()
+        try:
+            A1, b1 = collage._project(A, b, box, V, s_max)
+        except PreconditionError:  # A too large to shrink onto a thin axis
+            assume(False)
+        assert np.linalg.svd(A1)[1][0] <= s_max
+        A2, b2 = collage._project(A1, b1, box, V, s_max)
+        assert A2.tobytes() == A1.tobytes() and b2.tobytes() == b1.tobytes()
+
+    def test_map_that_walked_an_ulp_per_projection(self):
+        # met in the collage-fit-descent recording: LAPACK puts this map's
+        # norm three ulps above s_max, and clamping it again lowered A[0, 1]
+        # by one ulp at every projection
+        A = np.array([[0.0, float.fromhex("0x1.40b5485c9748dp-9")], [0.0, float.fromhex("0x1.e665fcab96fe9p-1")]])
+        b = np.array([0.0625, 0.0031251969369636076])
+        box = Box([0.0625, 0.0625], [0.9375, 0.9375])
+        A1, b1 = collage._project(A, b, box, box.vertices(), 0.95)
+        assert np.linalg.svd(A1)[1][0] <= 0.95
+        A2, b2 = collage._project(A1, b1, box, box.vertices(), 0.95)
+        assert A2.tobytes() == A1.tobytes() and b2.tobytes() == b1.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(

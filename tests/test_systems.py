@@ -242,6 +242,19 @@ class TestEnumeration:
         ])
         assert optimal_matching(C) == matching_brute_force(C) == (Permutation((1, 0, 2)), 4 / 7)
 
+    def test_pinning_in_the_tolerance_band_pins_the_least_total(self):
+        # on the matrix above no column of row 1 passes the pinning check;
+        # the path that serves n >= 7 takes the column of least total
+        C = np.array([
+            [2 / 7, 2 / 7, 6 / 7],
+            [1 / 7, float.fromhex("0x1.249249249b14fp-3"), 5 / 7],
+            [3 / 7, 5 / 7, 1 / 7],
+        ])
+        sigma, cost = systems._pinned_matching(C)
+        assert sorted(sigma.image) == [0, 1, 2]
+        assert cost == sum(C[i, sigma.image[i]] for i in range(3))
+        assert abs(cost - matching_brute_force(C)[1]) <= systems.MATCH_TOL + 3**2 * 2.0**-53
+
     def test_peak_memory_is_bounded_by_the_chunk(self):
         # one call holds ENUMERATE_CHUNK sums and one gathered term (2 x 256
         # KiB); a whole row of m = 200 would hold 2 x 199 x 720 sums (2.2 MiB)
