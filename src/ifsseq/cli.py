@@ -1,13 +1,13 @@
 """Command line surface: dist, attractor, analyze, collage-fit, predict.
 
-Exit codes: 0 success, 2 parse or validation error, 3 resource cap exceeded,
-4 precondition failure.  `collage-fit` and `predict` share the fit flags
-(--seed, --restarts, --iters, --s-max, --delta, --threshold, --domain-lo,
---domain-hi); `attractor` and `predict` share the render flags (--depth,
---image, --px).  Commands that write files also write a manifest
-recording inputs (with digests), flags, seeds, and versions, so any run can
-be reproduced byte for byte.  IFSSEQ_SEED overrides the default seed when
---seed is not given.
+Exit codes: 0 success, 2 parse or validation error, 3 resource cap exceeded
+(points, vertices, or a --px raster above formats.MAX_PIXELS), 4 precondition
+failure.  `collage-fit` and `predict` share the fit flags (--seed, --restarts,
+--iters, --s-max, --delta, --threshold, --domain-lo, --domain-hi); `attractor`
+and `predict` share the render flags (--depth, --image, --px).  Commands that
+write files also write a manifest recording inputs (with digests), flags,
+seeds, and versions, so any run can be reproduced byte for byte.  IFSSEQ_SEED
+overrides the default seed when --seed is not given.
 """
 
 from __future__ import annotations

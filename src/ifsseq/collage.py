@@ -176,8 +176,8 @@ def collage_bound(eps: float, t: float) -> float:
     return eps / (1.0 - t)
 
 
-def _project(A: np.ndarray, b: np.ndarray, box: Box, V: np.ndarray, s_max: float):
-    """project_map on arrays, given the box's vertices V."""
+def _project(A: np.ndarray, b: np.ndarray, box: Box, s_max: float):
+    """project_map on arrays."""
 
     def svd_above(A):  # LAPACK's SVD when its norm exceeds s_max; the closed form screens d <= 2
         if A.shape[0] > 2 or spectral_norm(A) > s_max * (1.0 - 1e-12):
@@ -195,7 +195,7 @@ def _project(A: np.ndarray, b: np.ndarray, box: Box, V: np.ndarray, s_max: float
         A = np.nextafter(A, 0.0)
     shrinks, seen = 0, {b.tobytes()}
     while True:
-        img = V @ A.T + b
+        img = box.vertices() @ A.T + b
         if not np.all(img.max(axis=0) - img.min(axis=0) <= extent + 1e-15):
             if shrinks == 63:
                 raise PreconditionError("cannot project the map into the domain")
@@ -216,7 +216,7 @@ def project_map(A: np.ndarray, b: np.ndarray, box: Box, s_max: float) -> AffineM
     so the box maps into itself.  Idempotent bit for bit; LAPACK's largest
     singular value of the result is at most s_max."""
     A, b = np.atleast_2d(np.array(A, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
-    return AffineMap(*_project(A, b, box, box.vertices(), s_max))
+    return AffineMap(*_project(A, b, box, s_max))
 
 
 def _tiles(points: np.ndarray, n: int):
@@ -318,7 +318,6 @@ def _candidate_moves(params: np.ndarray, n: int, d: int, box: Box, step: float):
 
 def _descend(target, box, cfg, maps0):
     n, d = cfg.n, target.dim
-    V = box.vertices()
     step0 = INITIAL_STEP * box.diameter
     if step0 <= 0.0:
         step0 = 0.1  # degenerate single-point domain
@@ -341,7 +340,7 @@ def _descend(target, box, cfg, maps0):
             moved = (trial.view(np.int64) != params.view(np.int64)).reshape(n, -1).any(axis=1)
             blocks, trial_shares = trial.reshape(n, -1), list(shares)
             for i in np.flatnonzero(moved):
-                A, b = _project(blocks[i, : d * d].reshape(d, d), blocks[i, d * d :], box, V, cfg.s_max)
+                A, b = _project(blocks[i, : d * d].reshape(d, d), blocks[i, d * d :], box, cfg.s_max)
                 blocks[i] = np.concatenate([A.ravel(), b])  # keep the projected coefficients
                 trial_shares[i] = _Share(target, A, b)
             value = _score(target, trial_shares, best)

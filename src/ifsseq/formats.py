@@ -17,10 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .attractor import PointSet
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .maps import AffineMap, Box
 from .sequences import IFSSequence
 from .systems import IFS
+
+# Pixels in one raster (4096 x 4096); write_pgm holds ~10 bytes per pixel.
+MAX_PIXELS = 1 << 24
 
 
 def _umask() -> int:
@@ -324,12 +327,14 @@ def render_raster(points: PointSet, box: Box, width: int) -> np.ndarray:
     """Binary image of a point set over a box, `width` pixels across."""
     if width <= 0:
         raise InputError("width must be positive")
+    if width > MAX_PIXELS:  # before width meets a float, which it may overflow
+        raise ResourceLimitError(f"a raster {width} pixels wide exceeds the {MAX_PIXELS}-pixel cap")
     extent = box.hi - box.lo
-    if points.dim == 1:
-        shape = (1, width)
-    else:
-        aspect = extent[1] / extent[0] if extent[0] > 0 else 1.0
-        shape = (max(1, round(width * aspect)), width)
+    aspect = float(extent[1]) / float(extent[0]) if points.dim > 1 and extent[0] > 0 else 1.0
+    height = width * aspect if points.dim > 1 else 1.0
+    if width * max(height, 1.0) > MAX_PIXELS:  # Python floats: a thin x axis reads inf, not a warning
+        raise ResourceLimitError(f"a {width} x {height:.6g} raster exceeds the {MAX_PIXELS}-pixel cap")
+    shape = (max(1, round(height)), width)
     mask = np.zeros(shape, dtype=bool)
     span_x = extent[0] if extent[0] > 0 else 1.0
     cols = np.clip(

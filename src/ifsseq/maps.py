@@ -5,8 +5,8 @@ x -> ||(A_f - A_g) x + (b_f - b_g)|| is convex, so its supremum over a box
 is attained at a vertex; `sup_distance` is therefore exact.  A grid-sampled
 estimator is kept alongside as an independent cross-check.
 
-`dbar_stacks` is the one vectorised dbar kernel: every cost matrix, cost
-tensor and consecutive link in `systems` and `sequences` comes from it.
+`dbar_stacks(..., domain)` is the one vectorised dbar kernel: every cost matrix,
+cost tensor and consecutive link in `systems` and `sequences` comes from it.
 `sup_distance` and `dbar_inf` are the scalar reference it equals bit for bit.
 """
 
@@ -41,19 +41,20 @@ def spectral_norm(A: np.ndarray) -> float:
             lam = (p + r) / 2.0 + disc
         if math.isfinite(lam):
             return math.sqrt(max(lam, 0.0))
-    return float(np.linalg.norm(A, 2))
+    return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
 @dataclass(frozen=True, eq=False)
 class Box:
-    """Nonempty compact axis-aligned box [lo_1,hi_1] x ... x [lo_d,hi_d]."""
+    """Nonempty compact axis-aligned box [lo_1,hi_1] x ... x [lo_d,hi_d].  The bounds
+    are read-only copies; vertices() is built once and kept: 168 MB at MAX_VERTEX_DIM."""
 
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        lo = np.atleast_1d(np.array(self.lo, dtype=float))
+        hi = np.atleast_1d(np.array(self.hi, dtype=float))
         if lo.ndim != 1 or hi.ndim != 1 or lo.shape != hi.shape or lo.size == 0:
             raise InputError("box bounds must be nonempty vectors of equal length")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
@@ -78,15 +79,18 @@ class Box:
         return (self.lo + self.hi) / 2.0
 
     def vertices(self) -> np.ndarray:
-        """All 2^d corners, one per row."""
-        d = self.dim
-        if d > MAX_VERTEX_DIM:
-            raise ResourceLimitError(
-                f"vertex enumeration needs 2^{d} corners; dimensions above "
-                f"{MAX_VERTEX_DIM} are not supported"
-            )
-        bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1
-        return self.lo + bits * (self.hi - self.lo)
+        """All 2^d corners, one per row: the same read-only array on every call."""
+        if "_vertices" not in self.__dict__:
+            d = self.dim
+            if d > MAX_VERTEX_DIM:
+                raise ResourceLimitError(
+                    f"vertex enumeration needs 2^{d} corners; dimensions above "
+                    f"{MAX_VERTEX_DIM} are not supported"
+                )
+            bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1
+            object.__setattr__(self, "_vertices", self.lo + bits * (self.hi - self.lo))
+            self._vertices.flags.writeable = False
+        return self._vertices
 
     def contains(self, points: np.ndarray, tol: float = 1e-12) -> bool:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -130,8 +134,8 @@ class AffineMap:
     check: InitVar[bool] = True
 
     def __post_init__(self, check):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        A = np.atleast_2d(np.array(self.A, dtype=float))
+        b = np.atleast_1d(np.array(self.b, dtype=float))
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise InputError("A must be a square matrix")
         if b.ndim != 1 or b.size != A.shape[0]:
@@ -239,23 +243,22 @@ def dbar_inf(f: AffineMap, g: AffineMap, domain: Box) -> float:
     return s / (1.0 + s)
 
 
-def dbar_stacks(Af, bf, Ag, bg, V: np.ndarray) -> np.ndarray:
+def dbar_stacks(Af, bf, Ag, bg, domain: Box) -> np.ndarray:
     """dbar between every map of one stack and every map of another.
 
     Af (..., p, d, d) and bf (..., p, d) hold maps f_i; Ag (..., q, d, d) and
-    bg (..., q, d) hold maps g_j; the leading axes broadcast.  V is
-    domain.vertices().  Entry [..., i, j] of the (..., p, q) result is
-    dbar_inf(f_i, g_j, domain) bit for bit, as it is the same vertex
-    expression as sup_distance.
+    bg (..., q, d) hold maps g_j; the leading axes broadcast.  Entry [..., i, j]
+    of the (..., p, q) result is dbar_inf(f_i, g_j, domain) bit for bit, as it
+    is the same vertex expression as sup_distance.
     """
     Af, bf, Ag, bg = (np.asarray(x, dtype=float) for x in (Af, bf, Ag, bg))
-    d = V.shape[1]
+    d = domain.dim
     if not (Af.shape[-2:] == Ag.shape[-2:] == (d, d) and bf.shape[-1] == bg.shape[-1] == d):
         raise InputError(
             f"dimension mismatch: map stacks {Af.shape}/{Ag.shape} on a {d}-box"
         )
     dA = Af[..., :, None, :, :] - Ag[..., None, :, :, :]
     db = bf[..., :, None, :] - bg[..., None, :, :]
-    vals = ((V @ dA.swapaxes(-1, -2) + db[..., None, :]) ** 2).sum(axis=-1)
+    vals = ((domain.vertices() @ dA.swapaxes(-1, -2) + db[..., None, :]) ** 2).sum(axis=-1)
     s = np.sqrt(vals.max(axis=-1))
     return s / (1.0 + s)

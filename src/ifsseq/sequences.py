@@ -150,7 +150,7 @@ def eventually_decreasing_at(seq: IFSSequence) -> int | None:
 
 
 def _cauchy_from_matrix(dist: np.ndarray, eps: float) -> int | None:
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise InputError("eps must be positive")
     m = dist.shape[0]
     if m == 1:
@@ -169,7 +169,7 @@ def cauchy_index(seq: IFSSequence, eps: float) -> int | None:
 
 def converges_to(seq: IFSSequence, target: IFS, eps: float) -> int | None:
     """Smallest N with D(term_j, target) < eps for every j >= N."""
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise InputError("eps must be positive")
     dists = [big_d(term, target) for term in seq.terms]
     if dists[-1] >= eps:
@@ -202,14 +202,14 @@ def limit_of_contractions(
     maps = list(maps)
     if not maps:
         raise InputError("need at least one map")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise InputError("eps must be positive")
     if any(f.dim != domain.dim for f in maps):
         raise InputError(f"dimension mismatch: maps on a {domain.dim}-box")
     factors = np.array([f.contractivity for f in maps])
     A = np.array([f.A for f in maps])
     b = np.array([f.b for f in maps])
-    dbar = dbar_stacks(A, b, A, b, domain.vertices())
+    dbar = dbar_stacks(A, b, A, b, domain)
     start = _eventually_from_flags(_decreases(factors))
     problem = _slot_problem(start, dbar, eps)
     if problem is not None:
@@ -235,7 +235,7 @@ def analyze_sequence(seq: IFSSequence, eps: float) -> SequenceReport:
     decreases = _decreases(traces)
     flags = np.all(decreases, axis=0)
     limit, residual, cauchy_at, failure = None, math.nan, None, None
-    if eps <= 0.0:
+    if not eps > 0.0:
         failure = InputError("eps must be positive")
     else:
         cauchy_at = _cauchy_from_matrix(dist, eps)

@@ -7,7 +7,7 @@ Up to ENUMERATE_MAX_N maps it enumerates the n! costs, for a stack of
 matrices at once (_lex_optimal); larger systems pin one row at a time with
 scipy's linear_sum_assignment.
 
-Every cost matrix comes from the one dbar kernel, maps.dbar_stacks: cost_matrix
+Every cost matrix comes from maps.dbar_stacks on the shared domain: cost_matrix
 for one pair of systems, cost_links for the consecutive pairs of a list and
 cost_tensor for all of its pairs.  _distances reads the matrix of D from a
 cost tensor, and is_mo_set and the sequence diagnostics read everything else
@@ -115,16 +115,19 @@ class IFS:
     maps: tuple[AffineMap, ...]
 
     def __post_init__(self):
-        maps = tuple(self.maps)
+        maps, box = tuple(self.maps), self.domain
         if not maps:
             raise InputError("an IFS needs at least one map")
         for k, m in enumerate(maps):
-            if m.dim != self.domain.dim:
-                raise InputError(f"map {k} has dimension {m.dim}, domain has {self.domain.dim}")
+            if m.dim != box.dim:
+                raise InputError(f"map {k} has dimension {m.dim}, domain has {box.dim}")
             if not m.contractivity < 1.0:
                 raise InputError(f"map {k} is not a contraction (factor {m.contractivity})")
-            if not m.maps_into(self.domain):
-                raise InputError(f"map {k} does not send the domain into itself")
+        A, b = np.array([m.A for m in maps]), np.array([m.b for m in maps])
+        img = box.vertices() @ A.swapaxes(-1, -2) + b[:, None]  # every map's vertex images
+        inside = ((img >= box.lo - 1e-9) & (img <= box.hi + 1e-9)).all(axis=(1, 2))  # as maps_into decides
+        if not inside.all():
+            raise InputError(f"map {int(np.argmin(inside))} does not send the domain into itself")
         object.__setattr__(self, "maps", maps)
 
     @property
@@ -142,11 +145,7 @@ class IFS:
 
     def reordered(self, sigma: Permutation) -> "IFS":
         """Same system with maps[i] replaced by maps[sigma(i)]."""
-        # permuted checked maps pass every check, so __post_init__ is skipped
-        out = object.__new__(IFS)
-        object.__setattr__(out, "domain", self.domain)
-        object.__setattr__(out, "maps", tuple(sigma.apply(self.maps)))
-        return out
+        return IFS(self.domain, tuple(sigma.apply(self.maps)))
 
     def __eq__(self, other):
         if not isinstance(other, IFS):
@@ -184,7 +183,7 @@ def cost_links(terms) -> np.ndarray:
     [j] of the (m - 1, n, n) result is cost_matrix(terms[j], terms[j + 1])."""
     terms = list(terms)
     A, b = _stacks(terms)
-    return dbar_stacks(A[:-1], b[:-1], A[1:], b[1:], terms[0].domain.vertices())
+    return dbar_stacks(A[:-1], b[:-1], A[1:], b[1:], terms[0].domain)
 
 
 def cost_tensor(terms) -> np.ndarray:
@@ -195,10 +194,9 @@ def cost_tensor(terms) -> np.ndarray:
     terms = list(terms)
     A, b = _stacks(terms)
     m, n = b.shape[:2]
-    V = terms[0].domain.vertices()
     out = np.empty((m, m, n, n))
     for j in range(m):
-        out[j, j:] = dbar_stacks(A[j], b[j], A[j:], b[j:], V)
+        out[j, j:] = dbar_stacks(A[j], b[j], A[j:], b[j:], terms[0].domain)
         out[j + 1 :, j] = out[j, j + 1 :].swapaxes(-1, -2)
     return out
 

@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import stat
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -141,7 +142,40 @@ class TestAttractor:
         assert "resource limit" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "hi, px",
+        [
+            ([1e-6, 1.0], "512"),
+            ([5e-324, 1.0], "512"),
+            ([1.0, 1.0], "100000000"),
+            ([1.0, 1.0], "1" + "0" * 400),
+        ],
+        ids=["thin-x-axis", "subnormal-x-axis", "huge-px", "px-beyond-float"],
+    )
+    def test_raster_cap_exit_code(self, tmp_path, capsys, hi, px):
+        box = Box([0.0, 0.0], hi)
+        spec = tmp_path / "spec.json"
+        write_ifs(spec, IFS(box, (AffineMap(0.5 * np.eye(2), [0.0, 0.0]),)))
+        argv = ["attractor", str(spec), "--depth", "2", "--image", str(tmp_path / "x.pgm"), "--px", px]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
+        assert peak < 10_000_000  # the raster is refused before it is allocated
+        assert not (tmp_path / "x.pgm").exists()
+
+
 class TestAnalyze:
+    def test_nan_eps_exits_2(self, capsys):
+        seqfile = Path(__file__).parent / "fixtures" / "analyze" / "converging2d.seq.json"
+        assert main(["analyze", str(seqfile), "--eps", "nan"]) == 2
+        assert capsys.readouterr().err == "error: eps must be positive\n"
+
     def test_cantor_sequence_report(self, tmp_path, capsys):
         seq = IFSSequence(tuple(cantor_term(j) for j in range(1, 11)))
         seqfile = tmp_path / "seq.json"

@@ -81,14 +81,13 @@ def reference_descend(target, box, cfg, maps0):
     re-projects every map and is scored on the whole system, here by the
     brute Hausdorff distance of its Hutchinson image."""
     n, d = cfg.n, target.dim
-    V = box.vertices()
     step0 = collage.INITIAL_STEP * box.diameter
     if step0 <= 0.0:
         step0 = 0.1
     stop_step = max(step0 * 1e-6, 1e-12)
 
     def project(params):
-        return [collage._project(p[:-d].reshape(d, d), p[-d:], box, V, cfg.s_max) for p in params.reshape(n, -1)]
+        return [collage._project(p[:-d].reshape(d, d), p[-d:], box, cfg.s_max) for p in params.reshape(n, -1)]
 
     def pack(maps):
         return np.concatenate([np.concatenate([A.ravel(), b]) for A, b in maps])
@@ -295,13 +294,12 @@ class TestProjectMap:
                 A[r, c] = rng.choice([-1.0, 1.0]) * extent[r] / extent[c] * (1.0 + ulps * 2.0**-52)
         reach = 3.0 * max(extent.max(), 1.0)  # translations outside the box
         b = rng.uniform(lo - reach, box.hi + reach)
-        V = box.vertices()
         try:
-            A1, b1 = collage._project(A, b, box, V, s_max)
+            A1, b1 = collage._project(A, b, box, s_max)
         except PreconditionError:  # A too large to shrink onto a thin axis
             assume(False)
         assert np.linalg.svd(A1)[1][0] <= s_max
-        A2, b2 = collage._project(A1, b1, box, V, s_max)
+        A2, b2 = collage._project(A1, b1, box, s_max)
         assert A2.tobytes() == A1.tobytes() and b2.tobytes() == b1.tobytes()
 
     def test_map_that_walked_an_ulp_per_projection(self):
@@ -311,9 +309,9 @@ class TestProjectMap:
         A = np.array([[0.0, float.fromhex("0x1.40b5485c9748dp-9")], [0.0, float.fromhex("0x1.e665fcab96fe9p-1")]])
         b = np.array([0.0625, 0.0031251969369636076])
         box = Box([0.0625, 0.0625], [0.9375, 0.9375])
-        A1, b1 = collage._project(A, b, box, box.vertices(), 0.95)
+        A1, b1 = collage._project(A, b, box, 0.95)
         assert np.linalg.svd(A1)[1][0] <= 0.95
-        A2, b2 = collage._project(A1, b1, box, box.vertices(), 0.95)
+        A2, b2 = collage._project(A1, b1, box, 0.95)
         assert A2.tobytes() == A1.tobytes() and b2.tobytes() == b1.tobytes()
 
     @settings(max_examples=200, deadline=None)

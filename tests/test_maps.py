@@ -46,6 +46,29 @@ class TestBox:
         with pytest.raises(ResourceLimitError):
             big.vertices()
 
+    def test_vertices_are_built_once_and_read_only(self):
+        box = Box([0.0, -1.0, 2.0], [1.0, 1.0, 2.5])
+        V = box.vertices()
+        assert box.vertices() is V and box.vertices() is V
+        assert not V.flags.writeable
+        with pytest.raises(ValueError):
+            V[0, 0] = 5.0
+        bits = (np.arange(8)[:, None] >> np.arange(3)) & 1
+        assert V.tobytes() == (box.lo + bits * (box.hi - box.lo)).tobytes()
+
+    def test_vertex_cap_raises_on_every_call(self):
+        big = Box(np.zeros(21), np.ones(21))
+        for _ in range(3):  # nothing is cached by a refused enumeration
+            with pytest.raises(ResourceLimitError):
+                big.vertices()
+
+    def test_bounds_are_copies(self):
+        lo, hi = np.array([0.0, 0.0]), np.array([1.0, 2.0])
+        box = Box(lo, hi)
+        lo[0], hi[1] = -1.0, 3.0  # the caller's arrays stay writeable
+        assert box.lo.tolist() == [0.0, 0.0] and box.hi.tolist() == [1.0, 2.0]
+        assert not box.lo.flags.writeable and not box.hi.flags.writeable
+
     def test_degenerate_box_allowed(self):
         b = Box([0.5], [0.5])
         assert b.diameter == 0.0
@@ -75,6 +98,13 @@ class TestAffineMap:
             AffineMap([[1.0]], [0.0])
         with pytest.raises(ContractionError):
             AffineMap([[0.8, 0.8], [0.0, 0.8]], [0.0, 0.0])
+
+    def test_coefficients_are_copies(self):
+        A, b = np.eye(2) * 0.5, np.zeros(2)
+        f = AffineMap(A, b)
+        A[0, 0], b[1] = 0.1, 0.25  # the caller's arrays stay writeable
+        assert f.A.tolist() == [[0.5, 0.0], [0.0, 0.5]] and f.b.tolist() == [0.0, 0.0]
+        assert not f.A.flags.writeable and not f.b.flags.writeable
 
     def test_check_flag_admits_identity(self):
         ident = AffineMap([[1.0]], [0.0], check=False)
@@ -108,6 +138,13 @@ class TestContractivity:
         for _ in range(20):
             A = rng.standard_normal((4, 4)) * 0.2
             assert spectral_norm(A) == pytest.approx(char_poly_spectral_norm(A), abs=1e-10)
+
+    def test_lapack_path_equals_matrix_2_norm(self):
+        rng = np.random.default_rng(5)
+        for d in (3, 4, 5, 6):
+            for _ in range(50):
+                A = rng.standard_normal((d, d)) * rng.uniform(0.01, 10.0)
+                assert spectral_norm(A) == float(np.linalg.norm(A, 2))
 
     @pytest.mark.parametrize("scale", [1e77, 1e160, 1e200, 1e300])
     def test_2x2_closed_form_overflow_falls_back_to_lapack(self, scale):

@@ -454,6 +454,19 @@ class TestAnalyzeSequence:
         with pytest.raises(InputError, match="eps must be positive"):
             limit_candidate(cantor_seq, 0.0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0])
+    def test_nan_eps_is_rejected_everywhere(self, cantor_seq, unit_box, eps):
+        report = analyze_sequence(cantor_seq, eps)
+        assert isinstance(report.failure, InputError) and str(report.failure) == "eps must be positive"
+        maps = [term.maps[1] for term in cantor_seq.terms]
+        for call in (
+            lambda: cauchy_index(cantor_seq, eps),
+            lambda: converges_to(cantor_seq, cantor_ifs(unit_box), eps),
+            lambda: limit_of_contractions(maps, unit_box, eps),
+        ):
+            with pytest.raises(InputError, match="eps must be positive"):
+                call()
+
     def test_already_aligned_chain_is_not_realigned(self, cantor_seq):
         aligned = align_chain(cantor_seq)
         assert analyze_sequence(aligned, 0.2).alignment is aligned.alignment

@@ -54,7 +54,45 @@ class TestPermutation:
         assert Permutation((1, 0)).describe() == "(2 1)"
 
 
+def _edge_map(rng, box, mode, ulps):
+    """A contraction whose vertex images reach ulps steps from hi + 1e-9 or
+    lo - 1e-9 on one axis (mode "hi" or "lo"), or sit centered ("in")."""
+    d = box.dim
+    A = rng.standard_normal((d, d)) * rng.uniform(0.0, 0.3) / d
+    img = box.vertices() @ A.T
+    b = (box.lo + box.hi) / 2.0 - (img.max(axis=0) + img.min(axis=0)) / 2.0
+    if mode != "in":
+        r = int(rng.integers(d))
+        edge = box.hi[r] + 1e-9 if mode == "hi" else box.lo[r] - 1e-9
+        for _ in range(abs(ulps)):
+            edge = np.nextafter(edge, math.copysign(math.inf, ulps))
+        b[r] = edge - (img[:, r].max() if mode == "hi" else img[:, r].min())
+    return AffineMap(A, b)
+
+
 class TestIFSConstruction:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 3),
+        modes=st.lists(st.sampled_from(["in", "hi", "lo"]), min_size=1, max_size=6),
+        ulps=st.integers(-4, 4),
+    )
+    def test_containment_agrees_with_maps_into(self, seed, d, modes, ulps):
+        # the one broadcast over all maps decides as each map's maps_into does,
+        # and names the first map that fails, as the per-map check did
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-3.0, 3.0, d)
+        box = Box(lo, lo + rng.uniform(0.5, 2.0, d))
+        maps = tuple(_edge_map(rng, box, mode, ulps) for mode in modes)
+        inside = [m.maps_into(box) for m in maps]
+        if all(inside):
+            assert IFS(box, maps).maps == maps
+        else:
+            with pytest.raises(InputError) as caught:
+                IFS(box, maps)
+            assert str(caught.value) == f"map {inside.index(False)} does not send the domain into itself"
+
     def test_rejects_escaping_map(self, unit_box):
         # contraction toward a point outside the box
         with pytest.raises(InputError):
@@ -268,6 +306,22 @@ class TestEnumeration:
         assert peak - D.nbytes <= 4 * 8 * systems.ENUMERATE_CHUNK
 
 
+@st.composite
+def _eighths_ifs(draw, n, d):
+    """n maps on the unit d-cube with every coefficient a multiple of 1/8:
+    entries of A in [-2/8, 2/8], so absolute row and column sums, hence the
+    norm, stay below 1, and b anywhere on the eighths grid that keeps the
+    image in the cube."""
+    maps = []
+    for _ in range(n):
+        A = np.array(draw(st.lists(st.integers(-2, 2), min_size=d * d, max_size=d * d)), dtype=float)
+        A = A.reshape(d, d) / 8.0
+        low, high = np.minimum(A, 0.0).sum(axis=1), np.maximum(A, 0.0).sum(axis=1)
+        b = [draw(st.integers(round(-8 * l), round(8 * (1.0 - h)))) / 8.0 for l, h in zip(low, high)]
+        maps.append(AffineMap(A, b))
+    return IFS(Box(np.zeros(d), np.ones(d)), tuple(maps))
+
+
 class TestBigD:
     def test_paper_distances(self, ifs_s, ifs_t, ifs_u):
         assert big_d(ifs_s, ifs_t) == pytest.approx(2.0 / 7.0, abs=EXACT)
@@ -295,18 +349,16 @@ class TestBigD:
         swapped = ifs_s.reordered(Permutation((1, 0)))
         assert big_d(ifs_s, swapped) == 0.0
 
-    def test_metric_axioms_on_random_systems(self):
-        rng = np.random.default_rng(77)
-        for dim in (1, 2):
-            box = Box(np.zeros(dim), np.ones(dim))
-            for _ in range(60):
-                S = random_ifs(rng, box, 2)
-                T = random_ifs(rng, box, 2)
-                U = random_ifs(rng, box, 2)
-                dst = big_d(S, T)
-                assert dst >= 0.0
-                assert dst == pytest.approx(big_d(T, S), abs=EXACT)
-                assert big_d(S, U) <= dst + big_d(T, U) + EXACT
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), d=st.integers(1, 3))
+    def test_metric_axioms_on_random_systems(self, data, n, d):
+        S, T, U = (data.draw(_eighths_ifs(n, d)) for _ in range(3))
+        sigma = Permutation(tuple(data.draw(st.permutations(range(n)))))
+        dst = big_d(S, T)
+        assert dst >= 0.0
+        assert big_d(S, S.reordered(sigma)) == 0.0
+        assert dst == pytest.approx(big_d(T, S), abs=EXACT)
+        assert big_d(S, U) <= dst + big_d(T, U) + EXACT
 
 
 class TestMinimalOrder:
