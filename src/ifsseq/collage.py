@@ -18,6 +18,17 @@ brute expression decides over every map's ball (attractor._screened_max_sq).
 On the line the images of the ascending target under x -> ax + b are
 ascending (a >= 0) or descending (a < 0), so they need no sort.
 
+On the line a fit also reads out_sq from a field.  The target and the box
+are fixed for the fit, and every image is snapped to the target's lattice,
+so an image's distance into L depends only on its tick k = rint(x/delta).
+fit_ifs tabulates that distance once per tick of the box (_tick_field, the
+exact distance transform of Maurer, Qi & Raghavan 2003 reduced to the line),
+and each share's out_sq is one gather.  Each entry is the sorted scan's own
+expression at the same query float k*delta, so the gather gives the scan's
+value bit for bit.  The field is skipped past FIELD_TICKS_PER_POINT ticks
+per target point, where it would cost more than the scans it saves, and
+collage_distance, a one-off, keeps the scan.
+
 The descent keeps the incumbent's shares and scores only the maps that a
 candidate moves (see _descend).  Most candidates are rejected on the moved
 map's directed max alone, as h is at least every map's directed max, so the
@@ -36,7 +47,15 @@ from functools import reduce
 
 import numpy as np
 
-from .attractor import PointSet, _check_images, _directed_sq, _min_sq_sorted_1d, _screened_max_sq, _snap
+from .attractor import (
+    _TICK_LIMIT,
+    PointSet,
+    _check_images,
+    _directed_sq,
+    _min_sq_sorted_1d,
+    _screened_max_sq,
+    _snap,
+)
 from .errors import InputError, PreconditionError
 from .maps import AffineMap, Box, spectral_norm
 from .sequences import IFSSequence, align_chain
@@ -44,6 +63,7 @@ from .systems import IFS
 
 INITIAL_STEP = 0.1  # first descent step, as a fraction of the domain diameter
 STEP_DECAY = 0.7  # step shrink after a sweep with no improving move
+FIELD_TICKS_PER_POINT = 8  # largest line field a fit builds, in ticks per target point
 
 
 @dataclass(frozen=True)
@@ -111,23 +131,39 @@ class _Share:
     """One map's part of the collage objective h(L, W(L)) on a target L.
 
     out_sq, the max squared distance from the map's snapped images into L,
-    is taken at once.  near, per point of L the distance to those images
-    (the exact square on the line, the tree's distance above, with the tree
-    kept in `tree`), is taken at first use: a candidate whose moved map
-    alone reaches the incumbent's value is rejected without it."""
+    is taken at once: on the line, as the max of the fit's tick field
+    (_tick_field) over the images' ticks when a field is given, else by the
+    sorted scan (collage_distance, and targets too sparse for the field's
+    size rule); above, by the target's tree and the brute expression.
+    near, per point of L the distance to those images (the exact square on
+    the line, the tree's distance above, with the tree kept in `tree`), is
+    taken at first use: a candidate whose moved map alone reaches the
+    incumbent's value is rejected without it."""
 
     __slots__ = ("target", "images", "out_sq", "tree", "_near")
 
-    def __init__(self, target: PointSet, A: np.ndarray, b: np.ndarray):
+    def __init__(self, target: PointSet, A: np.ndarray, b: np.ndarray, field=None):
         # images as AffineMap.transform takes them, snapped, not deduplicated
-        images = _snap(target.points @ A.T + b, target.resolution)
         if target.dim == 1:
-            # L is ascending and x -> ax + b and the snap are monotone, so
-            # the images come out ascending, or descending when a < 0
+            # x * a + b equals transform's x @ A.T + b (a zero may differ in
+            # sign, which no squared distance sees) at a quarter of its cost.
+            # L is ascending and x -> ax + b and the rounding are monotone, so
+            # the ticks come out ascending, or descending when a < 0; rint is
+            # _snap's half-even rounding, so ticks * delta are _snap's images
+            ticks = np.rint((target.points[:, 0] * A[0, 0] + b[0]) / target.resolution)
             if A[0, 0] < 0.0:
-                images = images[::-1]
-            self.out_sq = float(_min_sq_sorted_1d(images, target.points).max())
+                ticks = ticks[::-1]
+            images = (ticks * target.resolution)[:, None]
+            if field is None:
+                self.out_sq = float(_min_sq_sorted_1d(images, target.points).max())
+            else:
+                k0, sq = field
+                index = ticks - k0
+                if not (index[0] >= 0.0 and index[-1] < sq.size):  # numpy would wrap a negative index
+                    raise IndexError("an image tick lies outside the collage field")
+                self.out_sq = float(sq[index.astype(np.intp)].max())
         else:
+            images = _snap(target.points @ A.T + b, target.resolution)
             self.out_sq = _directed_sq(images, target.points, target.tree)
         self.target, self.images, self.tree, self._near = target, images, None, None
 
@@ -142,6 +178,25 @@ class _Share:
                 self.tree = cKDTree(self.images)
                 self._near, _ = self.tree.query(self.target.points)
         return self._near
+
+
+def _tick_field(target: PointSet, box: Box):
+    """On the line, (k0, sq) with sq[k - k0] = _min_sq_sorted_1d([[k*delta]], L)
+    for every lattice tick k of the box grown by fit_ifs's containment slack
+    delta/2 + 1e-9, and by one more tick on each side.  A map of the box into
+    itself with |a| < 1 takes L's points into the grown box, and the extra
+    tick covers the rounding of ax + b.  None above the line, past
+    FIELD_TICKS_PER_POINT ticks per point of L, or at ticks as large as
+    PointSet's lattice limit _TICK_LIMIT."""
+    if target.dim != 1:
+        return None
+    delta = target.resolution
+    tol = delta / 2.0 + 1e-9
+    k0 = float(np.rint((box.lo[0] - tol) / delta)) - 1.0
+    k1 = float(np.rint((box.hi[0] + tol) / delta)) + 1.0
+    if k1 - k0 + 1.0 > FIELD_TICKS_PER_POINT * len(target) or max(-k0, k1) >= _TICK_LIMIT:
+        return None
+    return k0, _min_sq_sorted_1d((np.arange(k0, k1 + 1.0) * delta)[:, None], target.points)
 
 
 def _score(target: PointSet, shares, bound: float = math.inf) -> float:
@@ -316,7 +371,7 @@ def _candidate_moves(params: np.ndarray, n: int, d: int, box: Box, step: float):
                 yield trial
 
 
-def _descend(target, box, cfg, maps0):
+def _descend(target, box, cfg, maps0, field):
     n, d = cfg.n, target.dim
     step0 = INITIAL_STEP * box.diameter
     if step0 <= 0.0:
@@ -329,7 +384,7 @@ def _descend(target, box, cfg, maps0):
     # combination of the shares is exact; it is scored against the
     # incumbent's value, which rejects most candidates on their out_sq.
     params = np.concatenate([np.concatenate([m.A.ravel(), m.b]) for m in maps0])
-    shares = [_Share(target, m.A, m.b) for m in maps0]
+    shares = [_Share(target, m.A, m.b, field) for m in maps0]
     best = _score(target, shares)
     history = [best]
     step = step0
@@ -342,7 +397,7 @@ def _descend(target, box, cfg, maps0):
             for i in np.flatnonzero(moved):
                 A, b = _project(blocks[i, : d * d].reshape(d, d), blocks[i, d * d :], box, cfg.s_max)
                 blocks[i] = np.concatenate([A.ravel(), b])  # keep the projected coefficients
-                trial_shares[i] = _Share(target, A, b)
+                trial_shares[i] = _Share(target, A, b, field)
             value = _score(target, trial_shares, best)
             if value < best:
                 best, params, shares = value, trial, trial_shares
@@ -383,6 +438,7 @@ def fit_ifs(
     # checks the target, domain and point cap once for every candidate
     baseline = IFS(box, _baseline_maps(target, box, cfg))
     baseline_value = collage_distance(baseline, target)
+    field = _tick_field(target, box)
     rng = np.random.default_rng(cfg.seed)
 
     starts = []
@@ -395,7 +451,7 @@ def fit_ifs(
 
     best_maps, best_value, best_history = None, np.inf, []
     for maps0 in starts:
-        maps, value, history = _descend(target, box, cfg, maps0)
+        maps, value, history = _descend(target, box, cfg, maps0, field)
         # numerically tied restarts (mirror-image optima) keep the earliest,
         # which preserves orientation across warm-started frame sequences
         if value < best_value - 1e-9:

@@ -78,7 +78,14 @@ def _floats(value, where: str) -> np.ndarray:
         raise InputError(f"{where}: expected numbers: {exc}") from exc
 
 
-def ifs_from_dict(data: dict, where: str = "spec") -> IFS:
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def ifs_from_dict(data: dict, where: str = "spec", domain: Box | None = None) -> IFS:
+    """The system a spec describes.  When its bounds equal those of `domain`
+    bit for bit, the system takes `domain` itself, so the terms of a sequence
+    file share one box and its vertices."""
     dim = _field(data, "dim", where)
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise InputError(f"{where}.dim: expected a positive integer, got {dim!r}")
@@ -87,7 +94,11 @@ def ifs_from_dict(data: dict, where: str = "spec") -> IFS:
     hi = _field(domain_obj, "hi", f"{where}.domain")
     if not isinstance(lo, list) or len(lo) != dim or not isinstance(hi, list) or len(hi) != dim:
         raise InputError(f"{where}.domain: lo/hi must be vectors of length {dim}")
-    box = Box(_floats(lo, f"{where}.domain.lo"), _floats(hi, f"{where}.domain.hi"))
+    lo, hi = _floats(lo, f"{where}.domain.lo"), _floats(hi, f"{where}.domain.hi")
+    if domain is not None and _same_bits(lo, domain.lo) and _same_bits(hi, domain.hi):
+        box = domain
+    else:
+        box = Box(lo, hi)
     raw_maps = _field(data, "maps", where)
     if not isinstance(raw_maps, list) or not raw_maps:
         raise InputError(f"{where}.maps: need a nonempty list")
@@ -139,10 +150,10 @@ def read_sequence(path) -> IFSSequence:
         data = _field(data, "terms", str(path))
     if not isinstance(data, list) or not data:
         raise InputError(f"{path}: expected a nonempty list of systems")
-    terms = tuple(
-        ifs_from_dict(entry, where=f"{path}[{k}]") for k, entry in enumerate(data)
-    )
-    return IFSSequence(terms)
+    terms = []
+    for k, entry in enumerate(data):
+        terms.append(ifs_from_dict(entry, f"{path}[{k}]", terms[-1].domain if terms else None))
+    return IFSSequence(tuple(terms))
 
 
 def write_sequence(path, seq: IFSSequence):

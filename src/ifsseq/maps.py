@@ -110,6 +110,8 @@ class Box:
     def __eq__(self, other):
         if not isinstance(other, Box):
             return NotImplemented
+        if other is self:  # the terms of a sequence file share one box
+            return True
         # list equality is np.array_equal on 1-D arrays, at a tenth of the cost
         return self.lo.tolist() == other.lo.tolist() and self.hi.tolist() == other.hi.tolist()
 

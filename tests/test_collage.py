@@ -1,3 +1,6 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -121,41 +124,58 @@ def reference_descend(target, box, cfg, maps0):
 
 
 class TestPerMapKernel:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         dim=st.sampled_from([1, 2, 3]),
         n=st.integers(1, 4),
         flat=st.booleans(),
         lattice=st.sampled_from([4, 8, 64]),
+        overhang=st.booleans(),
+        source=st.sampled_from(["field", "scan", "sparse"]),
     )
-    def test_one_map_moves_combine_to_the_brute_value(self, seed, dim, n, flat, lattice):
+    def test_one_map_moves_combine_to_the_brute_value(self, seed, dim, n, flat, lattice, overhang, source):
         # targets on a coarse sublattice of the pitch make exact distance
         # ties; a moved map is re-scored alone and combined with the shares
-        # of the maps that stayed
+        # of the maps that stayed.  On the line out_sq comes from the fit's
+        # tick field, from the sorted scan (no field), or from the scan of a
+        # target too sparse for the field's size rule.  With overhang the
+        # target reaches half a pitch outside the box on every side
         rng = np.random.default_rng(seed)
         extent = np.ones(dim)
         if flat:
             extent[rng.integers(dim)] = 0.0
-        box = Box(np.zeros(dim), extent)
-        target = PointSet(rng.integers(0, lattice + 1, (rng.integers(1, 40), dim)) * extent / lattice, 1.0 / 64)
+        pitch = 1.0 / 1024 if source == "sparse" else 1.0 / 64
+        inset = pitch / 2.0 if overhang else 0.0
+        box = Box(inset * extent, (1.0 - inset) * extent)
+        target = PointSet(rng.integers(0, lattice + 1, (rng.integers(1, 40), dim)) * extent / lattice, pitch)
+        if source == "field":
+            with mock.patch.object(collage, "FIELD_TICKS_PER_POINT", math.inf):
+                field = collage._tick_field(target, box)
+            assert (field is None) == (dim > 1)
+        else:  # a flat line is one point, which a sparse target still covers
+            field = collage._tick_field(target, box) if source == "sparse" else None
+            assert field is None or flat
 
         def draw(A, b):
             if dim == 1:  # slopes negative, -0.0, 0.0 and positive
                 A = np.array([[(-rng.uniform(0.05, 0.9), -0.0, 0.0, rng.uniform(0.05, 0.9))[rng.integers(4)]]])
+            if rng.random() < 0.5:  # fix a corner of the box, so the images reach its edge
+                corner = (box.lo, box.hi)[rng.integers(2)]
+                b = corner - A @ corner
             return project_map(A, b, box, 0.9)
 
         def brute(maps):
             return hausdorff_brute(target, hutchinson(IFS(box, tuple(maps)), target))
 
         maps = [draw(rng.standard_normal((dim, dim)), rng.uniform(0.0, 1.0, dim) * extent) for _ in range(n)]
-        shares = [collage._Share(target, m.A, m.b) for m in maps]
+        shares = [collage._Share(target, m.A, m.b, field) for m in maps]
         incumbent = brute(maps)
         assert collage._score(target, shares) == incumbent
         for _ in range(3):
             j = rng.integers(n)
             maps[j] = draw(maps[j].A + rng.normal(0.0, 0.1, (dim, dim)), maps[j].b + rng.normal(0.0, 0.1, dim))
-            shares[j] = collage._Share(target, maps[j].A, maps[j].b)
+            shares[j] = collage._Share(target, maps[j].A, maps[j].b, field)
             value, exact = collage._score(target, shares, incumbent), brute(maps)
             # scored against the incumbent, as the descent does: exact below
             # it, and at or above it a stand-in that rejects all the same
@@ -185,8 +205,35 @@ class TestPerMapKernel:
 
         monkeypatch.setattr(collage, "_candidate_moves", counted_moves)
         monkeypatch.setattr(collage, "_project", counted_project)
-        _, _, history = collage._descend(target, box, cfg, maps0)
+        _, _, history = collage._descend(target, box, cfg, maps0, None)
         assert len(history) > 1 and len(projected) == sum(moved)
+
+    def test_line_descent_scans_only_for_near(self, monkeypatch):
+        # with the fit's tick field every out_sq is a gather: the sorted scan
+        # runs only where a share's per-point distances are taken
+        box = Box([0.0], [1.0])
+        truth = IFS(box, (AffineMap([[1 / 3]], [0.0]), AffineMap([[1 / 3]], [2 / 3])))
+        target = attractor_points(truth, 6, box_seed(box, 1e-3))
+        cfg = FitConfig(n=2, max_iters=12, s_max=0.9, seed=0)
+        field = collage._tick_field(target, box)
+        maps0 = collage._random_maps(target, box, cfg, np.random.default_rng(3))
+        assert field is not None
+        scans, nears = [], []
+        scan, near = attractor._min_sq_sorted_1d, collage._Share.near
+
+        def counted_scan(queries, points):
+            scans.append(queries is target.points)
+            return scan(queries, points)
+
+        def counted_near(share):
+            nears.append(share._near is None)
+            return near.fget(share)
+
+        for module in (attractor, collage):
+            monkeypatch.setattr(module, "_min_sq_sorted_1d", counted_scan)
+        monkeypatch.setattr(collage._Share, "near", property(counted_near))
+        _, _, history = collage._descend(target, box, cfg, maps0, field)
+        assert len(history) > 1 and all(scans) and len(scans) == sum(nears) > 0
 
     @pytest.mark.parametrize(
         "case, start",
@@ -218,12 +265,63 @@ class TestPerMapKernel:
             maps0 = collage._heuristic_maps(target, box, cfg)
         else:
             maps0 = collage._random_maps(target, box, cfg, rng)
-        maps, value, history = collage._descend(target, box, cfg, maps0)
+        maps, value, history = collage._descend(target, box, cfg, maps0, collage._tick_field(target, box))
         ref_maps, ref_value, ref_history = reference_descend(target, box, cfg, maps0)
         assert value == ref_value and history == ref_history
         for m, ref in zip(maps, ref_maps, strict=True):
             assert m.A.tobytes() == ref.A.tobytes() and m.b.tobytes() == ref.b.tobytes()
         assert len(history) > 1 or value == 0.0  # the search moved
+
+
+class TestTickField:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pitch=st.sampled_from([1.0, 1.0 / 3.0, 1.0 / 64.0, 1e-3, 1e-7, 1e-11]),
+        start=st.integers(-(10**6), 10**6),
+        span=st.integers(0, 200),
+        offsets=st.tuples(*[st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 1.0))] * 2),
+        s_max=st.sampled_from([0.5, 0.9, 0.95, 0.999]),
+        slope=st.sampled_from(["s_max", "-s_max", "random", "-random", "0.0", "-0.0"]),
+        edge=st.sampled_from(["lo", "hi", "free"]),
+    )
+    def test_projected_images_stay_inside_the_field(self, seed, pitch, start, span, offsets, s_max, slope, edge):
+        # box bounds on the lattice, on a half tick (a rounding tie) and off
+        # it; the target's extreme points lie as far outside the box as
+        # fit_ifs accepts, and the map pins an image to either box edge
+        rng = np.random.default_rng(seed)
+        lo = (start + offsets[0]) * pitch
+        box = Box([lo], [max(lo, (start + span + offsets[1]) * pitch)])
+        tol = pitch / 2.0 + 1e-9
+        ticks = np.arange(math.ceil((box.lo[0] - tol) / pitch) - 1, math.floor((box.hi[0] + tol) / pitch) + 2)
+        ticks = ticks[[box.contains([[k * pitch]], tol=tol) for k in ticks]]
+        inner = rng.choice(ticks, min(ticks.size, 30), replace=False)
+        target = PointSet(np.concatenate([ticks[[0, -1]], inner])[:, None] * pitch, pitch)
+        assert box.contains(target.points, tol=tol)
+        with mock.patch.object(collage, "FIELD_TICKS_PER_POINT", math.inf):
+            k0, sq = collage._tick_field(target, box)
+
+        a = {"s_max": s_max, "random": rng.uniform(0.0, s_max), "0.0": 0.0}[slope.lstrip("-")]
+        a = -a if slope.startswith("-") else a
+        pinned = {"lo": (box.lo[0], box.hi[0]), "hi": (box.hi[0], box.lo[0]), "free": None}[edge]
+        if pinned is None:
+            b = rng.uniform(-2.0, 2.0) * (box.hi[0] - box.lo[0] + pitch) + box.lo[0]
+        else:  # the end of the box that x -> ax + b sends onto the edge
+            image, end = pinned if a >= 0.0 else pinned[::-1]
+            b = image - a * end
+        A, b = collage._project(np.array([[a]]), np.array([b]), box, s_max)
+        share = collage._Share(target, A, b, (k0, sq))
+        assert share.out_sq == collage._Share(target, A, b).out_sq
+        images = np.rint((target.points[:, 0] * A[0, 0] + b[0]) / pitch)
+        low, high = images.min(), images.max()
+        assert k0 <= low and high <= k0 + sq.size - 1
+        # the tightest field gives the same value; shifted a tick either way it
+        # misses the lowest or the highest tick, and raises instead of wrapping
+        tight = sq[int(low - k0) : int(high - k0) + 1]
+        assert collage._Share(target, A, b, (low, tight)).out_sq == share.out_sq
+        for k in (low + 1.0, low - 1.0):
+            with pytest.raises(IndexError):
+                collage._Share(target, A, b, (k, tight))
 
 
 class TestCollageBound:

@@ -80,6 +80,28 @@ class TestIFSSpecFiles:
         loaded = read_sequence(path)
         assert loaded.terms == seq.terms
 
+    def test_sequence_terms_share_one_domain(self, tmp_path):
+        from conftest import cantor_term
+
+        path = tmp_path / "seq.json"
+        write_sequence(path, IFSSequence(tuple(cantor_term(j) for j in range(1, 5))))
+        loaded = read_sequence(path)
+        assert all(term.domain is loaded.domain for term in loaded.terms)
+
+    def test_sequence_domains_compare_bit_for_bit(self, tmp_path):
+        term = {"dim": 1, "domain": {"lo": [0.0], "hi": [1.0]}, "maps": [{"A": [[0.5]], "b": [0.0]}]}
+        signed = {**term, "domain": {"lo": [-0.0], "hi": [1.0]}}
+        wider = {**term, "domain": {"lo": [0.0], "hi": [2.0]}}
+        path = tmp_path / "seq.json"
+        # -0.0 is a new box of equal bounds, so the sequence is still accepted
+        path.write_text(json.dumps([term, term, signed, signed]))
+        domains = [t.domain for t in read_sequence(path).terms]
+        assert domains[0] is domains[1] and domains[2] is domains[3]
+        assert domains[1] is not domains[2] and domains[1] == domains[2]
+        path.write_text(json.dumps([term, term, wider]))
+        with pytest.raises(InputError, match=r"^term 3 lives on a different domain$"):
+            read_sequence(path)
+
 
 class TestPointsCSV:
     def test_round_trip_within_format_precision(self, tmp_path):
