@@ -26,10 +26,8 @@ from .maps import (
     compose,
     dbar_inf,
     dbar_stacks,
-    maps_close,
     spectral_norm,
     sup_distance,
-    sup_distance_sampled,
 )
 from .sequences import (
     IFSSequence,
@@ -40,7 +38,6 @@ from .sequences import (
     converges_to,
     eventually_decreasing_at,
     is_decreasing,
-    limit_candidate,
     limit_of_contractions,
     pairwise_distances,
 )
@@ -100,15 +97,12 @@ __all__ = [
     "is_minimally_ordered",
     "is_mo_set",
     "leq",
-    "limit_candidate",
     "limit_of_contractions",
-    "maps_close",
     "matching_brute_force",
     "minimal_order",
     "optimal_matching",
     "pairwise_distances",
     "spectral_norm",
     "sup_distance",
-    "sup_distance_sampled",
     "__version__",
 ]

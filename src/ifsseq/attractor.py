@@ -179,28 +179,24 @@ def box_seed(box: Box, resolution: float) -> PointSet:
     return PointSet(box.vertices(), resolution)
 
 
-def _check_inside(S: IFS, B: PointSet):
-    if B.dim != S.dim:
-        raise InputError(f"point set has dimension {B.dim}, system has {S.dim}")
-    # snapping may push boundary points half a pitch outside
-    if not S.domain.contains(B.points, tol=B.resolution / 2.0 + 1e-9):
-        raise InputError("point set leaves the system domain")
-
-
-def _check_images(S: IFS, B: PointSet):
-    """Reject a point set outside the domain, or one whose images under all
+def _check_images(B: PointSet, domain: Box, n: int):
+    """Reject a point set outside the domain, or one whose images under n
     maps would exceed the point cap."""
-    _check_inside(S, B)
-    if S.n * len(B) > POINT_CAP:
+    if B.dim != domain.dim:
+        raise InputError(f"point set has dimension {B.dim}, system has {domain.dim}")
+    # snapping may push boundary points half a pitch outside
+    if not domain.contains(B.points, tol=B.resolution / 2.0 + 1e-9):
+        raise InputError("point set leaves the system domain")
+    if n * len(B) > POINT_CAP:
         raise ResourceLimitError(
-            f"image would hold {S.n * len(B)} points before deduplication; "
+            f"image would hold {n * len(B)} points before deduplication; "
             "raise the resolution delta"
         )
 
 
 def hutchinson(S: IFS, B: PointSet) -> PointSet:
     """Union of the images of B under every map, snapped and deduplicated."""
-    _check_images(S, B)
+    _check_images(B, S.domain, S.n)
     return PointSet(np.vstack([m.transform(B.points) for m in S.maps]), B.resolution)
 
 

@@ -4,10 +4,11 @@ Exit codes: 0 success, 2 parse or validation error, 3 resource cap exceeded
 (points, vertices, or a --px raster above formats.MAX_PIXELS), 4 precondition
 failure.  `collage-fit` and `predict` share the fit flags (--seed, --restarts,
 --iters, --s-max, --delta, --threshold, --domain-lo, --domain-hi); `attractor`
-and `predict` share the render flags (--depth, --image, --px).  Commands that
-write files also write a manifest recording inputs (with digests), flags,
-seeds, and versions, so any run can be reproduced byte for byte.  IFSSEQ_SEED
-overrides the default seed when --seed is not given.
+and `predict` share the render flags (--depth, --image, --px).  `attractor`,
+`collage-fit` and `predict` also write a manifest beside their outputs,
+recording inputs (with digests), flags, seeds, and versions, so any such run
+can be reproduced byte for byte; `analyze --limit-out` writes the limit spec
+alone.  IFSSEQ_SEED overrides the default seed when --seed is not given.
 """
 
 from __future__ import annotations
@@ -190,6 +191,7 @@ def cmd_analyze(args) -> int:
     """Report on a sequence file.  Every figure comes from one cost tensor of
     the terms (analyze_sequence); a failed limit extraction is reported with
     the Cauchy index, then raised."""
+    _require_out_dirs(args.limit_out)
     seq = read_sequence(args.seqfile)
     report = analyze_sequence(seq, args.eps)
     print(f"terms: {len(seq)}, arity: {seq.n}, dim: {seq.domain.dim}")
@@ -251,6 +253,7 @@ def cmd_predict(args) -> int:
     out_spec = Path(args.out_prefix + ".ifs.json")
     out_csv = Path(args.out_prefix + ".points.csv")
     _require_out_dirs(out_spec, args.image)
+    model = ExtrapolationModel(MODEL_NAMES[args.model], horizon=args.horizon, s_max=args.s_max)
     source = Path(args.frames)
     if source.is_dir():
         paths = _frame_paths(source)
@@ -268,7 +271,6 @@ def cmd_predict(args) -> int:
             raise PreconditionError("prediction needs at least 2 terms")
         inputs = [source]
         fit_flags = {}
-    model = ExtrapolationModel(MODEL_NAMES[args.model], horizon=args.horizon, s_max=args.s_max)
     # each distinct extrapolation warning becomes one line, like collage-fit's
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)

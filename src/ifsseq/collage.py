@@ -41,6 +41,7 @@ commands that never fit start without it.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import reduce
@@ -85,6 +86,8 @@ class FitConfig:
             raise InputError("max_iters must be at least 1")
         if not 0.0 < self.s_max < 1.0:
             raise InputError("s_max must lie in (0, 1)")
+        if self.seed < 0:
+            raise InputError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,11 @@ class ExtrapolationModel:
             raise InputError(f"kind must be one of {self.KINDS}")
         if self.horizon < 0:
             raise InputError("horizon must be nonnegative")
+        if self.kind != "hold-last":  # hold-last never reads the horizon
+            try:
+                float(self.horizon)  # as linear and geometric take it
+            except OverflowError:
+                raise InputError(f"horizon must not exceed the largest float, {sys.float_info.max:g}") from None
         if not 0.0 < self.s_max < 1.0:
             raise InputError("s_max must lie in (0, 1)")
 
@@ -124,7 +132,6 @@ class FitResult:
 class FitSequenceResult:
     sequence: IFSSequence
     distances: tuple[float, ...]
-    results: tuple[FitResult, ...]
 
 
 class _Share:
@@ -217,7 +224,7 @@ def _score(target: PointSet, shares, bound: float = math.inf) -> float:
 
 def collage_distance(S: IFS, target: PointSet) -> float:
     """h(L, W(L)), bit for bit hausdorff(target, hutchinson(S, target))."""
-    _check_images(S, target)
+    _check_images(target, S.domain, S.n)
     return _score(target, [_Share(target, m.A, m.b) for m in S.maps])
 
 
@@ -435,7 +442,9 @@ def fit_ifs(
     box = domain if domain is not None else Box(target.points.min(axis=0), target.points.max(axis=0))
     if not box.contains(target.points, tol=target.resolution / 2.0 + 1e-9):
         raise InputError("target points must lie inside the declared domain")
-    # checks the target, domain and point cap once for every candidate
+    # checks the target, domain and point cap once for every candidate,
+    # before any map is built
+    _check_images(target, box, cfg.n)
     baseline = IFS(box, _baseline_maps(target, box, cfg))
     baseline_value = collage_distance(baseline, target)
     field = _tick_field(target, box)
@@ -492,7 +501,6 @@ def fit_sequence(
     return FitSequenceResult(
         sequence=sequence,
         distances=tuple(r.distance for r in results),
-        results=tuple(results),
     )
 
 

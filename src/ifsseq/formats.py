@@ -2,7 +2,8 @@
 
 Spec files serialize coefficients with repr, which round-trips float64
 exactly.  Rasters convert to point sets by taking foreground pixel centers at
-the pixel pitch; rendering at the same pitch inverts the conversion exactly.
+the pixel pitch; render_raster over the raster's own box, one pixel per pitch,
+inverts the conversion exactly.
 All writers go through a temp file plus rename, so readers never observe a
 partial file.
 """
@@ -307,7 +308,9 @@ def raster_to_points(mask: np.ndarray, pitch: float) -> PointSet:
     Single-row rasters become one-dimensional point sets; otherwise x runs
     along columns and y along rows.  Pixel centers sit on the half-pitch
     grid, so the point set snaps to resolution pitch/2 without drift and
-    points_to_raster recovers the mask exactly."""
+    render_raster over [0, width*pitch] x [0, height*pitch] (the first
+    factor alone for one row), width pixels across, recovers the mask
+    exactly."""
     if mask.ndim != 2:
         raise InputError("mask must be two-dimensional")
     rows, cols = np.nonzero(mask)
@@ -318,20 +321,6 @@ def raster_to_points(mask: np.ndarray, pitch: float) -> PointSet:
     else:
         pts = np.column_stack([(cols + 0.5) * pitch, (rows + 0.5) * pitch])
     return PointSet(pts, pitch / 2.0)
-
-
-def points_to_raster(points: PointSet, pitch: float, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of raster_to_points at the same pitch: mark each point's pixel."""
-    height, width = shape
-    mask = np.zeros((height, width), dtype=bool)
-    pts = points.points
-    cols = np.clip(np.floor(pts[:, 0] / pitch).astype(int), 0, width - 1)
-    if points.dim == 1:
-        rows = np.zeros(len(points), dtype=int)
-    else:
-        rows = np.clip(np.floor(pts[:, 1] / pitch).astype(int), 0, height - 1)
-    mask[rows, cols] = True
-    return mask
 
 
 def render_raster(points: PointSet, box: Box, width: int) -> np.ndarray:

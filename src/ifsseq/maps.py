@@ -2,8 +2,7 @@
 
 The ambient metric is Euclidean.  For affine maps the pointwise distance
 x -> ||(A_f - A_g) x + (b_f - b_g)|| is convex, so its supremum over a box
-is attained at a vertex; `sup_distance` is therefore exact.  A grid-sampled
-estimator is kept alongside as an independent cross-check.
+is attained at a vertex; `sup_distance` is therefore exact.
 
 `dbar_stacks(..., domain)` is the one vectorised dbar kernel: every cost matrix,
 cost tensor and consecutive link in `systems` and `sequences` comes from it.
@@ -20,9 +19,6 @@ import numpy as np
 from .errors import ContractionError, InputError, ResourceLimitError
 
 MAX_VERTEX_DIM = 20
-GRID_POINTS_PER_DIM = 10_000
-GRID_POINTS_CAP = 1_000_000
-COEFF_TOL = 1e-12
 
 
 def spectral_norm(A: np.ndarray) -> float:
@@ -97,15 +93,6 @@ class Box:
         if pts.shape[1] != self.dim:
             raise InputError(f"points have dimension {pts.shape[1]}, box has {self.dim}")
         return bool(np.all(pts >= self.lo - tol) and np.all(pts <= self.hi + tol))
-
-    def grid(self, per_dim: int | None = None) -> np.ndarray:
-        """Uniform grid including the boundary, capped in total size."""
-        d = self.dim
-        if per_dim is None:
-            per_dim = min(GRID_POINTS_PER_DIM, max(2, int(GRID_POINTS_CAP ** (1.0 / d))))
-        axes = [np.linspace(self.lo[i], self.hi[i], per_dim) for i in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
 
     def __eq__(self, other):
         if not isinstance(other, Box):
@@ -199,40 +186,12 @@ def compose(f: AffineMap, g: AffineMap) -> AffineMap:
     return AffineMap(f.A @ g.A, f.A @ g.b + f.b, check=False)
 
 
-def maps_close(f: AffineMap, g: AffineMap, tol: float = COEFF_TOL) -> bool:
-    """Coefficient-wise identity up to tol (use == for exact comparison)."""
-    return bool(
-        np.all(np.abs(f.A - g.A) <= tol) and np.all(np.abs(f.b - g.b) <= tol)
-    )
-
-
-def _difference(f: AffineMap, g: AffineMap, domain: Box):
-    if not (f.dim == g.dim == domain.dim):
-        raise InputError(
-            f"dimension mismatch: maps {f.dim}/{g.dim} on a {domain.dim}-box"
-        )
-    return f.A - g.A, f.b - g.b
-
-
 def sup_distance(f: AffineMap, g: AffineMap, domain: Box) -> float:
     """Exact sup over the box of ||f(x) - g(x)||, from the 2^d vertices."""
-    dA, db = _difference(f, g, domain)
-    vals = ((domain.vertices() @ dA.T + db) ** 2).sum(axis=1)
+    if not (f.dim == g.dim == domain.dim):
+        raise InputError(f"dimension mismatch: maps {f.dim}/{g.dim} on a {domain.dim}-box")
+    vals = ((domain.vertices() @ (f.A - g.A).T + (f.b - g.b)) ** 2).sum(axis=1)
     return float(np.sqrt(vals.max()))
-
-
-def sup_distance_sampled(
-    f: AffineMap, g: AffineMap, domain: Box, per_dim: int | None = None
-) -> float:
-    """Grid-sampled estimate of sup ||f - g||; never exceeds the exact value."""
-    dA, db = _difference(f, g, domain)
-    pts = domain.grid(per_dim)
-    best = 0.0
-    for start in range(0, pts.shape[0], 262_144):
-        chunk = pts[start : start + 262_144]
-        vals = ((chunk @ dA.T + db) ** 2).sum(axis=1)
-        best = max(best, float(vals.max()))
-    return math.sqrt(best)
 
 
 def dbar_inf(f: AffineMap, g: AffineMap, domain: Box) -> float:

@@ -13,8 +13,7 @@ matching of every aligned link, so the decrease flags compare the aligned
 contraction-factor traces slot by slot.  analyze_sequence builds the cost
 tensor of the aligned terms once and reads everything else from it and its
 matrix of D (systems._distances, which matches a row of pairs at a time);
-limit_candidate is a view of it, and pairwise_distances and cauchy_index read
-the tensor of the raw terms.
+pairwise_distances and cauchy_index read the tensor of the raw terms.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ class SequenceReport:
     """Aggregate of the sequence diagnostics produced by analyze_sequence.
 
     When limit extraction fails, `limit` is None, `residual` is NaN and
-    `failure` holds the error that limit_candidate raises.  `mo_set` says
+    `failure` holds the error, naming the offending slot.  `mo_set` says
     whether minimal ordering is transitive over the terms; it is True for a
     single term.
     """
@@ -225,8 +224,10 @@ def analyze_sequence(seq: IFSSequence, eps: float) -> SequenceReport:
     transitivity, the Cauchy index at eps, each slot's dbar matrix and the
     residual D(last term, limit) are read from D and the tensor.  The
     decrease flags and each slot's decreasing tail come from the aligned
-    factor traces.  A failed limit extraction is returned in `failure`, not
-    raised, so the report still carries everything computed before it.
+    factor traces.  The limit candidate is the final aligned term (no
+    extrapolation), so a successful extraction has residual 0.  A failed
+    limit extraction is returned in `failure`, not raised, so the report
+    still carries everything computed before it.
     """
     aligned = align_chain(seq)
     T = cost_tensor(aligned.terms)
@@ -259,17 +260,3 @@ def analyze_sequence(seq: IFSSequence, eps: float) -> SequenceReport:
         mo_set=_mo_transitive(T, dist),
         failure=failure,
     )
-
-
-def limit_candidate(seq: IFSSequence, eps: float) -> SequenceReport:
-    """Per-slot limit extraction over the aligned chain.
-
-    The limit candidate is the final aligned term (no extrapolation), so the
-    residual D(last term, limit) is the zero diagonal entry of the D matrix
-    whenever extraction succeeds.  Slot-level precondition failures are raised
-    with the offending slot; the report is analyze_sequence's.
-    """
-    report = analyze_sequence(seq, eps)
-    if report.failure is not None:
-        raise report.failure
-    return report

@@ -70,18 +70,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == v for i, v in enumerate(self.image))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for i, v in enumerate(self.image):
-            inv[v] = i
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        if len(self) != len(other):
-            raise InputError("permutation sizes differ")
-        return Permutation(tuple(self.image[j] for j in other.image))
-
     def apply(self, items):
         """Reorder a sequence: result[i] = items[image[i]]."""
         items = list(items)

@@ -552,11 +552,16 @@ class TestRejectedArguments:
         write_pgm(img, mask)
         csv = tmp_path / "dot.csv"
         csv.write_text("0.25,0.25\n")
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for name in ("f1.pgm", "f2.pgm"):
+            write_pgm(frames / name, mask)
         return {
             "spec": str(spec),
             "seq": str(seqfile),
             "img": str(img),
             "csv": str(csv),
+            "frames": str(frames),
             "out": str(tmp_path / "out"),
             "missing": str(tmp_path / "missing"),
         }
@@ -590,6 +595,37 @@ class TestRejectedArguments:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {files['missing']}/")
         assert err.endswith(": No such file or directory\n") and err.count("\n") == 1
+
+    HUGE_HORIZON = "horizon must not exceed the largest float, 1.79769e+308"
+
+    @pytest.mark.parametrize(
+        "argv, seed_env, err",
+        [
+            (["collage-fit", "{img}", "--n", "1", "--seed", "-1", "--out", "{out}.json"], None,
+             "error: seed must be nonnegative"),
+            (["collage-fit", "{img}", "--n", "1", "--out", "{out}.json"], "-1",
+             "error: seed must be nonnegative"),
+            (["predict", "{seq}", "--model", "geometric", "--horizon", str(10**320), "--out-prefix", "{out}"], None,
+             f"error: {HUGE_HORIZON}"),
+            (["predict", "{frames}", "--model", "linear", "--horizon", str(10**320), "--n", "1",
+              "--iters", "1", "--out-prefix", "{out}"], None, f"error: {HUGE_HORIZON}"),
+            (["collage-fit", "{img}", "--n", str(10**400), "--out", "{out}.json"], None,
+             f"resource limit: image would hold {10**400} points before deduplication; raise the resolution delta"),
+            (["analyze", "{seq}", "--eps", "0.5", "--limit-out", "{missing}/limit.json"], None,
+             "error: cannot write {missing}/limit.json: No such file or directory"),
+        ],
+        ids=["seed-flag", "seed-env", "horizon-geometric", "horizon-linear-frames", "n-over-cap", "limit-out-dir"],
+    )
+    def test_refused_before_any_work(self, files, capsys, monkeypatch, argv, seed_env, err):
+        monkeypatch.delenv("IFSSEQ_SEED", raising=False)
+        if seed_env is not None:
+            monkeypatch.setenv("IFSSEQ_SEED", seed_env)
+        code = 3 if err.startswith("resource limit") else 2
+        assert main([arg.format(**files) for arg in argv]) == code
+        out, written = capsys.readouterr()
+        assert out == ""
+        assert written == err.format(**files) + "\n" and "Traceback" not in written
+        assert not list(Path(files["out"]).parent.glob("out*"))
 
 
 class TestRenderRecordedOutput:

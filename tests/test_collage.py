@@ -599,9 +599,17 @@ class TestConfigValidation:
             FitConfig(n=1, restarts=0)
         with pytest.raises(InputError):
             FitConfig(n=1, s_max=1.0)
+        with pytest.raises(InputError, match="seed must be nonnegative"):
+            FitConfig(n=1, seed=-1)
 
     def test_model(self):
         with pytest.raises(InputError):
             ExtrapolationModel("cubic", horizon=1)
         with pytest.raises(InputError):
             ExtrapolationModel("linear", horizon=-1)
+        # a horizon is refused only where float() of it overflows
+        ExtrapolationModel("linear", horizon=2**1024 - 2**970 - 1)  # rounds to the largest float
+        for kind in ("linear", "geometric"):
+            with pytest.raises(InputError, match="horizon must not exceed the largest float"):
+                ExtrapolationModel(kind, horizon=2**1024 - 2**970)
+        ExtrapolationModel("hold-last", horizon=10**400)  # never read

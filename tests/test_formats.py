@@ -13,7 +13,6 @@ from ifsseq.formats import (
     foreground_mask,
     ifs_from_dict,
     ifs_to_dict,
-    points_to_raster,
     raster_to_points,
     read_ifs,
     read_points_csv,
@@ -236,7 +235,9 @@ class TestRasterPointConversions:
                 mask[0, 0] = True
             pitch = 1.0 / shape[1]
             pts = raster_to_points(mask, pitch)
-            back = points_to_raster(pts, pitch, shape)
+            height, width = shape  # the raster's own box, one pixel per pitch
+            extent = [width * pitch] if height == 1 else [width * pitch, height * pitch]
+            back = render_raster(pts, Box(np.zeros(len(extent)), extent), width)
             assert np.array_equal(back, mask)
 
     def test_single_row_gives_1d_points(self):

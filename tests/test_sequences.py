@@ -26,7 +26,6 @@ from ifsseq.sequences import (
     converges_to,
     eventually_decreasing_at,
     is_decreasing,
-    limit_candidate,
     limit_of_contractions,
     pairwise_distances,
 )
@@ -231,7 +230,8 @@ class TestLimitOfContractions:
 
 class TestLimitCandidate:
     def test_cantor_sequence_report(self, cantor_seq, unit_box):
-        report = limit_candidate(cantor_seq, eps=0.2)
+        report = analyze_sequence(cantor_seq, eps=0.2)
+        assert report.failure is None
         # candidate equals the final aligned term, so the residual vanishes
         assert report.limit == cantor_seq.terms[-1]
         assert report.residual == 0.0
@@ -244,13 +244,15 @@ class TestLimitCandidate:
         )
 
     def test_constant_sequence_residual_zero(self, ifs_t):
-        report = limit_candidate(IFSSequence((ifs_t, ifs_t, ifs_t)), eps=0.5)
+        report = analyze_sequence(IFSSequence((ifs_t, ifs_t, ifs_t)), eps=0.5)
+        assert report.failure is None
         assert report.limit == ifs_t
         assert report.residual == 0.0
 
     def test_plane_triple_alignment(self, plane_s, plane_t, plane_u):
         # generous eps so the constant-map chain passes the Cauchy gate
-        report = limit_candidate(IFSSequence((plane_s, plane_t, plane_u)), eps=1.9)
+        report = analyze_sequence(IFSSequence((plane_s, plane_t, plane_u)), eps=1.9)
+        assert report.failure is None
         assert [p.describe() for p in report.alignment] == ["identity", "identity", "identity"]
         assert report.decreasing  # constant maps all have factor zero
         assert report.limit is not None
@@ -261,8 +263,10 @@ class TestLimitCandidate:
         terms = tuple(
             IFS(unit_box, (good, g)) for g in growing
         )
-        with pytest.raises(PreconditionError, match="slot 2"):
-            limit_candidate(IFSSequence(terms), eps=0.9)
+        report = analyze_sequence(IFSSequence(terms), eps=0.9)
+        assert isinstance(report.failure, PreconditionError)
+        assert str(report.failure).startswith("slot 2: ")
+        assert report.limit is None
 
     def test_strict_decrease_of_cantor_distances(self, cantor_seq, unit_box):
         target = cantor_ifs(unit_box)
@@ -436,23 +440,20 @@ class TestAnalyzeSequence:
     def test_not_cauchy(self):
         seq = similitude_sequence(np.random.default_rng(7), self.SQUARE, 3, 6, rate=0.9)
         report = self.check(seq, 0.001)
+        assert isinstance(report.failure, PreconditionError)
         assert str(report.failure) == "slot 1: sequence is not Cauchy at eps=0.001"
-        with pytest.raises(PreconditionError, match="slot 1: sequence is not Cauchy"):
-            limit_candidate(seq, 0.001)
 
     def test_not_eventually_decreasing(self):
         seq = similitude_sequence(np.random.default_rng(8), self.SQUARE, 3, 8, rate=0.7, bump=1)
         report = self.check(seq, 0.5)
+        assert isinstance(report.failure, PreconditionError)
         assert "contractivity factors are not eventually decreasing" in str(report.failure)
-        with pytest.raises(PreconditionError, match=str(report.failure)):
-            limit_candidate(seq, 0.5)
 
     def test_nonpositive_eps_is_returned_as_input_error(self, cantor_seq):
         report = analyze_sequence(cantor_seq, 0.0)
         assert isinstance(report.failure, InputError)
         assert report.limit is None and report.cauchy_at is None
-        with pytest.raises(InputError, match="eps must be positive"):
-            limit_candidate(cantor_seq, 0.0)
+        assert str(report.failure) == "eps must be positive"
 
     @pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0])
     def test_nan_eps_is_rejected_everywhere(self, cantor_seq, unit_box, eps):
