@@ -23,16 +23,25 @@ are fixed for the fit, and every image is snapped to the target's lattice,
 so an image's distance into L depends only on its tick k = rint(x/delta).
 fit_ifs tabulates that distance once per tick of the box (_tick_field, the
 exact distance transform of Maurer, Qi & Raghavan 2003 reduced to the line),
-and each share's out_sq is one gather.  Each entry is the sorted scan's own
+and the out_sq of any stack of line maps is one gather over their (maps,
+points) array of ticks (_line_out_sq).  Each entry is the sorted scan's own
 expression at the same query float k*delta, so the gather gives the scan's
 value bit for bit.  The field is skipped past FIELD_TICKS_PER_POINT ticks
-per target point, where it would cost more than the scans it saves, and
-collage_distance, a one-off, keeps the scan.
+per target point, where it would cost more than the scans it saves; there,
+and in collage_distance, a one-off, the same stack is one sorted scan.
 
 The descent keeps the incumbent's shares and scores only the maps that a
 candidate moves (see _descend).  Most candidates are rejected on the moved
-map's directed max alone, as h is at least every map's directed max, so the
-per-point distances are taken only when that does not decide.
+maps' directed max alone, as h is at least every map's directed max, so the
+per-point distances are taken only when that does not decide.  A sweep's
+candidates are one array (_candidate_moves).  On the line the descent
+projects every moved map of the sweep at once (_project_line, bit for bit
+_project on each row), takes all their out_sq in one gather, rejects each
+candidate whose out_sq reaches the incumbent's value in one comparison, and
+walks the rest in order through _Share and _score: the first that scores
+below the incumbent wins, as in a walk over every candidate.  Above the line
+the walk projects and scores each candidate as it reaches it, since a sweep
+often stops at its first candidates.
 
 scipy.spatial loads at the first collage evaluation, not at import, so
 commands that never fit start without it.
@@ -40,6 +49,7 @@ commands that never fit start without it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import warnings
@@ -65,6 +75,7 @@ from .systems import IFS
 INITIAL_STEP = 0.1  # first descent step, as a fraction of the domain diameter
 STEP_DECAY = 0.7  # step shrink after a sweep with no improving move
 FIELD_TICKS_PER_POINT = 8  # largest line field a fit builds, in ticks per target point
+SWEEP_TICKS = 1 << 16  # image ticks a line sweep takes at once, in chunks of whole candidates
 
 
 @dataclass(frozen=True)
@@ -138,37 +149,26 @@ class _Share:
     """One map's part of the collage objective h(L, W(L)) on a target L.
 
     out_sq, the max squared distance from the map's snapped images into L,
-    is taken at once: on the line, as the max of the fit's tick field
-    (_tick_field) over the images' ticks when a field is given, else by the
-    sorted scan (collage_distance, and targets too sparse for the field's
-    size rule); above, by the target's tree and the brute expression.
-    near, per point of L the distance to those images (the exact square on
-    the line, the tree's distance above, with the tree kept in `tree`), is
-    taken at first use: a candidate whose moved map alone reaches the
-    incumbent's value is rejected without it."""
+    is taken at once: on the line by _line_out_sq, from the fit's tick field
+    (_tick_field) when one is given, else by the sorted scan
+    (collage_distance, and targets too sparse for the field's size rule);
+    above, by the target's tree and the brute expression.  near, per point
+    of L the distance to those images (the exact square on the line, the
+    tree's distance above, with the tree kept in `tree`), is taken at first
+    use: a candidate whose moved maps alone reach the incumbent's value is
+    rejected without it.  A line sweep takes the out_sq of all its moved
+    maps in one gather (_line_survivors) and builds shares only for the
+    candidates that gather does not reject."""
 
     __slots__ = ("target", "images", "out_sq", "tree", "_near")
 
     def __init__(self, target: PointSet, A: np.ndarray, b: np.ndarray, field=None):
         # images as AffineMap.transform takes them, snapped, not deduplicated
         if target.dim == 1:
-            # x * a + b equals transform's x @ A.T + b (a zero may differ in
-            # sign, which no squared distance sees) at a quarter of its cost.
-            # L is ascending and x -> ax + b and the rounding are monotone, so
-            # the ticks come out ascending, or descending when a < 0; rint is
-            # _snap's half-even rounding, so ticks * delta are _snap's images
-            ticks = np.rint((target.points[:, 0] * A[0, 0] + b[0]) / target.resolution)
-            if A[0, 0] < 0.0:
-                ticks = ticks[::-1]
-            images = (ticks * target.resolution)[:, None]
-            if field is None:
-                self.out_sq = float(_min_sq_sorted_1d(images, target.points).max())
-            else:
-                k0, sq = field
-                index = ticks - k0
-                if not (index[0] >= 0.0 and index[-1] < sq.size):  # numpy would wrap a negative index
-                    raise IndexError("an image tick lies outside the collage field")
-                self.out_sq = float(sq[index.astype(np.intp)].max())
+            ticks = _line_ticks(target, A[0], b)
+            self.out_sq = float(_line_out_sq(target, ticks, field)[0])
+            # ascending, as near's scan needs, or descending when a < 0
+            images = ((ticks[0, ::-1] if A[0, 0] < 0.0 else ticks[0]) * target.resolution)[:, None]
         else:
             images = _snap(target.points @ A.T + b, target.resolution)
             self.out_sq = _directed_sq(images, target.points, target.tree)
@@ -185,6 +185,38 @@ class _Share:
                 self.tree = cKDTree(self.images)
                 self._near, _ = self.tree.query(self.target.points)
         return self._near
+
+
+def _line_ticks(target: PointSet, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lattice ticks rint((x*a + b)/delta) of the target's images, one row
+    per line map x -> a*x + b.
+
+    x * a + b equals transform's x @ A.T + b (a zero may differ in sign,
+    which no squared distance sees) at a quarter of its cost.  rint is
+    _snap's half-even rounding, so ticks * delta are _snap's images.  L is
+    ascending and x -> ax + b and the rounding are monotone, so each row
+    comes out ascending, or descending when a < 0."""
+    ticks = np.multiply.outer(a, target.points[:, 0])  # in place from here: the rows can be long
+    ticks += b[:, None]
+    ticks /= target.resolution
+    return np.rint(ticks, out=ticks)
+
+
+def _line_out_sq(target: PointSet, ticks: np.ndarray, field) -> np.ndarray:
+    """Per row of image ticks, the max squared distance from those images
+    into the target: a gather from the fit's tick field, or the sorted scan
+    when there is none.  Either way each image's value is the scan's
+    expression at the same query float."""
+    if field is None:
+        queries = (ticks * target.resolution).reshape(-1, 1)
+        return _min_sq_sorted_1d(queries, target.points).reshape(ticks.shape).max(axis=1)
+    k0, sq = field
+    ends = ticks[:, [0, -1]] - k0  # each row is monotone, so its extremes are its ends
+    if not ((ends >= 0.0).all() and (ends < sq.size).all()):  # numpy would wrap a negative index
+        raise IndexError("an image tick lies outside the collage field")
+    index = ticks.astype(np.intp)
+    index -= int(k0)
+    return sq[index].max(axis=1)
 
 
 def _tick_field(target: PointSet, box: Box):
@@ -272,6 +304,42 @@ def _project(A: np.ndarray, b: np.ndarray, box: Box, s_max: float):
         seen.add(b.tobytes())
 
 
+def _project_line(a: np.ndarray, b: np.ndarray, box: Box, s_max: float):
+    """_project for a stack of line maps x -> a*x + b, bit for bit per row.
+
+    LAPACK's SVD of [[a]] is |a| with singular vectors of sign +-1, so the
+    clamp is copysign(s_max, a) where |a| > s_max, and a line box has no flat
+    axis.  The loop is _project's, run on every row still active: a shrinks
+    by 0.8 while the image is wider than the box, else b shifts into it,
+    until b repeats, bit for bit, a value taken since the row's last shrink.
+    The image is box.vertices() @ A.T + b, whose matmul adds the product to
+    0.0, so it is never -0.0 and its min and max are plain comparisons."""
+    a = np.where(np.abs(a) > s_max, np.copysign(s_max, a), a)
+    (v0, v1), lo, hi = box.vertices()[:, 0], box.lo[0], box.hi[0]
+    extent = hi - lo
+    shrinks, since = np.zeros(a.shape, int), np.zeros(a.shape, int)
+    seen, active = [b.view(np.int64)], np.ones(a.shape, bool)
+    while active.any():
+        img0, img1 = (v0 * a + 0.0) + b, (v1 * a + 0.0) + b
+        low, high = np.minimum(img0, img1), np.maximum(img0, img1)
+        wide = active & ~(high - low <= extent + 1e-15)
+        if wide.any():  # image wider than the box
+            if (shrinks[wide] == 63).any():
+                raise PreconditionError("cannot project the map into the domain")
+            a, shrinks = np.where(wide, a * 0.8, a), shrinks + wide
+            since[wide] = len(seen) - 1  # the seen set restarts at the current b
+            active &= ~wide
+        b = np.where(active, b + (np.maximum(lo - low, 0.0) + np.minimum(hi - high, 0.0)), b)
+        bits = b.view(np.int64)
+        repeat = seen[-1] == bits  # most rows repeat the last b
+        for k, old in enumerate(seen[:-1]):
+            repeat |= (old == bits) & (since <= k)
+        seen.append(bits)
+        active &= ~repeat
+        active |= wide
+    return a, b
+
+
 def project_map(A: np.ndarray, b: np.ndarray, box: Box, s_max: float) -> AffineMap:
     """Nearest feasible map: singular values clamped to s_max, rows of flat
     axes zeroed, translation shifted (and A shrunk when even that cannot fit)
@@ -339,43 +407,61 @@ def _random_maps(target: PointSet, box: Box, cfg: FitConfig, rng):
     return tuple(maps)
 
 
-def _candidate_moves(params: np.ndarray, n: int, d: int, box: Box, step: float):
-    """Trial parameter vectors around the current point.
+def _candidate_moves(params: np.ndarray, n: int, d: int, box: Box, step: float) -> np.ndarray:
+    """Trial parameter vectors around the current point, one per row of a
+    (C, n*(d*d + d)) array, for the descent to score in row order.
 
-    Three families, each in both signs: single coordinates; per-map stretches
-    of A[r, c] with b[r] compensated about the domain center (a raw A change
-    drags the image piece, trapping plain coordinate descent in a diagonal
-    valley); and a joint stretch of every map about its own image center,
-    which escapes the plateaus of the max-objective when several pieces
-    attain the worst distance simultaneously.
+    Three families, each in both signs (all + rows first): single
+    coordinates; per-map stretches of A[r, c] with b[r] compensated about
+    the domain center (a raw A change drags the image piece, trapping plain
+    coordinate descent in a diagonal valley); and a joint stretch of every
+    map about its own image center, which escapes the plateaus of the
+    max-objective when several pieces attain the worst distance
+    simultaneously.  Each row is the trial that adding the step to a copy of
+    params gives, bit for bit.
     """
-    per = d * d + d
-    center = box.center
-    for sign in (1.0, -1.0):
+    per, center = d * d + d, box.center
+    blocks = params.reshape(n, per)
+    own = np.array([blocks[i, : d * d].reshape(d, d) @ center + blocks[i, d * d :] for i in range(n)])
+    # one stretch per map i and entry A[r, c]: it moves A[r, c] and b[r]
+    k = np.arange(n * d * d)
+    i, r, c = k // (d * d), k // d % d, k % d
+    a_col, b_col = i * per + r * d + c, i * per + d * d + r
+    size, joint = params.size, params.size + n * d * d + r * d + c
+    rows = params.size + n * d * d + d * d  # per sign
+    row = np.concatenate([np.arange(size), size + k, size + k, joint, joint])
+    col = np.concatenate([np.arange(size), a_col, b_col, a_col, b_col])
+    # x + -0.0 is x bit for bit, and x - y is x + -y, so each row is params
+    # plus its increments, as adding them to a copy of params gives
+    steps = np.full((2 * rows, size), -0.0)
+    for half, sign in enumerate((1.0, -1.0)):
         delta = sign * step
-        for idx in range(params.size):
-            trial = params.copy()
-            trial[idx] += delta
-            yield trial
-        for i in range(n):
-            base = i * per
-            for r in range(d):
-                for c in range(d):
-                    trial = params.copy()
-                    trial[base + r * d + c] += delta
-                    trial[base + d * d + r] -= delta * center[c]
-                    yield trial
-        for r in range(d):
-            for c in range(d):
-                trial = params.copy()
-                for i in range(n):
-                    base = i * per
-                    A = params[base : base + d * d].reshape(d, d)
-                    b = params[base + d * d : base + per]
-                    own_center = A @ center + b
-                    trial[base + r * d + c] += delta
-                    trial[base + d * d + r] -= delta * own_center[c]
-                yield trial
+        fill = np.full(size + n * d * d, delta)
+        steps[half * rows + row, col] = np.concatenate(
+            [fill, -(delta * center[c]), fill[: n * d * d], -(delta * own[i, c])]
+        )
+    return params + steps
+
+
+def _line_survivors(target: PointSet, field, blocks: np.ndarray, moved: np.ndarray, shares, best: float):
+    """The candidates of a projected line sweep that out_sq does not reject,
+    in order.
+
+    blocks is the sweep's (C, n, 2) array of projected slopes and offsets
+    and moved its (C, n) mask of moved maps.  A candidate's out_sq is the max
+    over its moved maps and the incumbent's shares of the rest, and
+    sqrt(out_sq) >= best rejects it, as _score's early return does.  The
+    moved maps' ticks are taken and gathered at once, in chunks of about
+    SWEEP_TICKS image ticks, and the next chunk only when the walk of this
+    one found no improving candidate."""
+    ci, bi = np.nonzero(moved)  # moved maps in candidate order
+    sq = np.tile([share.out_sq for share in shares], (len(blocks), 1))
+    chunk = max(1, SWEEP_TICKS // (moved.shape[1] * len(target)))  # candidates per gather
+    for c0 in range(0, len(blocks), chunk):
+        part = slice(*np.searchsorted(ci, [c0, c0 + chunk]))
+        a, b = blocks[ci[part], bi[part]].T
+        sq[ci[part], bi[part]] = _line_out_sq(target, _line_ticks(target, a, b), field)
+        yield from c0 + np.flatnonzero(~(np.sqrt(sq[c0 : c0 + chunk].max(axis=1)) >= best))
 
 
 def _descend(target, box, cfg, maps0, field):
@@ -389,7 +475,9 @@ def _descend(target, box, cfg, maps0, field):
     # itself, so the incumbent's blocks are their own projections.  A
     # candidate projects and scores only the blocks it moves, and the max/min
     # combination of the shares is exact; it is scored against the
-    # incumbent's value, which rejects most candidates on their out_sq.
+    # incumbent's value, which rejects most candidates on their out_sq.  On
+    # the line a sweep projects and screens all its candidates at once;
+    # above, the walk projects each candidate's blocks as it reaches it.
     params = np.concatenate([np.concatenate([m.A.ravel(), m.b]) for m in maps0])
     shares = [_Share(target, m.A, m.b, field) for m in maps0]
     best = _score(target, shares)
@@ -398,16 +486,30 @@ def _descend(target, box, cfg, maps0, field):
     for _ in range(cfg.max_iters):
         if best == 0.0:
             break  # no candidate can score below an exact collage
-        for trial in _candidate_moves(params, n, d, box, step):
-            moved = (trial.view(np.int64) != params.view(np.int64)).reshape(n, -1).any(axis=1)
-            blocks, trial_shares = trial.reshape(n, -1), list(shares)
-            for i in np.flatnonzero(moved):
-                A, b = _project(blocks[i, : d * d].reshape(d, d), blocks[i, d * d :], box, cfg.s_max)
-                blocks[i] = np.concatenate([A.ravel(), b])  # keep the projected coefficients
+        trials = _candidate_moves(params, n, d, box, step)
+        blocks = trials.reshape(len(trials), n, -1)
+        moved = (trials.view(np.int64) != params.view(np.int64)).reshape(blocks.shape).any(axis=2)
+        walk, projected = range(len(trials)), False
+        if d == 1:
+            ci, bi = np.nonzero(moved)
+            try:
+                blocks[ci, bi] = np.column_stack(_project_line(*blocks[ci, bi].T, box, cfg.s_max))
+            except PreconditionError:
+                pass  # walk every candidate: _project raises at the first such block the walk reaches
+            else:
+                walk, projected = _line_survivors(target, field, blocks, moved, shares, best), True
+        for c in walk:
+            trial_shares = list(shares)
+            for i in np.flatnonzero(moved[c]):
+                if projected:
+                    A, b = blocks[c, i, :1].reshape(1, 1), blocks[c, i, 1:]
+                else:
+                    A, b = _project(blocks[c, i, : d * d].reshape(d, d), blocks[c, i, d * d :], box, cfg.s_max)
+                    blocks[c, i] = np.concatenate([A.ravel(), b])  # keep the projected coefficients
                 trial_shares[i] = _Share(target, A, b, field)
             value = _score(target, trial_shares, best)
             if value < best:
-                best, params, shares = value, trial, trial_shares
+                best, params, shares = value, trials[c], trial_shares
                 history.append(best)
                 break
         else:
@@ -450,16 +552,15 @@ def fit_ifs(
     field = _tick_field(target, box)
     rng = np.random.default_rng(cfg.seed)
 
-    starts = []
-    if init_maps is not None:
-        starts.append(tuple(project_map(m.A, m.b, box, cfg.s_max) for m in init_maps))
-    starts.append(_heuristic_maps(target, box, cfg))
-    while len(starts) < cfg.restarts:
-        starts.append(_random_maps(target, box, cfg, rng))
-    starts = starts[: cfg.restarts]
+    def starts():  # each drawn just before its descent, in the seeded order
+        if init_maps is not None:
+            yield tuple(project_map(m.A, m.b, box, cfg.s_max) for m in init_maps)
+        yield _heuristic_maps(target, box, cfg)
+        while True:
+            yield _random_maps(target, box, cfg, rng)
 
     best_maps, best_value, best_history = None, np.inf, []
-    for maps0 in starts:
+    for maps0 in itertools.islice(starts(), cfg.restarts):
         maps, value, history = _descend(target, box, cfg, maps0, field)
         # numerically tied restarts (mirror-image optima) keep the earliest,
         # which preserves orientation across warm-started frame sequences

@@ -207,6 +207,26 @@ def read_points_csv(path, resolution: float) -> PointSet:
 # ---------------------------------------------------------------------------
 # PGM / PBM rasters
 
+def _plain_samples(blob: bytes, pos: int, count: int):
+    """The first `count` whitespace-separated samples of blob[pos:] as int64
+    when each is 1 to 18 ASCII digits, whose int() is their decimal value;
+    None when any is not, or when there are fewer."""
+    raw = np.frombuffer(blob, dtype=np.uint8)[pos:]
+    space = (raw == 32) | (raw - 9 < 5)  # bytes.split()'s separators: space and \t \n \v \f \r
+    edges = np.flatnonzero(np.diff(space, prepend=True, append=True))
+    starts, ends = edges[0 : 2 * count : 2], edges[1 : 2 * count : 2]
+    if starts.size < count:
+        return None
+    longest, body = int((ends - starts).max()), slice(0, ends[-1])
+    if longest > 18 or not (space[body] | (raw[body] - 48 < 10)).all():
+        return None
+    values = np.zeros(count, dtype=np.int64)
+    for k in range(-longest, 0):  # Horner over each sample's last `longest` bytes
+        at = ends + k
+        values = values * 10 + np.where(at >= starts, raw[np.maximum(at, 0)] - 48, 0)
+    return values
+
+
 def read_raster(path) -> tuple[np.ndarray, int]:
     """Raster as an (H, W) integer array plus its maximum value.
 
@@ -264,10 +284,13 @@ def read_raster(path) -> tuple[np.ndarray, int]:
         except ValueError as exc:
             raise InputError(f"{path}: bad bitmap digit: {exc}") from exc
     elif magic == b"P2":
-        values = blob[pos:].split()
-        if len(values) < width * height:
-            raise InputError(f"{path}: graymap data too short")
-        arr = np.array(integers(values[: width * height], "graymap sample")).reshape(height, width)
+        arr = _plain_samples(blob, pos, width * height)
+        if arr is None:  # a sign, another byte, a long sample or too few: int() per token decides
+            values = blob[pos:].split()
+            if len(values) < width * height:
+                raise InputError(f"{path}: graymap data too short")
+            arr = np.array(integers(values[: width * height], "graymap sample"))
+        arr = arr.reshape(height, width)
     elif magic == b"P4":
         pos += 1  # single whitespace after the header
         row_bytes = (width + 7) // 8

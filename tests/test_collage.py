@@ -79,6 +79,38 @@ class TestCollageDistance:
         )
 
 
+def candidate_moves_reference(params, n, d, box, step):
+    """The descent's trials as a generator, one copy of params per move, as
+    they were before a sweep became one array."""
+    per = d * d + d
+    center = box.center
+    for sign in (1.0, -1.0):
+        delta = sign * step
+        for idx in range(params.size):
+            trial = params.copy()
+            trial[idx] += delta
+            yield trial
+        for i in range(n):
+            base = i * per
+            for r in range(d):
+                for c in range(d):
+                    trial = params.copy()
+                    trial[base + r * d + c] += delta
+                    trial[base + d * d + r] -= delta * center[c]
+                    yield trial
+        for r in range(d):
+            for c in range(d):
+                trial = params.copy()
+                for i in range(n):
+                    base = i * per
+                    A = params[base : base + d * d].reshape(d, d)
+                    b = params[base + d * d : base + per]
+                    own_center = A @ center + b
+                    trial[base + r * d + c] += delta
+                    trial[base + d * d + r] -= delta * own_center[c]
+                yield trial
+
+
 def reference_descend(target, box, cfg, maps0):
     """The descent as it was before per-map caching: every candidate
     re-projects every map and is scored on the whole system, here by the
@@ -107,7 +139,7 @@ def reference_descend(target, box, cfg, maps0):
         if best == 0.0:
             break
         improved = False
-        for trial in collage._candidate_moves(params, n, d, box, step):
+        for trial in candidate_moves_reference(params, n, d, box, step):
             trial_maps = project(trial)
             value = score(trial_maps)
             if value < best:
@@ -184,29 +216,52 @@ class TestPerMapKernel:
             incumbent = exact
 
     def test_descent_projects_each_moved_block_once(self, monkeypatch):
-        # no re-projection of the starts, of the incumbent or of the result
-        box = Box([0.0, 0.0], [1.0, 1.0])
-        truth = IFS(box, tuple(AffineMap(0.5 * np.eye(2), b) for b in ([0.0, 0.0], [0.5, 0.0], [0.0, 0.5])))
-        target = attractor_points(truth, 4, box_seed(box, 1 / 16))
-        cfg = FitConfig(n=3, max_iters=12, s_max=0.9, seed=0)
-        maps0 = collage._random_maps(target, box, cfg, np.random.default_rng(3))
-        moved, projected = [], []
-        candidate_moves, project = collage._candidate_moves, collage._project
+        # no re-projection of the starts, of the incumbent or of the result:
+        # above the line the walk projects the moved blocks of each candidate
+        # it scores, on the line a sweep projects all its moved blocks at once
+        sweeps, projected = [], []  # per sweep: moved blocks per candidate, candidates scored
+        candidate_moves, project, project_line, score = (
+            collage._candidate_moves, collage._project, collage._project_line, collage._score
+        )
 
         def counted_moves(params, n, d, box, step):
-            for trial in candidate_moves(params, n, d, box, step):
-                changed = trial.view(np.int64) != params.view(np.int64)
-                moved.append(int(changed.reshape(n, -1).any(axis=1).sum()))
-                yield trial
+            trials = candidate_moves(params, n, d, box, step)
+            changed = trials.view(np.int64) != params.view(np.int64)
+            sweeps.append((changed.reshape(len(trials), n, -1).any(axis=2).sum(axis=1), []))
+            return trials
 
         def counted_project(*args):
             projected.append(1)
             return project(*args)
 
+        def counted_project_line(a, b, *args):
+            projected.extend([1] * a.size)
+            return project_line(a, b, *args)
+
+        def counted_score(*args):
+            if sweeps:  # the start is scored before the first sweep
+                sweeps[-1][1].append(1)
+            return score(*args)
+
         monkeypatch.setattr(collage, "_candidate_moves", counted_moves)
         monkeypatch.setattr(collage, "_project", counted_project)
-        _, _, history = collage._descend(target, box, cfg, maps0, None)
-        assert len(history) > 1 and len(projected) == sum(moved)
+        monkeypatch.setattr(collage, "_project_line", counted_project_line)
+        monkeypatch.setattr(collage, "_score", counted_score)
+        line, square = Box([0.0], [1.0]), Box([0.0, 0.0], [1.0, 1.0])
+        for truth, depth, delta in (
+            (IFS(square, tuple(AffineMap(0.5 * np.eye(2), b) for b in ([0, 0], [0.5, 0], [0, 0.5]))), 4, 1 / 16),
+            (IFS(line, (AffineMap([[1 / 3]], [0.0]), AffineMap([[1 / 3]], [2 / 3]))), 6, 1e-3),
+        ):
+            box = truth.domain
+            target = attractor_points(truth, depth, box_seed(box, delta))
+            cfg = FitConfig(n=truth.n, max_iters=12, s_max=0.9, seed=0)
+            maps0 = collage._random_maps(target, box, cfg, np.random.default_rng(3))
+            sweeps.clear(), projected.clear()
+            _, _, history = collage._descend(target, box, cfg, maps0, collage._tick_field(target, box))
+            # the walk above the line scores a prefix of each sweep's candidates
+            line_sweep = box.dim == 1
+            walked = [int(moved.sum() if line_sweep else moved[: len(scored)].sum()) for moved, scored in sweeps]
+            assert len(history) > 1 and len(projected) == sum(walked)
 
     def test_line_descent_scans_only_for_near(self, monkeypatch):
         # with the fit's tick field every out_sq is a gather: the sorted scan
@@ -236,11 +291,25 @@ class TestPerMapKernel:
         assert len(history) > 1 and all(scans) and len(scans) == sum(nears) > 0
 
     @pytest.mark.parametrize(
-        "case, start",
-        [(case, start) for case in ("cantor", "reversed", "sierpinski") for start in ("warm", "random")]
-        + [("raster", "tiles"), ("raster", "random")],
+        "case, start, source",
+        [
+            pytest.param(case, start, source, id="-".join([case, start] + ([] if source == "sparse" else [source])))
+            for case in ("cantor", "reversed")
+            for start in ("warm", "random")
+            for source in ("sparse", "field", "chunked", "refused")
+        ]
+        + [
+            pytest.param(case, start, None, id=f"{case}-{start}")
+            for case, start in (
+                ("sierpinski", "warm"), ("sierpinski", "random"), ("raster", "tiles"), ("raster", "random")
+            )
+        ],
     )
-    def test_descent_matches_the_full_rescoring_reference(self, case, start):
+    def test_descent_matches_the_full_rescoring_reference(self, monkeypatch, case, start, source):
+        # on the line out_sq comes from the sorted scan of a target too
+        # sparse for the field's size rule, from the fit's tick field (the
+        # rule lifted), or from that field one candidate per gather; where
+        # the stacked projection refuses a sweep, the sweep is walked in order
         rng = np.random.default_rng(3)
         if case in ("cantor", "reversed"):
             box = Box([0.0], [1.0])
@@ -265,7 +334,17 @@ class TestPerMapKernel:
             maps0 = collage._heuristic_maps(target, box, cfg)
         else:
             maps0 = collage._random_maps(target, box, cfg, rng)
-        maps, value, history = collage._descend(target, box, cfg, maps0, collage._tick_field(target, box))
+        if source in ("field", "chunked", "refused"):
+            with mock.patch.object(collage, "FIELD_TICKS_PER_POINT", math.inf):
+                field = collage._tick_field(target, box)
+        else:
+            field = collage._tick_field(target, box)
+        assert (field is None) == (source in ("sparse", None))
+        if source == "chunked":
+            monkeypatch.setattr(collage, "SWEEP_TICKS", 1)
+        if source == "refused":
+            monkeypatch.setattr(collage, "_project_line", mock.Mock(side_effect=PreconditionError("refused")))
+        maps, value, history = collage._descend(target, box, cfg, maps0, field)
         ref_maps, ref_value, ref_history = reference_descend(target, box, cfg, maps0)
         assert value == ref_value and history == ref_history
         for m, ref in zip(maps, ref_maps, strict=True):
@@ -322,6 +401,136 @@ class TestTickField:
         for k in (low + 1.0, low - 1.0):
             with pytest.raises(IndexError):
                 collage._Share(target, A, b, (k, tight))
+        # a sweep's gather checks every row: stacked with a constant map whose
+        # tick lies in the shifted field, in either order, it raises as well
+        for k, inside in ((low + 1.0, high), (low - 1.0, low)):
+            ticks = collage._line_ticks(target, np.array([0.0, A[0, 0]]), np.array([inside * pitch, b[0]]))
+            assert (ticks[0] == inside).all()
+            assert collage._line_out_sq(target, ticks, (low, tight))[1] == share.out_sq
+            for rows in (ticks, ticks[::-1]):
+                with pytest.raises(IndexError):
+                    collage._line_out_sq(target, rows, (k, tight))
+
+
+class TestSweepArrays:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 3),
+        n=st.integers(1, 4),
+        flat=st.booleans(),
+        step=st.sampled_from([0.1, 1e-3, 1e-12, 1e-300, "random"]),
+    )
+    def test_candidate_array_matches_the_generator(self, seed, d, n, flat, step):
+        # zeros of both signs in params, and steps too small to move some
+        # coefficients, must come out as the generator's copies do
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-2.0, 2.0, d)
+        box = Box(lo, lo + np.where(flat & (np.arange(d) == 0), 0.0, rng.uniform(0.1, 3.0, d)))
+        params = rng.standard_normal(n * (d * d + d)) * 10.0 ** rng.integers(-3, 4)
+        params[rng.random(params.size) < 0.2] = rng.choice([0.0, -0.0])
+        step = rng.uniform(0.0, 1.0) if step == "random" else step
+        expected = np.array(list(candidate_moves_reference(params, n, d, box, step)))
+        trials = collage._candidate_moves(params, n, d, box, step)
+        assert trials.shape == expected.shape and trials.tobytes() == expected.tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pitch=st.sampled_from([1.0, 1.0 / 64.0, 1e-3, 1e-7]),
+        start=st.integers(-(10**6), 10**6),
+        span=st.integers(0, 200),
+        bounds=st.sampled_from(["lattice", "off", "degenerate", "ulps", "-0.0"]),
+        s_max=st.sampled_from([0.5, 0.9, 0.95, 0.999]),
+    )
+    def test_line_stack_matches_project(self, seed, pitch, start, span, bounds, s_max):
+        # every row of the stacked line projection is the general _project's
+        # output bit for bit.  Boxes: bounds on the lattice, off it, a single
+        # point, a box a few ulps wide far from the origin (where the image
+        # width reads ulps over the box and b shifts back and forth), and one
+        # at -0.0.  Slopes at and a few ulps past +-s_max, inside LAPACK's
+        # s_max*(1 - 1e-12) band, +-0.0 and random; offsets inside, pinned to
+        # an edge, far outside and -0.0
+        rng = np.random.default_rng(seed)
+        lo = {"lattice": start * pitch, "off": (start + rng.uniform()) * pitch, "-0.0": -0.0}.get(bounds)
+        if bounds == "degenerate":
+            box = Box([start * pitch], [start * pitch])
+        elif bounds == "ulps":
+            lo = rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(4.0, 15.0)
+            box = Box([lo], [lo + abs(np.spacing(lo)) * rng.integers(1, 8)])
+        else:
+            box = Box([lo], [lo + span * pitch + (rng.uniform() * pitch if bounds == "off" else 0.0)])
+        rows = 40
+        band = s_max * (1.0 - rng.uniform(0.0, 1e-12, rows))
+        past = np.nextafter(s_max, 2.0) + np.spacing(s_max) * rng.integers(0, 4, rows)
+        kinds = rng.integers(0, 6, rows)
+        slopes = [np.full(rows, s_max), band, past, np.zeros(rows), rng.uniform(-2.0, 2.0, rows), np.full(rows, -0.0)]
+        a = np.choose(kinds, slopes)
+        a *= rng.choice([1.0, -1.0], rows)
+        width = box.hi[0] - box.lo[0]
+        b = np.choose(
+            rng.integers(0, 5, rows),
+            [
+                rng.uniform(box.lo[0], box.hi[0], rows),
+                box.lo[0] - a * box.lo[0],  # sends lo onto lo
+                box.hi[0] - a * box.hi[0],
+                box.lo[0] + rng.uniform(-50.0, 50.0, rows) * (width + pitch),
+                np.full(rows, -0.0),
+            ],
+        )
+        stack_a, stack_b = collage._project_line(a.copy(), b.copy(), box, s_max)
+        for k in range(rows):
+            A, b_k = collage._project(np.array([[a[k]]]), np.array([b[k]]), box, s_max)
+            assert A.tobytes() == stack_a[k : k + 1].tobytes() and b_k.tobytes() == stack_b[k : k + 1].tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        step=st.sampled_from([0.3, 0.05, 1e-3]),
+        source=st.sampled_from(["field", "scan"]),
+        chunk=st.sampled_from([1, 100, 1 << 16]),
+        best=st.sampled_from(["incumbent", "random"]),
+    )
+    def test_line_survivors_match_the_per_candidate_screen(self, seed, n, step, source, chunk, best):
+        # a line sweep walks, in order, the candidates whose out_sq, taken
+        # share by share, does not reach the incumbent's value, whatever the
+        # number of image ticks per gather
+        rng = np.random.default_rng(seed)
+        box = Box([0.0], [1.0])
+        target = PointSet(rng.integers(0, 65, (rng.integers(1, 40), 1)) / 64, 1.0 / 64)
+        with mock.patch.object(collage, "FIELD_TICKS_PER_POINT", math.inf):
+            field = collage._tick_field(target, box) if source == "field" else None
+        maps0 = collage._random_maps(target, box, FitConfig(n=n, s_max=0.9), rng)
+        shares = [collage._Share(target, m.A, m.b, field) for m in maps0]
+        value = collage._score(target, shares)
+        best = value if best == "incumbent" else value * rng.uniform(0.5, 1.5)
+        params = np.concatenate([np.concatenate([m.A.ravel(), m.b]) for m in maps0])
+        trials = collage._candidate_moves(params, n, 1, box, step)
+        blocks = trials.reshape(len(trials), n, 2)
+        moved = (trials.view(np.int64) != params.view(np.int64)).reshape(blocks.shape).any(axis=2)
+        ci, bi = np.nonzero(moved)
+        blocks[ci, bi] = np.column_stack(collage._project_line(*blocks[ci, bi].T, box, 0.9))
+        expected = []
+        for c, row in enumerate(blocks):
+            trial = [
+                collage._Share(target, row[i, :1].reshape(1, 1), row[i, 1:], field) if moved[c, i] else shares[i]
+                for i in range(n)
+            ]
+            if not math.sqrt(max(share.out_sq for share in trial)) >= best:
+                expected.append(c)
+        with mock.patch.object(collage, "SWEEP_TICKS", chunk * len(target) * n):
+            assert list(collage._line_survivors(target, field, blocks, moved, shares, best)) == expected
+
+    def test_line_stack_raises_where_project_raises(self):
+        # an infinite offset or a NaN slope never fits: the 64th shrink raises
+        box = Box([0.0], [1.0])
+        for a, b in ((0.5, math.inf), (math.nan, 0.5)):
+            with pytest.raises(PreconditionError) as general, np.errstate(invalid="ignore"):
+                collage._project(np.array([[a]]), np.array([b]), box, 0.9)
+            with pytest.raises(PreconditionError) as stacked, np.errstate(invalid="ignore"):
+                collage._project_line(np.array([0.5, a, 0.5]), np.array([0.2, b, 0.2]), box, 0.9)
+            assert str(stacked.value) == str(general.value) == "cannot project the map into the domain"
 
 
 class TestCollageBound:
@@ -488,6 +697,23 @@ class TestFitIFS:
         cfg = FitConfig(n=3, restarts=3, max_iters=200)
         assert fit_ifs(target, cfg, init_maps=maps) == FitResult(IFS(box, maps), 0.0, (0.0,))
         assert len(scored) <= cfg.restarts + 1
+
+    def test_random_starts_are_drawn_one_restart_at_a_time(self, monkeypatch, unit_box, cantor_render):
+        # restart 0 fits a single point exactly, so no random start is drawn
+        # however many restarts are asked for
+        with monkeypatch.context() as patch:
+            patch.setattr(collage, "_random_maps", lambda *args: pytest.fail("a random start was drawn"))
+            result = fit_ifs(PointSet([[0.3]], DELTA), FitConfig(n=1, restarts=10**8))
+        assert result.distance == 0.0 and result.ifs.maps[0].b.tolist() == [0.3]
+        # the starts are the ones drawn all at once, in the seeded order
+        cfg = FitConfig(n=2, restarts=4, max_iters=1, seed=9)
+        rng = np.random.default_rng(cfg.seed)
+        expected = [collage._heuristic_maps(cantor_render, unit_box, cfg)]
+        expected += [collage._random_maps(cantor_render, unit_box, cfg, rng) for _ in range(cfg.restarts - 1)]
+        starts, descend = [], collage._descend
+        monkeypatch.setattr(collage, "_descend", lambda *args: starts.append(args[3]) or descend(*args))
+        fit_ifs(cantor_render, cfg, domain=unit_box)
+        assert starts == expected
 
     def test_point_cap_is_checked_before_any_descent(self, monkeypatch, cantor_render):
         monkeypatch.setattr(attractor, "POINT_CAP", 2 * len(cantor_render) - 1)

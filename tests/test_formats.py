@@ -200,6 +200,57 @@ class TestRasters:
         assert maxval == 1
         assert foreground_mask(arr, maxval).sum() == 3
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 6)),
+        tokens=st.one_of(
+            # digits only: up to 18 digits, 19 digits and more, past 2^63 and 2^64
+            st.lists(
+                st.one_of(
+                    st.integers(0, 10**18 - 1),
+                    st.integers(10**18 - 2, 10**21),
+                    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64]),
+                ).map(str),
+                max_size=30,
+            ),
+            st.lists(
+                st.one_of(
+                    st.integers(0, 10**18 - 1).map(str),
+                    st.integers(-(2**70), 2**70).map(str),
+                    st.sampled_from(["+7", "-0", "007", "0" * 25 + "9", "1_000", "#", "#c", "1.5", "x", "٣"]),
+                    st.just("9\x1c9"),  # \x1c is whitespace to str.split(), not to bytes.split()
+                ),
+                max_size=30,
+            ),
+        ),
+        seps=st.lists(st.sampled_from([" ", "\n", "\t", "\r\n", "\x0b", "\x0c", "  \n# "]), min_size=1, max_size=4),
+        lead=st.booleans(),
+    )
+    def test_p2_samples_match_the_per_token_parse(self, tmp_path_factory, shape, tokens, seps, lead):
+        # every P2 body reads as int() of each token read it, values and
+        # dtype, or fails with the same message; tokens past the samples,
+        # comments among them included, are never read
+        height, width = shape
+        body = (seps[0] if lead else "") + "".join(tok + seps[k % len(seps)] for k, tok in enumerate(tokens))
+        body = body.encode()
+        path = tmp_path_factory.mktemp("p2") / "img.pgm"
+        path.write_bytes(f"P2\n{width} {height}\n255\n".encode() + body)
+        values = body.split()
+        try:
+            if len(values) < width * height:
+                raise InputError(f"{path}: graymap data too short")
+            try:
+                expected = np.array([int(tok) for tok in values[: width * height]]).reshape(height, width)
+            except ValueError as exc:
+                raise InputError(f"{path}: bad graymap sample: {exc}") from exc
+        except InputError as exc:
+            with pytest.raises(InputError) as raised:
+                read_raster(path)
+            assert str(raised.value) == str(exc)
+        else:
+            arr, maxval = read_raster(path)
+            assert maxval == 255 and arr.dtype == expected.dtype and arr.tolist() == expected.tolist()
+
     def test_p5_read(self, tmp_path):
         path = tmp_path / "img5.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 200, 128, 3]))
