@@ -9,6 +9,8 @@ and `predict` share the render flags (--depth, --image, --px).  `attractor`,
 recording inputs (with digests), flags, seeds, and versions, so any such run
 can be reproduced byte for byte; `analyze --limit-out` writes the limit spec
 alone.  IFSSEQ_SEED overrides the default seed when --seed is not given.
+Negative --domain-lo/--domain-hi bounds take the `=` form, as in
+--domain-lo=-1,-1: after a space argparse reads "-1,-1" as an option.
 """
 
 from __future__ import annotations
@@ -319,8 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--s-max", type=float, default=0.95, dest="s_max")
     fit.add_argument("--delta", type=float, default=None, help="frame point pitch override")
     fit.add_argument("--threshold", type=int, default=None, help="graymap foreground threshold")
-    fit.add_argument("--domain-lo", default=None, dest="domain_lo", help="declared box floor, comma-separated")
-    fit.add_argument("--domain-hi", default=None, dest="domain_hi", help="declared box ceiling, comma-separated")
+    fit.add_argument(
+        "--domain-lo", default=None, dest="domain_lo",
+        help="declared box floor, comma-separated; negative bounds need the = form, --domain-lo=-1,-1",
+    )
+    fit.add_argument(
+        "--domain-hi", default=None, dest="domain_hi",
+        help="declared box ceiling, comma-separated; negative bounds need the = form, --domain-hi=-0.5,1",
+    )
 
     render = argparse.ArgumentParser(add_help=False)
     render.add_argument("--depth", type=int, default=10)

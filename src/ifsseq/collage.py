@@ -34,14 +34,15 @@ The descent keeps the incumbent's shares and scores only the maps that a
 candidate moves (see _descend).  Most candidates are rejected on the moved
 maps' directed max alone, as h is at least every map's directed max, so the
 per-point distances are taken only when that does not decide.  A sweep's
-candidates are one array (_candidate_moves).  On the line the descent
-projects every moved map of the sweep at once (_project_line, bit for bit
-_project on each row), takes all their out_sq in one gather, rejects each
-candidate whose out_sq reaches the incumbent's value in one comparison, and
-walks the rest in order through _Share and _score: the first that scores
-below the incumbent wins, as in a walk over every candidate.  Above the line
-the walk projects and scores each candidate as it reaches it, since a sweep
-often stops at its first candidates.
+candidates are one array (_candidate_moves), and in every dimension the
+descent projects all the maps they move at once (_project, one stacked
+projection, which marks a map it cannot project with NaN).  On the line it
+then takes all their out_sq in one gather, rejects each candidate whose
+out_sq reaches the incumbent's value in one comparison, and walks the rest;
+above, it walks every candidate.  The walk goes in order through _Share and
+_score, the first candidate that scores below the incumbent wins, as in a
+walk over every candidate, and a candidate with a NaN map raises where the
+walk reaches it.
 
 scipy.spatial loads at the first collage evaluation, not at import, so
 commands that never fit start without it.
@@ -271,82 +272,93 @@ def collage_bound(eps: float, t: float) -> float:
 
 
 def _project(A: np.ndarray, b: np.ndarray, box: Box, s_max: float):
-    """project_map on arrays."""
+    """project_map on a stack of maps x -> A[j] x + b[j], A (k, d, d) and
+    b (k, d), each row as if projected alone.  A row the box cannot take
+    after 63 shrinks of A, and a row with a coefficient that is not finite,
+    comes back NaN in A and b, where project_map raises.
 
-    def svd_above(A):  # LAPACK's SVD when its norm exceeds s_max; the closed form screens d <= 2
-        if A.shape[0] > 2 or spectral_norm(A) > s_max * (1.0 - 1e-12):
-            u, s, vt = np.linalg.svd(A)
-            return (u, s, vt) if s[0] > s_max else None
-        return None
-
+    LAPACK's SVD decides every clamp, on the rows that the Frobenius norm,
+    an upper bound of the largest singular value, screens in; on the line
+    that SVD is |a| with singular vectors of sign +-1, so the clamp is a
+    clip to [-s_max, s_max].  The stacked SVD, products and vertex images
+    give each row the bits of the same calls on that row alone.  The loop
+    runs on every row still active: A shrinks by 0.8 while the image is
+    wider than the box, else b shifts into it, until b repeats, bit for bit,
+    a value taken since the row's last shrink."""
+    A, b = np.array(A, dtype=float), np.array(b, dtype=float)
+    k, d = b.shape
     extent = box.hi - box.lo
-    usv, flat = svd_above(A), extent.any() and not extent.all()  # constant on flat axes, unless all are
-    if usv:
-        A = usv[0] @ np.diag(np.minimum(usv[1], s_max)) @ usv[2]
-    if flat:
-        A = np.where((extent > 0)[:, None], A, 0.0)
-    while (usv or flat) and svd_above(A):  # clamping or zeroing can leave LAPACK's norm ulps over s_max
-        A = np.nextafter(A, 0.0)
-    shrinks, seen = 0, {b.tobytes()}
-    while True:
-        img = box.vertices() @ A.T + b
-        if not np.all(img.max(axis=0) - img.min(axis=0) <= extent + 1e-15):
-            if shrinks == 63:
-                raise PreconditionError("cannot project the map into the domain")
-            A, shrinks, seen = A * 0.8, shrinks + 1, {b.tobytes()}  # image wider than the box on some axis
-            continue
-        # b + shift can land an ulp outside the box, and an image that fits only
-        # within the slack above can shift back and forth: a repeat ends it
-        shift = np.maximum(box.lo - img.min(axis=0), 0.0) + np.minimum(box.hi - img.max(axis=0), 0.0)
-        b = b + shift
-        if b.tobytes() in seen:
-            return A, b
-        seen.add(b.tobytes())
+    every = (lambda x: x[:, 0]) if d == 1 else (lambda x: x.all(axis=1))  # per row, at a view's cost on the line
+
+    def svd_above(rows):  # the rows whose LAPACK norm exceeds s_max, with their SVDs
+        M = A[rows]
+        rows = rows[np.sqrt((M * M).sum(axis=(1, 2))) > s_max * (1.0 - 1e-12)]
+        u, s, vt = np.linalg.svd(A[rows])
+        above = s[:, 0] > s_max
+        return rows[above], (u[above], s[above], vt[above])
+
+    with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow fail, silently
+        failed = ~(every(np.isfinite(b)) & every(np.isfinite(A.reshape(k, -1))))
+        if d == 1:  # a clip, exactly s_max in norm where it clamps, so no nudge
+            A = np.minimum(np.maximum(A, -s_max), s_max)
+        else:
+            rows, (u, s, vt) = svd_above(np.flatnonzero(~failed))
+            D = np.zeros_like(u)
+            D[:, range(d), range(d)] = np.minimum(s, s_max)
+            A[rows] = u @ D @ vt
+            if extent.any() and not extent.all():  # constant on flat axes, unless all are
+                A[:, extent == 0.0] = 0.0
+                rows = np.flatnonzero(~failed)
+            while rows.size:  # clamping or zeroing can leave LAPACK's norm ulps over s_max
+                rows, _ = svd_above(rows)
+                A[rows] = np.nextafter(A[rows], 0.0)
+
+        vertices, active, limit = box.vertices(), ~failed, extent + 1e-15
+        shrinks, since, seen = np.zeros(k, int), np.zeros(k, int), [b.view(np.int64)]
+        while active.any():
+            img = vertices @ A.swapaxes(1, 2) + b[:, None, :]
+            low = high = img[:, 0]
+            for corner in img.swapaxes(0, 1)[1:]:  # a per-row reduction, in the order of img.min(axis=0)
+                low, high = np.minimum(low, corner), np.maximum(high, corner)
+            wide = active & ~every(high - low <= limit)  # image wider than the box
+            if wide.any():
+                failed |= wide & (shrinks == 63)
+                wide &= ~failed
+                A[wide] *= 0.8
+                shrinks += wide
+                since[wide] = len(seen) - 1  # the seen set restarts at the current b
+                active &= ~(wide | failed)
+            # b + shift can land an ulp outside the box, and an image that fits only
+            # within the slack above can shift back and forth: a repeat ends it
+            shift = np.maximum(box.lo - low, 0.0) + np.minimum(box.hi - high, 0.0)
+            b = np.where(active[:, None], b + shift, b)
+            bits = b.view(np.int64)
+            active &= ~every(seen[-1] == bits)  # most rows repeat the last b
+            if active.any():  # and the values taken since each row's last shrink
+                for j, old in enumerate(seen[:-1]):
+                    active &= ~(every(old == bits) & (since <= j))
+            seen.append(bits)
+            active |= wide
+    A[failed], b[failed] = np.nan, np.nan
+    return A, b
 
 
-def _project_line(a: np.ndarray, b: np.ndarray, box: Box, s_max: float):
-    """_project for a stack of line maps x -> a*x + b, bit for bit per row.
-
-    LAPACK's SVD of [[a]] is |a| with singular vectors of sign +-1, so the
-    clamp is copysign(s_max, a) where |a| > s_max, and a line box has no flat
-    axis.  The loop is _project's, run on every row still active: a shrinks
-    by 0.8 while the image is wider than the box, else b shifts into it,
-    until b repeats, bit for bit, a value taken since the row's last shrink.
-    The image is box.vertices() @ A.T + b, whose matmul adds the product to
-    0.0, so it is never -0.0 and its min and max are plain comparisons."""
-    a = np.where(np.abs(a) > s_max, np.copysign(s_max, a), a)
-    (v0, v1), lo, hi = box.vertices()[:, 0], box.lo[0], box.hi[0]
-    extent = hi - lo
-    shrinks, since = np.zeros(a.shape, int), np.zeros(a.shape, int)
-    seen, active = [b.view(np.int64)], np.ones(a.shape, bool)
-    while active.any():
-        img0, img1 = (v0 * a + 0.0) + b, (v1 * a + 0.0) + b
-        low, high = np.minimum(img0, img1), np.maximum(img0, img1)
-        wide = active & ~(high - low <= extent + 1e-15)
-        if wide.any():  # image wider than the box
-            if (shrinks[wide] == 63).any():
-                raise PreconditionError("cannot project the map into the domain")
-            a, shrinks = np.where(wide, a * 0.8, a), shrinks + wide
-            since[wide] = len(seen) - 1  # the seen set restarts at the current b
-            active &= ~wide
-        b = np.where(active, b + (np.maximum(lo - low, 0.0) + np.minimum(hi - high, 0.0)), b)
-        bits = b.view(np.int64)
-        repeat = seen[-1] == bits  # most rows repeat the last b
-        for k, old in enumerate(seen[:-1]):
-            repeat |= (old == bits) & (since <= k)
-        seen.append(bits)
-        active &= ~repeat
-        active |= wide
-    return a, b
+def _project_maps(A: np.ndarray, b: np.ndarray, box: Box, s_max: float):
+    """project_map on a stack of maps, as a tuple of AffineMaps."""
+    A, b = _project(A, b, box, s_max)
+    if np.isnan(b).any():
+        raise PreconditionError("cannot project the map into the domain")
+    return tuple(map(AffineMap, A, b))
 
 
 def project_map(A: np.ndarray, b: np.ndarray, box: Box, s_max: float) -> AffineMap:
     """Nearest feasible map: singular values clamped to s_max, rows of flat
     axes zeroed, translation shifted (and A shrunk when even that cannot fit)
     so the box maps into itself.  Idempotent bit for bit; LAPACK's largest
-    singular value of the result is at most s_max."""
+    singular value of the result is at most s_max.  Raises PreconditionError
+    where 63 shrinks of A leave the image wider than the box."""
     A, b = np.atleast_2d(np.array(A, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
-    return AffineMap(*_project(A, b, box, s_max))
+    return _project_maps(A[None], b[None], box, s_max)[0]
 
 
 def _tiles(points: np.ndarray, n: int):
@@ -383,28 +395,26 @@ def _heuristic_maps(target: PointSet, box: Box, cfg: FitConfig):
     src_lo = target.points.min(axis=0)
     src_hi = target.points.max(axis=0)
     extent = np.where(src_hi - src_lo > 0, src_hi - src_lo, 1.0)
-    maps = []
+    A, b = [], []
     for tile in _tiles(target.points, cfg.n):
         lo = tile.min(axis=0)
         hi = tile.max(axis=0)
-        A = np.diag((hi - lo) / extent)
-        b = lo - A @ src_lo
-        maps.append(project_map(A, b, box, cfg.s_max))
-    return tuple(maps)
+        A.append(np.diag((hi - lo) / extent))
+        b.append(lo - A[-1] @ src_lo)
+    return _project_maps(np.array(A), np.array(b), box, cfg.s_max)
 
 
 def _random_maps(target: PointSet, box: Box, cfg: FitConfig, rng):
     d = target.dim
-    maps = []
-    for _ in range(cfg.n):
-        A = rng.standard_normal((d, d))
-        norm = spectral_norm(A)
+    A, b = np.empty((cfg.n, d, d)), np.empty((cfg.n, d))
+    for i in range(cfg.n):
+        A[i] = rng.standard_normal((d, d))
+        norm = spectral_norm(A[i])
         if norm > 0:
-            A *= rng.uniform(0.1, 0.8) * cfg.s_max / norm
+            A[i] *= rng.uniform(0.1, 0.8) * cfg.s_max / norm
         anchor = target.points[rng.integers(0, len(target))]
-        b = anchor - A @ anchor
-        maps.append(project_map(A, b, box, cfg.s_max))
-    return tuple(maps)
+        b[i] = anchor - A[i] @ anchor
+    return _project_maps(A, b, box, cfg.s_max)
 
 
 def _candidate_moves(params: np.ndarray, n: int, d: int, box: Box, step: float) -> np.ndarray:
@@ -450,17 +460,21 @@ def _line_survivors(target: PointSet, field, blocks: np.ndarray, moved: np.ndarr
     blocks is the sweep's (C, n, 2) array of projected slopes and offsets
     and moved its (C, n) mask of moved maps.  A candidate's out_sq is the max
     over its moved maps and the incumbent's shares of the rest, and
-    sqrt(out_sq) >= best rejects it, as _score's early return does.  The
-    moved maps' ticks are taken and gathered at once, in chunks of about
-    SWEEP_TICKS image ticks, and the next chunk only when the walk of this
-    one found no improving candidate."""
+    sqrt(out_sq) >= best rejects it, as _score's early return does.  A
+    candidate with a NaN block, one _project could not project, passes
+    unscreened: the walk raises there.  The moved maps' ticks are taken and
+    gathered at once, in chunks of about SWEEP_TICKS image ticks, and the
+    next chunk only when the walk of this one found no improving
+    candidate."""
     ci, bi = np.nonzero(moved)  # moved maps in candidate order
     sq = np.tile([share.out_sq for share in shares], (len(blocks), 1))
     chunk = max(1, SWEEP_TICKS // (moved.shape[1] * len(target)))  # candidates per gather
     for c0 in range(0, len(blocks), chunk):
         part = slice(*np.searchsorted(ci, [c0, c0 + chunk]))
         a, b = blocks[ci[part], bi[part]].T
-        sq[ci[part], bi[part]] = _line_out_sq(target, _line_ticks(target, a, b), field)
+        ok, out_sq = b == b, np.full(b.shape, np.nan)
+        out_sq[ok] = _line_out_sq(target, _line_ticks(target, a[ok], b[ok]), field)
+        sq[ci[part], bi[part]] = out_sq
         yield from c0 + np.flatnonzero(~(np.sqrt(sq[c0 : c0 + chunk].max(axis=1)) >= best))
 
 
@@ -472,12 +486,11 @@ def _descend(target, box, cfg, maps0, field):
     stop_step = max(step0 * 1e-6, 1e-12)
 
     # The starts are project_map outputs and a feasible map projects to
-    # itself, so the incumbent's blocks are their own projections.  A
-    # candidate projects and scores only the blocks it moves, and the max/min
-    # combination of the shares is exact; it is scored against the
-    # incumbent's value, which rejects most candidates on their out_sq.  On
-    # the line a sweep projects and screens all its candidates at once;
-    # above, the walk projects each candidate's blocks as it reaches it.
+    # itself, so the incumbent's blocks are their own projections.  A sweep
+    # projects the blocks its candidates move, all at once, and a candidate
+    # scores only those; the max/min combination of the shares is exact.  It
+    # is scored against the incumbent's value, which rejects most candidates
+    # on their out_sq: on the line for the whole sweep before the walk.
     params = np.concatenate([np.concatenate([m.A.ravel(), m.b]) for m in maps0])
     shares = [_Share(target, m.A, m.b, field) for m in maps0]
     best = _score(target, shares)
@@ -489,24 +502,15 @@ def _descend(target, box, cfg, maps0, field):
         trials = _candidate_moves(params, n, d, box, step)
         blocks = trials.reshape(len(trials), n, -1)
         moved = (trials.view(np.int64) != params.view(np.int64)).reshape(blocks.shape).any(axis=2)
-        walk, projected = range(len(trials)), False
-        if d == 1:
-            ci, bi = np.nonzero(moved)
-            try:
-                blocks[ci, bi] = np.column_stack(_project_line(*blocks[ci, bi].T, box, cfg.s_max))
-            except PreconditionError:
-                pass  # walk every candidate: _project raises at the first such block the walk reaches
-            else:
-                walk, projected = _line_survivors(target, field, blocks, moved, shares, best), True
-        for c in walk:
+        ci, bi = np.nonzero(moved)
+        A, b = _project(blocks[ci, bi, : d * d].reshape(-1, d, d), blocks[ci, bi, d * d :], box, cfg.s_max)
+        blocks[ci, bi] = np.concatenate([A.reshape(len(A), -1), b], axis=1)  # keep the projected coefficients
+        for c in _line_survivors(target, field, blocks, moved, shares, best) if d == 1 else range(len(trials)):
+            if np.isnan(blocks[c]).any():
+                raise PreconditionError("cannot project the map into the domain")
             trial_shares = list(shares)
             for i in np.flatnonzero(moved[c]):
-                if projected:
-                    A, b = blocks[c, i, :1].reshape(1, 1), blocks[c, i, 1:]
-                else:
-                    A, b = _project(blocks[c, i, : d * d].reshape(d, d), blocks[c, i, d * d :], box, cfg.s_max)
-                    blocks[c, i] = np.concatenate([A.ravel(), b])  # keep the projected coefficients
-                trial_shares[i] = _Share(target, A, b, field)
+                trial_shares[i] = _Share(target, blocks[c, i, : d * d].reshape(d, d), blocks[c, i, d * d :], field)
             value = _score(target, trial_shares, best)
             if value < best:
                 best, params, shares = value, trials[c], trial_shares
@@ -554,7 +558,7 @@ def fit_ifs(
 
     def starts():  # each drawn just before its descent, in the seeded order
         if init_maps is not None:
-            yield tuple(project_map(m.A, m.b, box, cfg.s_max) for m in init_maps)
+            yield _project_maps(np.array([m.A for m in init_maps]), np.array([m.b for m in init_maps]), box, cfg.s_max)
         yield _heuristic_maps(target, box, cfg)
         while True:
             yield _random_maps(target, box, cfg, rng)
@@ -672,20 +676,10 @@ def extrapolate(seq: IFSSequence, model: ExtrapolationModel) -> IFS:
         raise PreconditionError(
             f"{model.kind} extrapolation needs at least {minimum} terms"
         )
+    series = np.array([[np.concatenate([m.A.ravel(), m.b]) for m in term.maps] for term in aligned.terms])
+    coeffs = np.array(
+        [[_extrapolate_series(y, model.horizon, model.kind) for y in per_map.T] for per_map in series.transpose(1, 0, 2)]
+    )
     d = aligned.domain.dim
-    n = aligned.n
-    maps = []
-    for i in range(n):
-        series = np.array(
-            [np.concatenate([term.maps[i].A.ravel(), term.maps[i].b]) for term in aligned.terms]
-        )
-        coeffs = np.array(
-            [
-                _extrapolate_series(series[:, c], model.horizon, model.kind)
-                for c in range(series.shape[1])
-            ]
-        )
-        maps.append(
-            project_map(coeffs[: d * d].reshape(d, d), coeffs[d * d :], aligned.domain, model.s_max)
-        )
-    return IFS(aligned.domain, tuple(maps))
+    maps = _project_maps(coeffs[:, : d * d].reshape(-1, d, d), coeffs[:, d * d :], aligned.domain, model.s_max)
+    return IFS(aligned.domain, maps)

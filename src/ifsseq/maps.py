@@ -42,8 +42,9 @@ def spectral_norm(A: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Box:
-    """Nonempty compact axis-aligned box [lo_1,hi_1] x ... x [lo_d,hi_d].  The bounds
-    are read-only copies; vertices() is built once and kept: 168 MB at MAX_VERTEX_DIM."""
+    """Nonempty compact axis-aligned box [lo_1,hi_1] x ... x [lo_d,hi_d] of finite
+    diameter.  The bounds are read-only copies; the diameter is taken once, and
+    vertices() is built once and kept: 168 MB at MAX_VERTEX_DIM."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -57,6 +58,11 @@ class Box:
             raise InputError("box bounds must be finite")
         if np.any(lo > hi):
             raise InputError("box requires lo <= hi in every coordinate")
+        with np.errstate(over="ignore"):
+            diameter = float(np.linalg.norm(hi - lo))
+        if not math.isfinite(diameter):
+            raise InputError("box diameter must be finite")
+        object.__setattr__(self, "_diameter", diameter)
         lo.flags.writeable = False
         hi.flags.writeable = False
         object.__setattr__(self, "lo", lo)
@@ -68,7 +74,7 @@ class Box:
 
     @property
     def diameter(self) -> float:
-        return float(np.linalg.norm(self.hi - self.lo))
+        return self._diameter
 
     @property
     def center(self) -> np.ndarray:

@@ -399,6 +399,31 @@ class TestCollageFit:
         assert captured.out.count("spec written to") == 1
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_map_that_no_shrink_fits_exits_4(self, tmp_path, capsys, n):
+        # a segment in a box 1e-8 thin: a descent move of A[1, 0] by the step
+        # makes an image that 63 shrinks of A leave wider than the thin axis
+        target = tmp_path / "segment.csv"
+        target.write_text("".join(f"{k / 40!r},0\n" for k in range(41)))
+        out = tmp_path / "fit.json"
+        argv = ["collage-fit", str(target), "--n", str(n), "--domain-lo", "0,0", "--domain-hi", "1,1e-8"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--out", str(out)]) == 4
+        assert capsys.readouterr().err == "precondition failed: cannot project the map into the domain\n"
+        assert not caught
+        assert not list(tmp_path.glob("fit.json*"))
+
+    def test_negative_domain_bounds_in_the_equals_form(self, tmp_path, capsys):
+        # argparse reads "-1,-1" after a space as an option, so negative
+        # bounds are given as --domain-lo=-1,-1
+        target = tmp_path / "segment.csv"
+        target.write_text("-0.5,-0.5\n0.5,0.5\n0.0,0.25\n")
+        out = tmp_path / "fit.json"
+        argv = ["collage-fit", str(target), "--n", "2", "--restarts", "1", "--iters", "5"]
+        assert main(argv + ["--domain-lo=-1,-1", "--domain-hi=1,1", "--out", str(out)]) == 0
+        assert read_ifs(out).domain == Box([-1.0, -1.0], [1.0, 1.0])
+
     def test_point_cap_exits_3(self, tmp_path, monkeypatch, capsys):
         img = self.cantor_pgm(tmp_path, width=243, depth=5)
         monkeypatch.setattr("ifsseq.attractor.POINT_CAP", 10)
@@ -711,6 +736,33 @@ class TestMalformedInputs:
             warnings.simplefilter("always")
             err = self.run(capsys, ["collage-fit", str(target), "--n", "1", "--out", str(tmp_path / "f.json")])
         assert "overflow" in err
+        assert not caught
+
+    @pytest.mark.parametrize("bound", ["1e308", "1e300"])
+    def test_fit_domain_whose_diameter_overflows(self, tmp_path, capsys, bound):
+        # the box's vertices or its diameter would not be finite
+        target = tmp_path / "target.csv"
+        target.write_text("0.5,0.5\n")
+        argv = ["collage-fit", str(target), "--n", "1", "--out", str(tmp_path / "f.json"),
+                f"--domain-lo=-{bound},-{bound}", f"--domain-hi={bound},{bound}"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self.run(capsys, argv)
+        assert err == "error: box diameter must be finite\n"
+        assert not caught
+        assert not list(tmp_path.glob("f.json*"))
+
+    def test_spec_domain_whose_diameter_overflows(self, tmp_path, capsys):
+        # the dbar between the two specs' maps would overflow to nan
+        paths = []
+        for name, a in (("a", 0.5), ("b", 0.25)):
+            paths.append(tmp_path / f"{name}.json")
+            domain = {"lo": [-1e200], "hi": [1e200]}
+            paths[-1].write_text(json.dumps({"dim": 1, "domain": domain, "maps": [{"A": [[a]], "b": [0.0]}]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self.run(capsys, ["dist", *map(str, paths)])
+        assert "box diameter must be finite" in err
         assert not caught
 
     @pytest.mark.parametrize("hi, scale", [(1e-300, 1e160), (1.0, 1e200)], ids=["tiny-domain", "unit-domain"])

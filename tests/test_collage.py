@@ -111,7 +111,46 @@ def candidate_moves_reference(params, n, d, box, step):
                 yield trial
 
 
-def reference_descend(target, box, cfg, maps0):
+def project_reference(A, b, box, s_max):
+    """One map's projection as it was before the projection took stacks: it
+    raises where the stacked projection returns NaN."""
+
+    def svd_above(A):  # LAPACK's SVD when its norm exceeds s_max; the closed form screens d <= 2
+        if A.shape[0] > 2 or spectral_norm(A) > s_max * (1.0 - 1e-12):
+            u, s, vt = np.linalg.svd(A)
+            return (u, s, vt) if s[0] > s_max else None
+        return None
+
+    extent = box.hi - box.lo
+    usv, flat = svd_above(A), extent.any() and not extent.all()  # constant on flat axes, unless all are
+    if usv:
+        A = usv[0] @ np.diag(np.minimum(usv[1], s_max)) @ usv[2]
+    if flat:
+        A = np.where((extent > 0)[:, None], A, 0.0)
+    while (usv or flat) and svd_above(A):  # clamping or zeroing can leave LAPACK's norm ulps over s_max
+        A = np.nextafter(A, 0.0)
+    shrinks, seen = 0, {b.tobytes()}
+    while True:
+        img = box.vertices() @ A.T + b
+        if not np.all(img.max(axis=0) - img.min(axis=0) <= extent + 1e-15):
+            if shrinks == 63:
+                raise PreconditionError("cannot project the map into the domain")
+            A, shrinks, seen = A * 0.8, shrinks + 1, {b.tobytes()}  # image wider than the box on some axis
+            continue
+        shift = np.maximum(box.lo - img.min(axis=0), 0.0) + np.minimum(box.hi - img.max(axis=0), 0.0)
+        b = b + shift
+        if b.tobytes() in seen:
+            return A, b
+        seen.add(b.tobytes())
+
+
+def project_one(A, b, box, s_max):
+    """The stacked projection of one map, as (A, b), NaN where it fails."""
+    A, b = collage._project(np.asarray(A, dtype=float)[None], np.asarray(b, dtype=float)[None], box, s_max)
+    return A[0], b[0]
+
+
+def reference_descend(target, box, cfg, maps0, moves=candidate_moves_reference):
     """The descent as it was before per-map caching: every candidate
     re-projects every map and is scored on the whole system, here by the
     brute Hausdorff distance of its Hutchinson image."""
@@ -122,7 +161,7 @@ def reference_descend(target, box, cfg, maps0):
     stop_step = max(step0 * 1e-6, 1e-12)
 
     def project(params):
-        return [collage._project(p[:-d].reshape(d, d), p[-d:], box, cfg.s_max) for p in params.reshape(n, -1)]
+        return [project_reference(p[:-d].reshape(d, d), p[-d:], box, cfg.s_max) for p in params.reshape(n, -1)]
 
     def pack(maps):
         return np.concatenate([np.concatenate([A.ravel(), b]) for A, b in maps])
@@ -139,7 +178,7 @@ def reference_descend(target, box, cfg, maps0):
         if best == 0.0:
             break
         improved = False
-        for trial in candidate_moves_reference(params, n, d, box, step):
+        for trial in moves(params, n, d, box, step):
             trial_maps = project(trial)
             value = score(trial_maps)
             if value < best:
@@ -217,36 +256,22 @@ class TestPerMapKernel:
 
     def test_descent_projects_each_moved_block_once(self, monkeypatch):
         # no re-projection of the starts, of the incumbent or of the result:
-        # above the line the walk projects the moved blocks of each candidate
-        # it scores, on the line a sweep projects all its moved blocks at once
-        sweeps, projected = [], []  # per sweep: moved blocks per candidate, candidates scored
-        candidate_moves, project, project_line, score = (
-            collage._candidate_moves, collage._project, collage._project_line, collage._score
-        )
+        # each sweep projects all the blocks its candidates move, in one stack
+        sweeps, projected = [], []  # moved blocks per sweep, rows per projection
+        candidate_moves, project = collage._candidate_moves, collage._project
 
         def counted_moves(params, n, d, box, step):
             trials = candidate_moves(params, n, d, box, step)
             changed = trials.view(np.int64) != params.view(np.int64)
-            sweeps.append((changed.reshape(len(trials), n, -1).any(axis=2).sum(axis=1), []))
+            sweeps.append(int(changed.reshape(len(trials), n, -1).any(axis=2).sum()))
             return trials
 
-        def counted_project(*args):
-            projected.append(1)
-            return project(*args)
-
-        def counted_project_line(a, b, *args):
-            projected.extend([1] * a.size)
-            return project_line(a, b, *args)
-
-        def counted_score(*args):
-            if sweeps:  # the start is scored before the first sweep
-                sweeps[-1][1].append(1)
-            return score(*args)
+        def counted_project(A, b, *args):
+            projected.append(len(b))
+            return project(A, b, *args)
 
         monkeypatch.setattr(collage, "_candidate_moves", counted_moves)
         monkeypatch.setattr(collage, "_project", counted_project)
-        monkeypatch.setattr(collage, "_project_line", counted_project_line)
-        monkeypatch.setattr(collage, "_score", counted_score)
         line, square = Box([0.0], [1.0]), Box([0.0, 0.0], [1.0, 1.0])
         for truth, depth, delta in (
             (IFS(square, tuple(AffineMap(0.5 * np.eye(2), b) for b in ([0, 0], [0.5, 0], [0, 0.5]))), 4, 1 / 16),
@@ -258,10 +283,7 @@ class TestPerMapKernel:
             maps0 = collage._random_maps(target, box, cfg, np.random.default_rng(3))
             sweeps.clear(), projected.clear()
             _, _, history = collage._descend(target, box, cfg, maps0, collage._tick_field(target, box))
-            # the walk above the line scores a prefix of each sweep's candidates
-            line_sweep = box.dim == 1
-            walked = [int(moved.sum() if line_sweep else moved[: len(scored)].sum()) for moved, scored in sweeps]
-            assert len(history) > 1 and len(projected) == sum(walked)
+            assert len(history) > 1 and projected == sweeps
 
     def test_line_descent_scans_only_for_near(self, monkeypatch):
         # with the fit's tick field every out_sq is a gather: the sorted scan
@@ -296,20 +318,24 @@ class TestPerMapKernel:
             pytest.param(case, start, source, id="-".join([case, start] + ([] if source == "sparse" else [source])))
             for case in ("cantor", "reversed")
             for start in ("warm", "random")
-            for source in ("sparse", "field", "chunked", "refused")
+            for source in ("sparse", "field", "chunked", "unprojectable")
         ]
         + [
             pytest.param(case, start, None, id=f"{case}-{start}")
             for case, start in (
-                ("sierpinski", "warm"), ("sierpinski", "random"), ("raster", "tiles"), ("raster", "random")
+                ("sierpinski", "warm"), ("sierpinski", "random"), ("raster", "tiles"), ("raster", "random"),
+                ("thin", "tiles"),
             )
         ],
     )
     def test_descent_matches_the_full_rescoring_reference(self, monkeypatch, case, start, source):
         # on the line out_sq comes from the sorted scan of a target too
         # sparse for the field's size rule, from the fit's tick field (the
-        # rule lifted), or from that field one candidate per gather; where
-        # the stacked projection refuses a sweep, the sweep is walked in order
+        # rule lifted), or from that field one candidate per gather.  Sweeps
+        # that hold a map no shrink fits into the box: on the line the middle
+        # candidate of every sweep gets an infinite offset, and in a box 1e-8
+        # thin the moves of A[1, 0] by the step are too wide for it.  Both
+        # sides raise at the same sweep, or neither does
         rng = np.random.default_rng(3)
         if case in ("cantor", "reversed"):
             box = Box([0.0], [1.0])
@@ -320,6 +346,9 @@ class TestPerMapKernel:
             box = Box([0.0, 0.0], [1.0, 1.0])
             truth = IFS(box, tuple(AffineMap(0.5 * np.eye(2), b) for b in ([0.0, 0.0], [0.5, 0.0], [0.0, 0.5])))
             target = attractor_points(truth, 4, box_seed(box, 1 / 16))
+        elif case == "thin":
+            box = Box([0.0, 0.0], [1.0, 1e-8])
+            target = PointSet(np.column_stack([np.arange(41) / 40, np.zeros(41)]), 1e-3)
         else:
             truth = None
             target = raster_to_points(rng.random((10, 10)) < 0.3, 0.1)
@@ -334,7 +363,7 @@ class TestPerMapKernel:
             maps0 = collage._heuristic_maps(target, box, cfg)
         else:
             maps0 = collage._random_maps(target, box, cfg, rng)
-        if source in ("field", "chunked", "refused"):
+        if source in ("field", "chunked", "unprojectable"):
             with mock.patch.object(collage, "FIELD_TICKS_PER_POINT", math.inf):
                 field = collage._tick_field(target, box)
         else:
@@ -342,10 +371,41 @@ class TestPerMapKernel:
         assert (field is None) == (source in ("sparse", None))
         if source == "chunked":
             monkeypatch.setattr(collage, "SWEEP_TICKS", 1)
-        if source == "refused":
-            monkeypatch.setattr(collage, "_project_line", mock.Mock(side_effect=PreconditionError("refused")))
-        maps, value, history = collage._descend(target, box, cfg, maps0, field)
-        ref_maps, ref_value, ref_history = reference_descend(target, box, cfg, maps0)
+
+        sweeps, ref_sweeps = [], []  # sweeps started by either side
+        candidate_moves = collage._candidate_moves
+
+        def moves(params, n, d, box, step):
+            sweeps.append(1)
+            trials = candidate_moves(params, n, d, box, step)
+            if source == "unprojectable":
+                trials[len(trials) // 2, 1] = math.inf  # map 0's offset
+            return trials
+
+        def ref_moves(*args):
+            ref_sweeps.append(1)
+            trials = list(candidate_moves_reference(*args))
+            if source == "unprojectable":
+                trials[len(trials) // 2][1] = math.inf
+            return trials
+
+        monkeypatch.setattr(collage, "_candidate_moves", moves)
+
+        def outcome(run):
+            try:
+                with np.errstate(invalid="ignore"):  # the reference takes inf - inf for the width
+                    return run()
+            except PreconditionError as exc:
+                return str(exc)
+
+        got = outcome(lambda: collage._descend(target, box, cfg, maps0, field))
+        expected = outcome(lambda: reference_descend(target, box, cfg, maps0, ref_moves))
+        assert len(sweeps) == len(ref_sweeps)
+        if isinstance(got, str):
+            assert got == expected == "cannot project the map into the domain"
+            assert source == "unprojectable" or case == "thin"
+            return
+        (maps, value, history), (ref_maps, ref_value, ref_history) = got, expected
         assert value == ref_value and history == ref_history
         for m, ref in zip(maps, ref_maps, strict=True):
             assert m.A.tobytes() == ref.A.tobytes() and m.b.tobytes() == ref.b.tobytes()
@@ -388,7 +448,7 @@ class TestTickField:
         else:  # the end of the box that x -> ax + b sends onto the edge
             image, end = pinned if a >= 0.0 else pinned[::-1]
             b = image - a * end
-        A, b = collage._project(np.array([[a]]), np.array([b]), box, s_max)
+        A, b = project_one([[a]], [b], box, s_max)
         share = collage._Share(target, A, b, (k0, sq))
         assert share.out_sq == collage._Share(target, A, b).out_sq
         images = np.rint((target.points[:, 0] * A[0, 0] + b[0]) / pitch)
@@ -437,51 +497,89 @@ class TestSweepArrays:
     @settings(max_examples=500, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 3),
         pitch=st.sampled_from([1.0, 1.0 / 64.0, 1e-3, 1e-7]),
         start=st.integers(-(10**6), 10**6),
         span=st.integers(0, 200),
-        bounds=st.sampled_from(["lattice", "off", "degenerate", "ulps", "-0.0"]),
+        bounds=st.lists(st.sampled_from(["lattice", "off", "flat", "ulps", "-0.0", "thin"]), min_size=3, max_size=3),
         s_max=st.sampled_from([0.5, 0.9, 0.95, 0.999]),
     )
-    def test_line_stack_matches_project(self, seed, pitch, start, span, bounds, s_max):
-        # every row of the stacked line projection is the general _project's
-        # output bit for bit.  Boxes: bounds on the lattice, off it, a single
-        # point, a box a few ulps wide far from the origin (where the image
-        # width reads ulps over the box and b shifts back and forth), and one
-        # at -0.0.  Slopes at and a few ulps past +-s_max, inside LAPACK's
-        # s_max*(1 - 1e-12) band, +-0.0 and random; offsets inside, pinned to
-        # an edge, far outside and -0.0
+    def test_stack_matches_project_reference(self, seed, d, pitch, start, span, bounds, s_max):
+        # every row of the stacked projection is the per-map projection's
+        # output bit for bit, or NaN where that raises.  Box axes: bounds on
+        # the lattice, off it, a single point, a few ulps wide far from the
+        # origin (where the image width reads ulps over the box and b shifts
+        # back and forth), at -0.0, and 1e-6 thin (where the 64th shrink
+        # comes).  Matrices at, in the s_max*(1 - 1e-12) band below and a
+        # few ulps past s_max in norm, +-0.0, random, huge (squares past the
+        # float range) and infinite; offsets inside, pinning a corner, far
+        # outside, -0.0 and infinite.  A map with a coefficient that is not
+        # finite comes back NaN
         rng = np.random.default_rng(seed)
-        lo = {"lattice": start * pitch, "off": (start + rng.uniform()) * pitch, "-0.0": -0.0}.get(bounds)
-        if bounds == "degenerate":
-            box = Box([start * pitch], [start * pitch])
-        elif bounds == "ulps":
-            lo = rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(4.0, 15.0)
-            box = Box([lo], [lo + abs(np.spacing(lo)) * rng.integers(1, 8)])
-        else:
-            box = Box([lo], [lo + span * pitch + (rng.uniform() * pitch if bounds == "off" else 0.0)])
+        lo, width = np.empty(d), np.empty(d)
+        for axis, kind in enumerate(bounds[:d]):
+            lo[axis] = {"lattice": start * pitch, "off": (start + rng.uniform()) * pitch, "-0.0": -0.0}.get(kind, 0.0)
+            width[axis] = span * pitch + (rng.uniform() * pitch if kind == "off" else 0.0)
+            if kind == "flat":
+                lo[axis], width[axis] = start * pitch, 0.0
+            elif kind == "ulps":
+                lo[axis] = rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(4.0, 15.0)
+                width[axis] = abs(np.spacing(lo[axis])) * rng.integers(1, 8)
+            elif kind == "thin":
+                width[axis] = 1e-6
+        box = Box(lo, lo + width)
         rows = 40
-        band = s_max * (1.0 - rng.uniform(0.0, 1e-12, rows))
-        past = np.nextafter(s_max, 2.0) + np.spacing(s_max) * rng.integers(0, 4, rows)
-        kinds = rng.integers(0, 6, rows)
-        slopes = [np.full(rows, s_max), band, past, np.zeros(rows), rng.uniform(-2.0, 2.0, rows), np.full(rows, -0.0)]
-        a = np.choose(kinds, slopes)
-        a *= rng.choice([1.0, -1.0], rows)
-        width = box.hi[0] - box.lo[0]
+
+        def matrix(kind):
+            q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            if kind == 0:
+                return q * s_max
+            if kind == 1:  # inside LAPACK's guard band
+                return q * (s_max * (1.0 - rng.uniform(0.0, 1e-12)))
+            if kind == 2:  # a few ulps past
+                return q * (np.nextafter(s_max, 2.0) + np.spacing(s_max) * rng.integers(0, 4))
+            if kind == 3:
+                return np.full((d, d), rng.choice([0.0, -0.0]))
+            if kind == 4:
+                return rng.uniform(-2.0, 2.0, (d, d))
+            if kind == 5:
+                return np.diag(rng.uniform(-1.0, 1.0, d))
+            if kind == 6:
+                return rng.standard_normal((d, d)) * 1e200
+            A = rng.uniform(-1.0, 1.0, (d, d))
+            A.flat[rng.integers(d * d)] = rng.choice([math.inf, -math.inf])
+            return A
+
+        A = np.array([matrix(kind) for kind in rng.choice(8, rows, p=[0.2, 0.15, 0.15, 0.1, 0.2, 0.1, 0.05, 0.05])])
+        corner = box.vertices()[rng.integers(2**d, size=rows)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            pinned = corner - (A @ corner[:, :, None])[:, :, 0]  # sends a corner onto itself
         b = np.choose(
-            rng.integers(0, 5, rows),
+            rng.choice(5, rows, p=[0.3, 0.3, 0.25, 0.1, 0.05])[:, None],
             [
-                rng.uniform(box.lo[0], box.hi[0], rows),
-                box.lo[0] - a * box.lo[0],  # sends lo onto lo
-                box.hi[0] - a * box.hi[0],
-                box.lo[0] + rng.uniform(-50.0, 50.0, rows) * (width + pitch),
-                np.full(rows, -0.0),
+                rng.uniform(box.lo, box.hi, (rows, d)),
+                pinned,
+                box.lo + rng.uniform(-50.0, 50.0, (rows, d)) * (width + pitch),
+                np.full((rows, d), -0.0),
+                np.full((rows, d), math.inf),
             ],
         )
-        stack_a, stack_b = collage._project_line(a.copy(), b.copy(), box, s_max)
+        stack_A, stack_b = collage._project(A, b, box, s_max)
         for k in range(rows):
-            A, b_k = collage._project(np.array([[a[k]]]), np.array([b[k]]), box, s_max)
-            assert A.tobytes() == stack_a[k : k + 1].tobytes() and b_k.tobytes() == stack_b[k : k + 1].tobytes()
+            if not np.isfinite(A[k]).all():
+                # the per-map loop may not return: LAPACK's SVD of some 3x3
+                # matrices with an infinite entry does not, and zeroing a flat
+                # axis can leave a finite A above s_max that it then walks
+                # toward s_max one ulp at a time
+                assert np.isnan(stack_A[k]).all() and np.isnan(stack_b[k]).all()
+                continue
+            try:
+                with np.errstate(all="ignore"):
+                    A_k, b_k = project_reference(A[k], b[k], box, s_max)
+            except PreconditionError:
+                assert np.isnan(stack_A[k]).all() and np.isnan(stack_b[k]).all()
+                continue
+            assert A_k.tobytes() == stack_A[k].tobytes() and b_k.tobytes() == stack_b[k].tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -491,11 +589,13 @@ class TestSweepArrays:
         source=st.sampled_from(["field", "scan"]),
         chunk=st.sampled_from([1, 100, 1 << 16]),
         best=st.sampled_from(["incumbent", "random"]),
+        unprojectable=st.booleans(),
     )
-    def test_line_survivors_match_the_per_candidate_screen(self, seed, n, step, source, chunk, best):
+    def test_line_survivors_match_the_per_candidate_screen(self, seed, n, step, source, chunk, best, unprojectable):
         # a line sweep walks, in order, the candidates whose out_sq, taken
         # share by share, does not reach the incumbent's value, whatever the
-        # number of image ticks per gather
+        # number of image ticks per gather, and every candidate with a block
+        # the projection marked NaN
         rng = np.random.default_rng(seed)
         box = Box([0.0], [1.0])
         target = PointSet(rng.integers(0, 65, (rng.integers(1, 40), 1)) / 64, 1.0 / 64)
@@ -510,9 +610,16 @@ class TestSweepArrays:
         blocks = trials.reshape(len(trials), n, 2)
         moved = (trials.view(np.int64) != params.view(np.int64)).reshape(blocks.shape).any(axis=2)
         ci, bi = np.nonzero(moved)
-        blocks[ci, bi] = np.column_stack(collage._project_line(*blocks[ci, bi].T, box, 0.9))
+        A, b = collage._project(blocks[ci, bi, :1].reshape(-1, 1, 1), blocks[ci, bi, 1:], box, 0.9)
+        blocks[ci, bi] = np.concatenate([A.reshape(-1, 1), b], axis=1)
+        if unprojectable:
+            nan = rng.random(len(ci)) < 0.1
+            blocks[ci[nan], bi[nan]] = np.nan
         expected = []
         for c, row in enumerate(blocks):
+            if np.isnan(row).any():
+                expected.append(c)
+                continue
             trial = [
                 collage._Share(target, row[i, :1].reshape(1, 1), row[i, 1:], field) if moved[c, i] else shares[i]
                 for i in range(n)
@@ -522,15 +629,31 @@ class TestSweepArrays:
         with mock.patch.object(collage, "SWEEP_TICKS", chunk * len(target) * n):
             assert list(collage._line_survivors(target, field, blocks, moved, shares, best)) == expected
 
-    def test_line_stack_raises_where_project_raises(self):
-        # an infinite offset or a NaN slope never fits: the 64th shrink raises
-        box = Box([0.0], [1.0])
-        for a, b in ((0.5, math.inf), (math.nan, 0.5)):
-            with pytest.raises(PreconditionError) as general, np.errstate(invalid="ignore"):
-                collage._project(np.array([[a]]), np.array([b]), box, 0.9)
-            with pytest.raises(PreconditionError) as stacked, np.errstate(invalid="ignore"):
-                collage._project_line(np.array([0.5, a, 0.5]), np.array([0.2, b, 0.2]), box, 0.9)
-            assert str(stacked.value) == str(general.value) == "cannot project the map into the domain"
+    def test_unprojectable_rows_come_back_nan(self):
+        # an infinite offset, a NaN slope and a map of the plane whose image
+        # stays wider than a 1e-8 thin axis never fit: where the per-map
+        # projection raises at the 64th shrink, the stack marks the row NaN
+        # and leaves the other rows as they are alone; project_map raises
+        line, thin = Box([0.0], [1.0]), Box([0.0, 0.0], [1.0, 1e-8])
+        for box, A, b in (
+            (line, [[0.5]], [math.inf]),
+            (line, [[math.nan]], [0.5]),
+            (thin, [[0.5, 0.0], [0.5, 0.0]], [0.0, 0.0]),
+        ):
+            A, b = np.array(A), np.array(b)
+            with pytest.raises(PreconditionError) as reference, np.errstate(invalid="ignore"):
+                project_reference(A, b, box, 0.9)
+            feasible = (0.5 * np.eye(box.dim), np.full(box.dim, 0.2e-8))
+            stack_A, stack_b = collage._project(
+                np.array([feasible[0], A, feasible[0]]), np.array([feasible[1], b, feasible[1]]), box, 0.9
+            )
+            assert np.isnan(stack_A[1]).all() and np.isnan(stack_b[1]).all()
+            alone = project_reference(*feasible, box, 0.9)
+            for k in (0, 2):
+                assert stack_A[k].tobytes() == alone[0].tobytes() and stack_b[k].tobytes() == alone[1].tobytes()
+            with pytest.raises(PreconditionError) as public:
+                project_map(A, b, box, 0.9)
+            assert str(public.value) == str(reference.value) == "cannot project the map into the domain"
 
 
 class TestCollageBound:
@@ -601,12 +724,10 @@ class TestProjectMap:
                 A[r, c] = rng.choice([-1.0, 1.0]) * extent[r] / extent[c] * (1.0 + ulps * 2.0**-52)
         reach = 3.0 * max(extent.max(), 1.0)  # translations outside the box
         b = rng.uniform(lo - reach, box.hi + reach)
-        try:
-            A1, b1 = collage._project(A, b, box, s_max)
-        except PreconditionError:  # A too large to shrink onto a thin axis
-            assume(False)
+        A1, b1 = project_one(A, b, box, s_max)
+        assume(not np.isnan(b1).any())  # A too large to shrink onto a thin axis
         assert np.linalg.svd(A1)[1][0] <= s_max
-        A2, b2 = collage._project(A1, b1, box, s_max)
+        A2, b2 = project_one(A1, b1, box, s_max)
         assert A2.tobytes() == A1.tobytes() and b2.tobytes() == b1.tobytes()
 
     def test_map_that_walked_an_ulp_per_projection(self):
@@ -616,9 +737,9 @@ class TestProjectMap:
         A = np.array([[0.0, float.fromhex("0x1.40b5485c9748dp-9")], [0.0, float.fromhex("0x1.e665fcab96fe9p-1")]])
         b = np.array([0.0625, 0.0031251969369636076])
         box = Box([0.0625, 0.0625], [0.9375, 0.9375])
-        A1, b1 = collage._project(A, b, box, 0.95)
+        A1, b1 = project_one(A, b, box, 0.95)
         assert np.linalg.svd(A1)[1][0] <= 0.95
-        A2, b2 = collage._project(A1, b1, box, 0.95)
+        A2, b2 = project_one(A1, b1, box, 0.95)
         assert A2.tobytes() == A1.tobytes() and b2.tobytes() == b1.tobytes()
 
     @settings(max_examples=200, deadline=None)
