@@ -11,6 +11,8 @@ can be reproduced byte for byte; `analyze --limit-out` writes the limit spec
 alone.  IFSSEQ_SEED overrides the default seed when --seed is not given.
 Negative --domain-lo/--domain-hi bounds take the `=` form, as in
 --domain-lo=-1,-1: after a space argparse reads "-1,-1" as an option.
+The collage module loads in the two fitting commands only, so dist,
+attractor and analyze start without it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 
 from . import __version__
 from .attractor import PointSet, attractor_points, default_resolution
-from .collage import ExtrapolationModel, FitConfig, collage_bound, extrapolate, fit_ifs, fit_sequence
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .formats import (
     _write_json,
@@ -125,6 +126,7 @@ def _load_frame(path, pitch: float | None, threshold: int | None) -> PointSet:
 
 def _fit_setup(args):
     """FitConfig, declared domain and manifest flags from the fit flags."""
+    from .collage import FitConfig
     cfg = FitConfig(
         n=args.n,
         restarts=args.restarts,
@@ -219,6 +221,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_collage_fit(args) -> int:
+    from .collage import collage_bound, fit_ifs
     _require_out_dirs(args.out)
     target = _load_frame(args.image, args.delta, args.threshold)
     cfg, domain, fit_flags = _fit_setup(args)
@@ -252,6 +255,7 @@ def _frame_paths(directory) -> list:
 
 
 def cmd_predict(args) -> int:
+    from .collage import ExtrapolationModel, extrapolate, fit_sequence
     out_spec = Path(args.out_prefix + ".ifs.json")
     out_csv = Path(args.out_prefix + ".points.csv")
     _require_out_dirs(out_spec, args.image)

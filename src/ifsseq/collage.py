@@ -23,12 +23,13 @@ are fixed for the fit, and every image is snapped to the target's lattice,
 so an image's distance into L depends only on its tick k = rint(x/delta).
 fit_ifs tabulates that distance once per tick of the box (_tick_field, the
 exact distance transform of Maurer, Qi & Raghavan 2003 reduced to the line),
-and the out_sq of any stack of line maps is one gather over their (maps,
-points) array of ticks (_line_out_sq).  Each entry is the sorted scan's own
-expression at the same query float k*delta, so the gather gives the scan's
-value bit for bit.  The field is skipped past FIELD_TICKS_PER_POINT ticks
-per target point, where it would cost more than the scans it saves; there,
-and in collage_distance, a one-off, the same stack is one sorted scan.
+and the squared distances of any stack of line maps' images are one gather
+over their (maps, points) array of ticks (_line_sq).  Each entry is the
+sorted scan's own expression at the same query float k*delta, so the gather
+gives the scan's value bit for bit.  The field is skipped past
+FIELD_TICKS_PER_POINT ticks per target point, where it would cost more than
+the scans it saves; there, and in collage_distance, a one-off, the same
+stack is one sorted scan.
 
 The descent keeps the incumbent's shares and scores only the maps that a
 candidate moves (see _descend).  Most candidates are rejected on the moved
@@ -37,12 +38,17 @@ per-point distances are taken only when that does not decide.  A sweep's
 candidates are one array (_candidate_moves), and in every dimension the
 descent projects all the maps they move at once (_project, one stacked
 projection, which marks a map it cannot project with NaN).  On the line it
-then takes all their out_sq in one gather, rejects each candidate whose
-out_sq reaches the incumbent's value in one comparison, and walks the rest;
-above, it walks every candidate.  The walk goes in order through _Share and
-_score, the first candidate that scores below the incumbent wins, as in a
-walk over every candidate, and a candidate with a NaN map raises where the
-walk reaches it.
+then screens the sweep at a few witness points, the target points where
+earlier gathers of the descent found a map's max: the values there are
+exact and their max is a lower bound of out_sq, so a candidate whose bound
+reaches the incumbent's value is rejected as its out_sq would reject it.
+Only the rest get the full gather of all their images (_line_survivors),
+which rejects on out_sq in one comparison and adds its maxima's points to
+the witnesses; most sweeps of a warm-started fit reject every candidate,
+most of them at the witness points.  Above, the descent walks every
+candidate.  The walk goes in order through _Share and _score, the first
+candidate that scores below the incumbent wins, as in a walk over every
+candidate, and a candidate with a NaN map raises where the walk reaches it.
 
 scipy.spatial loads at the first collage evaluation, not at import, so
 commands that never fit start without it.
@@ -55,7 +61,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -150,28 +156,30 @@ class _Share:
     """One map's part of the collage objective h(L, W(L)) on a target L.
 
     out_sq, the max squared distance from the map's snapped images into L,
-    is taken at once: on the line by _line_out_sq, from the fit's tick field
+    is taken at once: on the line by _line_sq, from the fit's tick field
     (_tick_field) when one is given, else by the sorted scan
     (collage_distance, and targets too sparse for the field's size rule);
     above, by the target's tree and the brute expression.  near, per point
     of L the distance to those images (the exact square on the line, the
     tree's distance above, with the tree kept in `tree`), is taken at first
     use: a candidate whose moved maps alone reach the incumbent's value is
-    rejected without it.  A line sweep takes the out_sq of all its moved
-    maps in one gather (_line_survivors) and builds shares only for the
-    candidates that gather does not reject."""
+    rejected without it.  A line sweep screens all its moved maps at once
+    (_line_survivors) and builds shares only for the candidates that screen
+    does not reject."""
 
     __slots__ = ("target", "images", "out_sq", "tree", "_near")
 
     def __init__(self, target: PointSet, A: np.ndarray, b: np.ndarray, field=None):
-        # images as AffineMap.transform takes them, snapped, not deduplicated
+        # images as AffineMap.transform takes them, snapped, not deduplicated;
+        # a constant map's are one point, as min and max ignore duplicates
+        at = slice(None) if A.any() else slice(0, 1)
         if target.dim == 1:
-            ticks = _line_ticks(target, A[0], b)
-            self.out_sq = float(_line_out_sq(target, ticks, field)[0])
+            ticks = _line_ticks(target, A[0], b, at)
+            self.out_sq = float(_line_sq(target, ticks, field).max())
             # ascending, as near's scan needs, or descending when a < 0
             images = ((ticks[0, ::-1] if A[0, 0] < 0.0 else ticks[0]) * target.resolution)[:, None]
         else:
-            images = _snap(target.points @ A.T + b, target.resolution)
+            images = _snap(target.points[at] @ A.T + b, target.resolution)
             self.out_sq = _directed_sq(images, target.points, target.tree)
         self.target, self.images, self.tree, self._near = target, images, None, None
 
@@ -188,36 +196,36 @@ class _Share:
         return self._near
 
 
-def _line_ticks(target: PointSet, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lattice ticks rint((x*a + b)/delta) of the target's images, one row
-    per line map x -> a*x + b.
+def _line_ticks(target: PointSet, a: np.ndarray, b: np.ndarray, at=slice(None)) -> np.ndarray:
+    """Lattice ticks rint((x*a + b)/delta) of the images of the target's
+    points `at` (all of them by default), one row per line map x -> a*x + b.
 
     x * a + b equals transform's x @ A.T + b (a zero may differ in sign,
     which no squared distance sees) at a quarter of its cost.  rint is
     _snap's half-even rounding, so ticks * delta are _snap's images.  L is
     ascending and x -> ax + b and the rounding are monotone, so each row
-    comes out ascending, or descending when a < 0."""
-    ticks = np.multiply.outer(a, target.points[:, 0])  # in place from here: the rows can be long
+    comes out ascending, or descending when a < 0, for ascending `at`."""
+    ticks = np.multiply.outer(a, target.points[at, 0])  # in place from here: the rows can be long
     ticks += b[:, None]
     ticks /= target.resolution
     return np.rint(ticks, out=ticks)
 
 
-def _line_out_sq(target: PointSet, ticks: np.ndarray, field) -> np.ndarray:
-    """Per row of image ticks, the max squared distance from those images
-    into the target: a gather from the fit's tick field, or the sorted scan
-    when there is none.  Either way each image's value is the scan's
-    expression at the same query float."""
+def _line_sq(target: PointSet, ticks: np.ndarray, field) -> np.ndarray:
+    """Per image tick, the squared distance from that image into the target:
+    a gather from the fit's tick field, or the sorted scan when there is
+    none.  Either way each value is the scan's expression at the same query
+    float, whatever the other ticks."""
     if field is None:
         queries = (ticks * target.resolution).reshape(-1, 1)
-        return _min_sq_sorted_1d(queries, target.points).reshape(ticks.shape).max(axis=1)
+        return _min_sq_sorted_1d(queries, target.points).reshape(ticks.shape)
     k0, sq = field
     ends = ticks[:, [0, -1]] - k0  # each row is monotone, so its extremes are its ends
     if not ((ends >= 0.0).all() and (ends < sq.size).all()):  # numpy would wrap a negative index
         raise IndexError("an image tick lies outside the collage field")
     index = ticks.astype(np.intp)
     index -= int(k0)
-    return sq[index].max(axis=1)
+    return sq[index]
 
 
 def _tick_field(target: PointSet, box: Box):
@@ -417,6 +425,25 @@ def _random_maps(target: PointSet, box: Box, cfg: FitConfig, rng):
     return _project_maps(A, b, box, cfg.s_max)
 
 
+@cache
+def _move_index(n: int, d: int):
+    """Where _candidate_moves writes its increments for n maps in d
+    dimensions: the (row, col) of every entry in one sign's half, and the map
+    i and column c of each stretch.  Read-only, as every sweep shares them."""
+    per = d * d + d
+    size = n * per
+    # one stretch per map i and entry A[r, c]: it moves A[r, c] and b[r]
+    k = np.arange(n * d * d)
+    i, r, c = k // (d * d), k // d % d, k % d
+    a_col, b_col = i * per + r * d + c, i * per + d * d + r
+    joint = size + n * d * d + r * d + c
+    row = np.concatenate([np.arange(size), size + k, size + k, joint, joint])
+    col = np.concatenate([np.arange(size), a_col, b_col, a_col, b_col])
+    for index in (row, col, i, c):
+        index.flags.writeable = False
+    return row, col, i, c
+
+
 def _candidate_moves(params: np.ndarray, n: int, d: int, box: Box, step: float) -> np.ndarray:
     """Trial parameter vectors around the current point, one per row of a
     (C, n*(d*d + d)) array, for the descent to score in row order.
@@ -430,30 +457,26 @@ def _candidate_moves(params: np.ndarray, n: int, d: int, box: Box, step: float) 
     simultaneously.  Each row is the trial that adding the step to a copy of
     params gives, bit for bit.
     """
-    per, center = d * d + d, box.center
-    blocks = params.reshape(n, per)
+    center, size, stretches = box.center, params.size, n * d * d
+    blocks = params.reshape(n, -1)
     own = np.array([blocks[i, : d * d].reshape(d, d) @ center + blocks[i, d * d :] for i in range(n)])
-    # one stretch per map i and entry A[r, c]: it moves A[r, c] and b[r]
-    k = np.arange(n * d * d)
-    i, r, c = k // (d * d), k // d % d, k % d
-    a_col, b_col = i * per + r * d + c, i * per + d * d + r
-    size, joint = params.size, params.size + n * d * d + r * d + c
-    rows = params.size + n * d * d + d * d  # per sign
-    row = np.concatenate([np.arange(size), size + k, size + k, joint, joint])
-    col = np.concatenate([np.arange(size), a_col, b_col, a_col, b_col])
+    row, col, i, c = _move_index(n, d)
+    rows = size + stretches + d * d  # per sign
     # x + -0.0 is x bit for bit, and x - y is x + -y, so each row is params
     # plus its increments, as adding them to a copy of params gives
     steps = np.full((2 * rows, size), -0.0)
     for half, sign in enumerate((1.0, -1.0)):
         delta = sign * step
-        fill = np.full(size + n * d * d, delta)
+        fill = np.full(size + stretches, delta)
         steps[half * rows + row, col] = np.concatenate(
-            [fill, -(delta * center[c]), fill[: n * d * d], -(delta * own[i, c])]
+            [fill, -(delta * center[c]), fill[:stretches], -(delta * own[i, c])]
         )
     return params + steps
 
 
-def _line_survivors(target: PointSet, field, blocks: np.ndarray, moved: np.ndarray, shares, best: float):
+def _line_survivors(
+    target: PointSet, field, blocks: np.ndarray, moved: np.ndarray, shares, best: float, witness: np.ndarray
+):
     """The candidates of a projected line sweep that out_sq does not reject,
     in order.
 
@@ -462,19 +485,36 @@ def _line_survivors(target: PointSet, field, blocks: np.ndarray, moved: np.ndarr
     over its moved maps and the incumbent's shares of the rest, and
     sqrt(out_sq) >= best rejects it, as _score's early return does.  A
     candidate with a NaN block, one _project could not project, passes
-    unscreened: the walk raises there.  The moved maps' ticks are taken and
-    gathered at once, in chunks of about SWEEP_TICKS image ticks, and the
-    next chunk only when the walk of this one found no improving
-    candidate."""
+    unscreened: the walk raises there.
+
+    witness is a mask over the target's points, which the caller keeps
+    across sweeps: the points where earlier full gathers found a map's max.
+    A moved map's values at those points are exact and their max is at most
+    its out_sq, so a candidate whose bound already reaches best is rejected
+    as the full gather would reject it.  The full (maps, points) gather runs
+    only for the candidates still open, and the point of each of its rows'
+    max joins witness; the survivors do not depend on witness.  The moved
+    maps are taken in chunks of about SWEEP_TICKS image ticks, and the next
+    chunk only when the walk of this one found no improving candidate."""
     ci, bi = np.nonzero(moved)  # moved maps in candidate order
     sq = np.tile([share.out_sq for share in shares], (len(blocks), 1))
     chunk = max(1, SWEEP_TICKS // (moved.shape[1] * len(target)))  # candidates per gather
     for c0 in range(0, len(blocks), chunk):
         part = slice(*np.searchsorted(ci, [c0, c0 + chunk]))
-        a, b = blocks[ci[part], bi[part]].T
-        ok, out_sq = b == b, np.full(b.shape, np.nan)
-        out_sq[ok] = _line_out_sq(target, _line_ticks(target, a[ok], b[ok]), field)
-        sq[ci[part], bi[part]] = out_sq
+        rows, maps = ci[part], bi[part]
+        a, b = blocks[rows, maps].T
+        full, out_sq = b == b, np.full(b.shape, np.nan)
+        at = np.flatnonzero(witness)
+        if at.size:
+            out_sq[full] = _line_sq(target, _line_ticks(target, a[full], b[full], at), field).max(axis=1)
+            sq[rows, maps] = out_sq
+            full &= ~(np.sqrt(sq[rows].max(axis=1)) >= best)  # the candidate of each map is still open
+        if full.any():
+            values = _line_sq(target, _line_ticks(target, a[full], b[full]), field)
+            top = values.argmax(axis=1)
+            witness[top] = True
+            out_sq[full] = values[np.arange(len(top)), top]
+        sq[rows, maps] = out_sq
         yield from c0 + np.flatnonzero(~(np.sqrt(sq[c0 : c0 + chunk].max(axis=1)) >= best))
 
 
@@ -493,6 +533,7 @@ def _descend(target, box, cfg, maps0, field):
     # on their out_sq: on the line for the whole sweep before the walk.
     params = np.concatenate([np.concatenate([m.A.ravel(), m.b]) for m in maps0])
     shares = [_Share(target, m.A, m.b, field) for m in maps0]
+    witness = np.zeros(len(target), bool)  # _line_survivors's, kept across the sweeps
     best = _score(target, shares)
     history = [best]
     step = step0
@@ -505,7 +546,8 @@ def _descend(target, box, cfg, maps0, field):
         ci, bi = np.nonzero(moved)
         A, b = _project(blocks[ci, bi, : d * d].reshape(-1, d, d), blocks[ci, bi, d * d :], box, cfg.s_max)
         blocks[ci, bi] = np.concatenate([A.reshape(len(A), -1), b], axis=1)  # keep the projected coefficients
-        for c in _line_survivors(target, field, blocks, moved, shares, best) if d == 1 else range(len(trials)):
+        walk = _line_survivors(target, field, blocks, moved, shares, best, witness) if d == 1 else range(len(trials))
+        for c in walk:
             if np.isnan(blocks[c]).any():
                 raise PreconditionError("cannot project the map into the domain")
             trial_shares = list(shares)

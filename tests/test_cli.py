@@ -827,8 +827,8 @@ class TestOutputFiles:
         def no_fit(*args, **kwargs):
             raise AssertionError("the fit must not start")
 
-        monkeypatch.setattr("ifsseq.cli.fit_ifs", no_fit)
-        monkeypatch.setattr("ifsseq.cli.fit_sequence", no_fit)
+        monkeypatch.setattr("ifsseq.collage.fit_ifs", no_fit)
+        monkeypatch.setattr("ifsseq.collage.fit_sequence", no_fit)
         frames = tmp_path / "frames"
         frames.mkdir()
         mask = np.zeros((2, 4), dtype=bool)

@@ -150,6 +150,22 @@ def project_one(A, b, box, s_max):
     return A[0], b[0]
 
 
+def line_survivors_reference(target, field, blocks, moved, shares, best):
+    """A line sweep's screen as it was before the witness points: the full
+    (maps, points) gather of every moved map, in chunks of about SWEEP_TICKS
+    image ticks."""
+    ci, bi = np.nonzero(moved)
+    sq = np.tile([share.out_sq for share in shares], (len(blocks), 1))
+    chunk = max(1, collage.SWEEP_TICKS // (moved.shape[1] * len(target)))
+    for c0 in range(0, len(blocks), chunk):
+        part = slice(*np.searchsorted(ci, [c0, c0 + chunk]))
+        a, b = blocks[ci[part], bi[part]].T
+        ok, out_sq = b == b, np.full(b.shape, np.nan)
+        out_sq[ok] = collage._line_sq(target, collage._line_ticks(target, a[ok], b[ok]), field).max(axis=1)
+        sq[ci[part], bi[part]] = out_sq
+        yield from c0 + np.flatnonzero(~(np.sqrt(sq[c0 : c0 + chunk].max(axis=1)) >= best))
+
+
 def reference_descend(target, box, cfg, maps0, moves=candidate_moves_reference):
     """The descent as it was before per-map caching: every candidate
     re-projects every map and is scored on the whole system, here by the
@@ -231,6 +247,8 @@ class TestPerMapKernel:
         def draw(A, b):
             if dim == 1:  # slopes negative, -0.0, 0.0 and positive
                 A = np.array([[(-rng.uniform(0.05, 0.9), -0.0, 0.0, rng.uniform(0.05, 0.9))[rng.integers(4)]]])
+            elif rng.random() < 0.2:  # a constant map, whose share is one image
+                A = np.zeros((dim, dim))
             if rng.random() < 0.5:  # fix a corner of the box, so the images reach its edge
                 corner = (box.lo, box.hi)[rng.integers(2)]
                 b = corner - A @ corner
@@ -466,10 +484,10 @@ class TestTickField:
         for k, inside in ((low + 1.0, high), (low - 1.0, low)):
             ticks = collage._line_ticks(target, np.array([0.0, A[0, 0]]), np.array([inside * pitch, b[0]]))
             assert (ticks[0] == inside).all()
-            assert collage._line_out_sq(target, ticks, (low, tight))[1] == share.out_sq
+            assert collage._line_sq(target, ticks, (low, tight))[1].max() == share.out_sq
             for rows in (ticks, ticks[::-1]):
                 with pytest.raises(IndexError):
-                    collage._line_out_sq(target, rows, (k, tight))
+                    collage._line_sq(target, rows, (k, tight))
 
 
 class TestSweepArrays:
@@ -581,7 +599,7 @@ class TestSweepArrays:
                 continue
             assert A_k.tobytes() == stack_A[k].tobytes() and b_k.tobytes() == stack_b[k].tobytes()
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 4),
@@ -590,12 +608,17 @@ class TestSweepArrays:
         chunk=st.sampled_from([1, 100, 1 << 16]),
         best=st.sampled_from(["incumbent", "random"]),
         unprojectable=st.booleans(),
+        witness=st.sampled_from(["empty", "all", "random"]),
     )
-    def test_line_survivors_match_the_per_candidate_screen(self, seed, n, step, source, chunk, best, unprojectable):
+    def test_line_survivors_match_the_per_candidate_screen(
+        self, seed, n, step, source, chunk, best, unprojectable, witness
+    ):
         # a line sweep walks, in order, the candidates whose out_sq, taken
         # share by share, does not reach the incumbent's value, whatever the
-        # number of image ticks per gather, and every candidate with a block
-        # the projection marked NaN
+        # number of image ticks per gather and whatever witness points it
+        # screens at first, and every candidate with a block the projection
+        # marked NaN: the full gather's survivors.  Witness points are only
+        # ever added, one per fully gathered map at most
         rng = np.random.default_rng(seed)
         box = Box([0.0], [1.0])
         target = PointSet(rng.integers(0, 65, (rng.integers(1, 40), 1)) / 64, 1.0 / 64)
@@ -626,8 +649,13 @@ class TestSweepArrays:
             ]
             if not math.sqrt(max(share.out_sq for share in trial)) >= best:
                 expected.append(c)
+        points = {"empty": 0.0, "all": 1.0, "random": rng.uniform()}[witness]
+        mask = rng.random(len(target)) < points
+        before = mask.copy()
         with mock.patch.object(collage, "SWEEP_TICKS", chunk * len(target) * n):
-            assert list(collage._line_survivors(target, field, blocks, moved, shares, best)) == expected
+            assert list(line_survivors_reference(target, field, blocks, moved, shares, best)) == expected
+            assert list(collage._line_survivors(target, field, blocks, moved, shares, best, mask)) == expected
+        assert (mask >= before).all() and mask.sum() - before.sum() <= len(ci)
 
     def test_unprojectable_rows_come_back_nan(self):
         # an infinite offset, a NaN slope and a map of the plane whose image

@@ -8,12 +8,12 @@ import ifsseq
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-# Run in a fresh interpreter: prints which of the two heavy scipy
-# subpackages are loaded once the snippet has run.
+# Run in a fresh interpreter: prints which of the heavy scipy subpackages,
+# and whether ifsseq.collage, are loaded once the snippet has run.
 PROBE = """
 import json, sys
 {snippet}
-print(json.dumps(sorted(m for m in ("scipy.spatial", "scipy.optimize") if m in sys.modules)))
+print(json.dumps(sorted(m for m in ("scipy.spatial", "scipy.optimize", "scipy.ndimage", "ifsseq.collage") if m in sys.modules)))
 """
 
 
@@ -35,7 +35,8 @@ def test_every_exported_name_resolves_once():
 
 
 class TestColdStart:
-    """scipy.spatial and scipy.optimize load at first use, never at import."""
+    """scipy.spatial, scipy.optimize, scipy.ndimage and ifsseq.collage load
+    at first use, never at import."""
 
     def test_import_loads_neither(self, tmp_path):
         assert loaded_after("import ifsseq, ifsseq.cli", tmp_path) == []
@@ -52,6 +53,16 @@ class TestColdStart:
                 "--threshold", "100", "--out", "fit.json"]
         snippet = f"from ifsseq.cli import main\nassert main({argv!r}) == 0"
         assert "scipy.optimize" not in loaded_after(snippet, tmp_path)
+
+    def test_line_predict_loads_none(self, tmp_path):
+        # the line fit screens, fits and renders without a tree, a solver or
+        # an image transform
+        frames = FIXTURES / "fit" / "frames"
+        argv = ["predict", str(frames), "--model", "linear", "--horizon", "1", "--n", "2", "--restarts", "1",
+                "--iters", "10", "--threshold", "100", "--domain-lo", "0", "--domain-hi", "1", "--out-prefix", "pred"]
+        snippet = f"from ifsseq.cli import main\nassert main({argv!r}) == 0"
+        assert loaded_after(snippet, tmp_path) == ["ifsseq.collage"]
+        assert (tmp_path / "pred.ifs.json").exists()
 
     def test_analyze_loads_no_optimize(self, tmp_path):
         seqfile = FIXTURES / "analyze" / "converging2d.seq.json"
