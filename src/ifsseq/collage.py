@@ -38,17 +38,17 @@ per-point distances are taken only when that does not decide.  A sweep's
 candidates are one array (_candidate_moves), and in every dimension the
 descent projects all the maps they move at once (_project, one stacked
 projection, which marks a map it cannot project with NaN).  On the line it
-then screens the sweep at a few witness points, the target points where
-earlier gathers of the descent found a map's max: the values there are
-exact and their max is a lower bound of out_sq, so a candidate whose bound
-reaches the incumbent's value is rejected as its out_sq would reject it.
-Only the rest get the full gather of all their images (_line_survivors),
-which rejects on out_sq in one comparison and adds its maxima's points to
-the witnesses; most sweeps of a warm-started fit reject every candidate,
-most of them at the witness points.  Above, the descent walks every
-candidate.  The walk goes in order through _Share and _score, the first
-candidate that scores below the incumbent wins, as in a walk over every
-candidate, and a candidate with a NaN map raises where the walk reaches it.
+then screens the sweep at a few witness points (_line_survivors), the target
+points whose images lay farthest out for the shares built so far in the
+descent: the values there are exact and their max is a lower bound of
+out_sq, so a candidate whose bound reaches the incumbent's value is rejected
+as its out_sq would reject it.  The screen holds (moved maps, |W|) ticks,
+with |W| at most min(N, n + shares built in the descent), and most sweeps of
+a warm-started fit reject every candidate there.  Above, the descent walks
+every candidate.  The walk goes in order through _Share, which takes each
+moved map's one full gather, and _score: the first candidate that scores
+below the incumbent wins, as in a walk over every candidate, and a candidate
+with a NaN map raises where the walk reaches it.
 
 scipy.spatial loads at the first collage evaluation, not at import, so
 commands that never fit start without it.
@@ -82,7 +82,6 @@ from .systems import IFS
 INITIAL_STEP = 0.1  # first descent step, as a fraction of the domain diameter
 STEP_DECAY = 0.7  # step shrink after a sweep with no improving move
 FIELD_TICKS_PER_POINT = 8  # largest line field a fit builds, in ticks per target point
-SWEEP_TICKS = 1 << 16  # image ticks a line sweep takes at once, in chunks of whole candidates
 
 
 @dataclass(frozen=True)
@@ -159,15 +158,17 @@ class _Share:
     is taken at once: on the line by _line_sq, from the fit's tick field
     (_tick_field) when one is given, else by the sorted scan
     (collage_distance, and targets too sparse for the field's size rule);
-    above, by the target's tree and the brute expression.  near, per point
-    of L the distance to those images (the exact square on the line, the
-    tree's distance above, with the tree kept in `tree`), is taken at first
-    use: a candidate whose moved maps alone reach the incumbent's value is
-    rejected without it.  A line sweep screens all its moved maps at once
-    (_line_survivors) and builds shares only for the candidates that screen
-    does not reject."""
+    above, by the target's tree and the brute expression.  On the line top
+    is the index of the target point whose image lies farthest out, where
+    the descent screens later candidates (_line_survivors); None above.
+    near, per point of L the distance to those images (the exact square on
+    the line, the tree's distance above, with the tree kept in `tree`), is
+    taken at first use: a candidate whose moved maps alone reach the
+    incumbent's value is rejected without it.  A line sweep builds shares
+    only for the candidates its witness screen does not reject, so each is
+    its map's one full gather."""
 
-    __slots__ = ("target", "images", "out_sq", "tree", "_near")
+    __slots__ = ("target", "images", "out_sq", "top", "tree", "_near")
 
     def __init__(self, target: PointSet, A: np.ndarray, b: np.ndarray, field=None):
         # images as AffineMap.transform takes them, snapped, not deduplicated;
@@ -175,12 +176,14 @@ class _Share:
         at = slice(None) if A.any() else slice(0, 1)
         if target.dim == 1:
             ticks = _line_ticks(target, A[0], b, at)
-            self.out_sq = float(_line_sq(target, ticks, field).max())
+            values = _line_sq(target, ticks, field)[0]
+            self.top = int(values.argmax())
+            self.out_sq = float(values[self.top])
             # ascending, as near's scan needs, or descending when a < 0
             images = ((ticks[0, ::-1] if A[0, 0] < 0.0 else ticks[0]) * target.resolution)[:, None]
         else:
             images = _snap(target.points[at] @ A.T + b, target.resolution)
-            self.out_sq = _directed_sq(images, target.points, target.tree)
+            self.out_sq, self.top = _directed_sq(images, target.points, target.tree), None
         self.target, self.images, self.tree, self._near = target, images, None, None
 
     @property
@@ -476,46 +479,29 @@ def _candidate_moves(params: np.ndarray, n: int, d: int, box: Box, step: float) 
 
 def _line_survivors(
     target: PointSet, field, blocks: np.ndarray, moved: np.ndarray, shares, best: float, witness: np.ndarray
-):
-    """The candidates of a projected line sweep that out_sq does not reject,
-    in order.
+) -> np.ndarray:
+    """The candidates of a projected line sweep that a screen at the witness
+    points does not reject, as an ascending index array.
 
-    blocks is the sweep's (C, n, 2) array of projected slopes and offsets
-    and moved its (C, n) mask of moved maps.  A candidate's out_sq is the max
-    over its moved maps and the incumbent's shares of the rest, and
-    sqrt(out_sq) >= best rejects it, as _score's early return does.  A
+    blocks is the sweep's (C, n, 2) array of projected slopes and offsets,
+    moved its (C, n) mask of moved maps and witness a mask over the target's
+    points, which the screen only reads.  A moved map's values at those
+    points are exact and their max is at most its out_sq, so a candidate
+    whose bound, with the incumbent's shares of the maps it keeps, reaches
+    best is rejected: its out_sq reaches best as well, where _score's early
+    return rejects it.  The survivors include every candidate that out_sq
+    does not reject, and are all of them when witness is all of L.  A
     candidate with a NaN block, one _project could not project, passes
-    unscreened: the walk raises there.
-
-    witness is a mask over the target's points, which the caller keeps
-    across sweeps: the points where earlier full gathers found a map's max.
-    A moved map's values at those points are exact and their max is at most
-    its out_sq, so a candidate whose bound already reaches best is rejected
-    as the full gather would reject it.  The full (maps, points) gather runs
-    only for the candidates still open, and the point of each of its rows'
-    max joins witness; the survivors do not depend on witness.  The moved
-    maps are taken in chunks of about SWEEP_TICKS image ticks, and the next
-    chunk only when the walk of this one found no improving candidate."""
+    unscreened: the walk raises there."""
     ci, bi = np.nonzero(moved)  # moved maps in candidate order
+    a, b = blocks[ci, bi].T
+    ok, at = b == b, np.flatnonzero(witness)
+    bound = np.where(ok, 0.0, np.nan)
+    if at.size:  # the field reads each tick row's ends, which an empty row lacks
+        bound[ok] = _line_sq(target, _line_ticks(target, a[ok], b[ok], at), field).max(axis=1)
     sq = np.tile([share.out_sq for share in shares], (len(blocks), 1))
-    chunk = max(1, SWEEP_TICKS // (moved.shape[1] * len(target)))  # candidates per gather
-    for c0 in range(0, len(blocks), chunk):
-        part = slice(*np.searchsorted(ci, [c0, c0 + chunk]))
-        rows, maps = ci[part], bi[part]
-        a, b = blocks[rows, maps].T
-        full, out_sq = b == b, np.full(b.shape, np.nan)
-        at = np.flatnonzero(witness)
-        if at.size:
-            out_sq[full] = _line_sq(target, _line_ticks(target, a[full], b[full], at), field).max(axis=1)
-            sq[rows, maps] = out_sq
-            full &= ~(np.sqrt(sq[rows].max(axis=1)) >= best)  # the candidate of each map is still open
-        if full.any():
-            values = _line_sq(target, _line_ticks(target, a[full], b[full]), field)
-            top = values.argmax(axis=1)
-            witness[top] = True
-            out_sq[full] = values[np.arange(len(top)), top]
-        sq[rows, maps] = out_sq
-        yield from c0 + np.flatnonzero(~(np.sqrt(sq[c0 : c0 + chunk].max(axis=1)) >= best))
+    sq[ci, bi] = bound
+    return np.flatnonzero(~(np.sqrt(sq.max(axis=1)) >= best))
 
 
 def _descend(target, box, cfg, maps0, field):
@@ -530,10 +516,12 @@ def _descend(target, box, cfg, maps0, field):
     # projects the blocks its candidates move, all at once, and a candidate
     # scores only those; the max/min combination of the shares is exact.  It
     # is scored against the incumbent's value, which rejects most candidates
-    # on their out_sq: on the line for the whole sweep before the walk.
+    # on their out_sq: on the line most of them at the witness points.
     params = np.concatenate([np.concatenate([m.A.ravel(), m.b]) for m in maps0])
     shares = [_Share(target, m.A, m.b, field) for m in maps0]
-    witness = np.zeros(len(target), bool)  # _line_survivors's, kept across the sweeps
+    witness = np.zeros(len(target), bool)  # on the line, every share's top: _line_survivors's points
+    if d == 1:
+        witness[[share.top for share in shares]] = True
     best = _score(target, shares)
     history = [best]
     step = step0
@@ -553,6 +541,8 @@ def _descend(target, box, cfg, maps0, field):
             trial_shares = list(shares)
             for i in np.flatnonzero(moved[c]):
                 trial_shares[i] = _Share(target, blocks[c, i, : d * d].reshape(d, d), blocks[c, i, d * d :], field)
+                if d == 1:
+                    witness[trial_shares[i].top] = True
             value = _score(target, trial_shares, best)
             if value < best:
                 best, params, shares = value, trials[c], trial_shares

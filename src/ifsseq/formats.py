@@ -276,13 +276,12 @@ def read_raster(path) -> tuple[np.ndarray, int]:
         maxval = 1
 
     if magic == b"P1":
-        bits = [ch for tok in blob[pos:].split() for ch in tok.decode(errors="replace")]
+        bits = b"".join(blob[pos:].split())[: width * height]  # one ASCII 0 or 1 per pixel
         if len(bits) < width * height:
             raise InputError(f"{path}: bitmap data too short")
-        try:
-            arr = np.array([int(d) for d in bits[: width * height]]).reshape(height, width)
-        except ValueError as exc:
-            raise InputError(f"{path}: bad bitmap digit: {exc}") from exc
+        if bad := bits.translate(None, b"01"):
+            raise InputError(f"{path}: bad bitmap digit {bad[:1]!r}")
+        arr = (np.frombuffer(bits, dtype=np.uint8) == ord("1")).astype(int).reshape(height, width)
     elif magic == b"P2":
         arr = _plain_samples(blob, pos, width * height)
         if arr is None:  # a sign, another byte, a long sample or too few: int() per token decides

@@ -698,8 +698,10 @@ class TestMalformedInputs:
         [
             (b"P2\n2 x\n255\n0 255\n", "bad raster dimensions"),
             (b"P2\n2 1\n255\n0 1.5\n", "bad graymap sample"),
+            (b"P1\n3 1\n1 7 0\n", "bad bitmap digit"),
+            ("P1\n3 1\n1 \u0661 0\n".encode(), "bad bitmap digit"),  # an Arabic-Indic digit one
         ],
-        ids=["header-dimension", "p2-sample"],
+        ids=["header-dimension", "p2-sample", "p1-digit-7", "p1-non-ascii-digit"],
     )
     def test_raster(self, tmp_path, capsys, body, message):
         image = tmp_path / "bad.pgm"

@@ -151,19 +151,16 @@ def project_one(A, b, box, s_max):
 
 
 def line_survivors_reference(target, field, blocks, moved, shares, best):
-    """A line sweep's screen as it was before the witness points: the full
-    (maps, points) gather of every moved map, in chunks of about SWEEP_TICKS
-    image ticks."""
+    """A line sweep's exact screen, as it was before the witness points: one
+    full (maps, points) gather of every moved map, and the candidates whose
+    out_sq does not reach best, or that hold a NaN block, in order."""
     ci, bi = np.nonzero(moved)
     sq = np.tile([share.out_sq for share in shares], (len(blocks), 1))
-    chunk = max(1, collage.SWEEP_TICKS // (moved.shape[1] * len(target)))
-    for c0 in range(0, len(blocks), chunk):
-        part = slice(*np.searchsorted(ci, [c0, c0 + chunk]))
-        a, b = blocks[ci[part], bi[part]].T
-        ok, out_sq = b == b, np.full(b.shape, np.nan)
-        out_sq[ok] = collage._line_sq(target, collage._line_ticks(target, a[ok], b[ok]), field).max(axis=1)
-        sq[ci[part], bi[part]] = out_sq
-        yield from c0 + np.flatnonzero(~(np.sqrt(sq[c0 : c0 + chunk].max(axis=1)) >= best))
+    a, b = blocks[ci, bi].T
+    ok, out_sq = b == b, np.full(b.shape, np.nan)
+    out_sq[ok] = collage._line_sq(target, collage._line_ticks(target, a[ok], b[ok]), field).max(axis=1)
+    sq[ci, bi] = out_sq
+    return list(np.flatnonzero(~(np.sqrt(sq.max(axis=1)) >= best)))
 
 
 def reference_descend(target, box, cfg, maps0, moves=candidate_moves_reference):
@@ -330,13 +327,61 @@ class TestPerMapKernel:
         _, _, history = collage._descend(target, box, cfg, maps0, field)
         assert len(history) > 1 and all(scans) and len(scans) == sum(nears) > 0
 
+    def test_line_descent_gathers_each_surviving_map_once(self, monkeypatch):
+        # with the fit's tick field a line sweep screens at the witness points
+        # only: every tick array of all of a map's images is the one the map's
+        # _Share takes, and after each sweep the witness mask holds at most
+        # one point per share built so far, the n start shares included
+        box = Box([0.0], [1.0])
+        truth = IFS(box, (AffineMap([[1 / 3]], [0.0]), AffineMap([[1 / 3]], [2 / 3])))
+        target = attractor_points(truth, 6, box_seed(box, 1e-3))
+        cfg = FitConfig(n=2, max_iters=12, s_max=0.9, seed=0)
+        field = collage._tick_field(target, box)
+        maps0 = collage._random_maps(target, box, cfg, np.random.default_rng(3))
+        assert field is not None
+        full, built, masks, sweeps = [], [], [], []  # full-length gathers, shares, screened masks, per sweep
+        line_ticks, share_init = collage._line_ticks, collage._Share.__init__
+        line_survivors, candidate_moves = collage._line_survivors, collage._candidate_moves
+
+        def counted_ticks(target, a, b, at=slice(None)):
+            ticks = line_ticks(target, a, b, at)
+            if ticks.shape[1] == len(target):
+                full.append((len(built), len(ticks)))
+            return ticks
+
+        def counted_init(share, *args):
+            built.append(None)  # counted before the gather, which it then owns
+            share_init(share, *args)
+            built[-1] = share
+
+        def recorded_survivors(*args):
+            masks.append(args[-1])
+            return line_survivors(*args)
+
+        def recorded_moves(*args):
+            if masks:  # the sweep before this one is over
+                sweeps.append((int(masks[-1].sum()), len(built)))
+            return candidate_moves(*args)
+
+        monkeypatch.setattr(collage, "_line_ticks", counted_ticks)
+        monkeypatch.setattr(collage._Share, "__init__", counted_init)
+        monkeypatch.setattr(collage, "_line_survivors", recorded_survivors)
+        monkeypatch.setattr(collage, "_candidate_moves", recorded_moves)
+        _, _, history = collage._descend(target, box, cfg, maps0, field)
+        sweeps.append((int(masks[-1].sum()), len(built)))
+        assert len(history) > 1 and len(built) > cfg.n and all(mask is masks[0] for mask in masks)
+        # one full gather per share, of its one map, taken while it is built
+        assert [rows for _, rows in full] == [1] * len(built)
+        assert [k for k, _ in full] == list(range(1, len(built) + 1))
+        assert len(sweeps) == len(masks) and all(0 < points <= shares for points, shares in sweeps)
+
     @pytest.mark.parametrize(
         "case, start, source",
         [
             pytest.param(case, start, source, id="-".join([case, start] + ([] if source == "sparse" else [source])))
             for case in ("cantor", "reversed")
             for start in ("warm", "random")
-            for source in ("sparse", "field", "chunked", "unprojectable")
+            for source in ("sparse", "field", "unprojectable")
         ]
         + [
             pytest.param(case, start, None, id=f"{case}-{start}")
@@ -348,8 +393,8 @@ class TestPerMapKernel:
     )
     def test_descent_matches_the_full_rescoring_reference(self, monkeypatch, case, start, source):
         # on the line out_sq comes from the sorted scan of a target too
-        # sparse for the field's size rule, from the fit's tick field (the
-        # rule lifted), or from that field one candidate per gather.  Sweeps
+        # sparse for the field's size rule or from the fit's tick field (the
+        # rule lifted).  Sweeps
         # that hold a map no shrink fits into the box: on the line the middle
         # candidate of every sweep gets an infinite offset, and in a box 1e-8
         # thin the moves of A[1, 0] by the step are too wide for it.  Both
@@ -381,14 +426,12 @@ class TestPerMapKernel:
             maps0 = collage._heuristic_maps(target, box, cfg)
         else:
             maps0 = collage._random_maps(target, box, cfg, rng)
-        if source in ("field", "chunked", "unprojectable"):
+        if source in ("field", "unprojectable"):
             with mock.patch.object(collage, "FIELD_TICKS_PER_POINT", math.inf):
                 field = collage._tick_field(target, box)
         else:
             field = collage._tick_field(target, box)
         assert (field is None) == (source in ("sparse", None))
-        if source == "chunked":
-            monkeypatch.setattr(collage, "SWEEP_TICKS", 1)
 
         sweeps, ref_sweeps = [], []  # sweeps started by either side
         candidate_moves = collage._candidate_moves
@@ -605,20 +648,19 @@ class TestSweepArrays:
         n=st.integers(1, 4),
         step=st.sampled_from([0.3, 0.05, 1e-3]),
         source=st.sampled_from(["field", "scan"]),
-        chunk=st.sampled_from([1, 100, 1 << 16]),
-        best=st.sampled_from(["incumbent", "random"]),
+        best=st.sampled_from(["incumbent", "random", "tight"]),
         unprojectable=st.booleans(),
         witness=st.sampled_from(["empty", "all", "random"]),
     )
-    def test_line_survivors_match_the_per_candidate_screen(
-        self, seed, n, step, source, chunk, best, unprojectable, witness
+    def test_line_survivors_cover_the_per_candidate_screen(
+        self, seed, n, step, source, best, unprojectable, witness
     ):
-        # a line sweep walks, in order, the candidates whose out_sq, taken
-        # share by share, does not reach the incumbent's value, whatever the
-        # number of image ticks per gather and whatever witness points it
-        # screens at first, and every candidate with a block the projection
-        # marked NaN: the full gather's survivors.  Witness points are only
-        # ever added, one per fully gathered map at most
+        # the screen at the witness points keeps, in order, every candidate
+        # whose out_sq, taken share by share, does not reach best, and every
+        # candidate with a block the projection marked NaN; at all of L it
+        # keeps exactly those.  It only reads the mask, and an empty mask
+        # gathers nothing.  A tight best lies one ulp above some candidate's
+        # out_sq, where a screen with any slack rejects a survivor
         rng = np.random.default_rng(seed)
         box = Box([0.0], [1.0])
         target = PointSet(rng.integers(0, 65, (rng.integers(1, 40), 1)) / 64, 1.0 / 64)
@@ -626,8 +668,6 @@ class TestSweepArrays:
             field = collage._tick_field(target, box) if source == "field" else None
         maps0 = collage._random_maps(target, box, FitConfig(n=n, s_max=0.9), rng)
         shares = [collage._Share(target, m.A, m.b, field) for m in maps0]
-        value = collage._score(target, shares)
-        best = value if best == "incumbent" else value * rng.uniform(0.5, 1.5)
         params = np.concatenate([np.concatenate([m.A.ravel(), m.b]) for m in maps0])
         trials = collage._candidate_moves(params, n, 1, box, step)
         blocks = trials.reshape(len(trials), n, 2)
@@ -638,24 +678,39 @@ class TestSweepArrays:
         if unprojectable:
             nan = rng.random(len(ci)) < 0.1
             blocks[ci[nan], bi[nan]] = np.nan
-        expected = []
+        unscreened = [c for c, row in enumerate(blocks) if np.isnan(row).any()]
+        out_sq = {}  # per candidate without a NaN block
         for c, row in enumerate(blocks):
-            if np.isnan(row).any():
-                expected.append(c)
-                continue
-            trial = [
-                collage._Share(target, row[i, :1].reshape(1, 1), row[i, 1:], field) if moved[c, i] else shares[i]
-                for i in range(n)
-            ]
-            if not math.sqrt(max(share.out_sq for share in trial)) >= best:
-                expected.append(c)
-        points = {"empty": 0.0, "all": 1.0, "random": rng.uniform()}[witness]
-        mask = rng.random(len(target)) < points
-        before = mask.copy()
-        with mock.patch.object(collage, "SWEEP_TICKS", chunk * len(target) * n):
-            assert list(line_survivors_reference(target, field, blocks, moved, shares, best)) == expected
-            assert list(collage._line_survivors(target, field, blocks, moved, shares, best, mask)) == expected
-        assert (mask >= before).all() and mask.sum() - before.sum() <= len(ci)
+            if c not in unscreened:
+                trial = [
+                    collage._Share(target, row[i, :1].reshape(1, 1), row[i, 1:], field) if moved[c, i] else shares[i]
+                    for i in range(n)
+                ]
+                out_sq[c] = max(share.out_sq for share in trial)
+        value = collage._score(target, shares)
+        if best == "tight" and out_sq:
+            best = np.nextafter(math.sqrt(rng.choice(list(out_sq.values()))), math.inf)
+        else:
+            best = value * rng.uniform(0.5, 1.5) if best == "random" else value
+        expected = sorted(unscreened + [c for c, sq in out_sq.items() if not math.sqrt(sq) >= best])
+        assert line_survivors_reference(target, field, blocks, moved, shares, best) == expected
+
+        mask = rng.random(len(target)) < {"empty": 0.0, "all": 1.0, "random": rng.uniform()}[witness]
+        before, gathers = mask.copy(), []
+        line_ticks = collage._line_ticks
+
+        def counted_ticks(*args):
+            gathers.append(args)
+            return line_ticks(*args)
+
+        with mock.patch.object(collage, "_line_ticks", counted_ticks):
+            survivors = collage._line_survivors(target, field, blocks, moved, shares, best, mask)
+        assert survivors.dtype.kind == "i" and (np.diff(survivors) > 0).all()
+        assert set(expected) <= set(survivors.tolist())
+        if mask.all():
+            assert survivors.tolist() == expected
+        assert (mask == before).all()
+        assert len(gathers) == (1 if mask.any() else 0)
 
     def test_unprojectable_rows_come_back_nan(self):
         # an infinite offset, a NaN slope and a map of the plane whose image
