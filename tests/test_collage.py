@@ -381,7 +381,7 @@ class TestPerMapKernel:
             pytest.param(case, start, source, id="-".join([case, start] + ([] if source == "sparse" else [source])))
             for case in ("cantor", "reversed")
             for start in ("warm", "random")
-            for source in ("sparse", "field", "unprojectable")
+            for source in ("sparse", "field", "unscreened", "exact", "unprojectable")
         ]
         + [
             pytest.param(case, start, None, id=f"{case}-{start}")
@@ -394,7 +394,9 @@ class TestPerMapKernel:
     def test_descent_matches_the_full_rescoring_reference(self, monkeypatch, case, start, source):
         # on the line out_sq comes from the sorted scan of a target too
         # sparse for the field's size rule or from the fit's tick field (the
-        # rule lifted).  Sweeps
+        # rule lifted), and the field's sweeps are screened at the descent's
+        # witness points, at none (every candidate is scored) or at all of L
+        # (the exact screen): the walk is the same whatever they are.  Sweeps
         # that hold a map no shrink fits into the box: on the line the middle
         # candidate of every sweep gets an infinite offset, and in a box 1e-8
         # thin the moves of A[1, 0] by the step are too wide for it.  Both
@@ -426,7 +428,7 @@ class TestPerMapKernel:
             maps0 = collage._heuristic_maps(target, box, cfg)
         else:
             maps0 = collage._random_maps(target, box, cfg, rng)
-        if source in ("field", "unprojectable"):
+        if source in ("field", "unscreened", "exact", "unprojectable"):
             with mock.patch.object(collage, "FIELD_TICKS_PER_POINT", math.inf):
                 field = collage._tick_field(target, box)
         else:
@@ -451,6 +453,15 @@ class TestPerMapKernel:
             return trials
 
         monkeypatch.setattr(collage, "_candidate_moves", moves)
+        line_survivors, screens = collage._line_survivors, []
+
+        def survivors(target, field, blocks, moved, shares, best, witness):
+            screened = np.full(len(witness), source == "exact")
+            screens.append(1)
+            return line_survivors(target, field, blocks, moved, shares, best, screened)
+
+        if source in ("unscreened", "exact"):
+            monkeypatch.setattr(collage, "_line_survivors", survivors)
 
         def outcome(run):
             try:
@@ -462,6 +473,7 @@ class TestPerMapKernel:
         got = outcome(lambda: collage._descend(target, box, cfg, maps0, field))
         expected = outcome(lambda: reference_descend(target, box, cfg, maps0, ref_moves))
         assert len(sweeps) == len(ref_sweeps)
+        assert len(screens) == (len(sweeps) if source in ("unscreened", "exact") else 0)
         if isinstance(got, str):
             assert got == expected == "cannot project the map into the domain"
             assert source == "unprojectable" or case == "thin"
