@@ -99,6 +99,8 @@ class FitConfig:
             raise InputError("n must be at least 1")
         if self.restarts < 1:
             raise InputError("restarts must be at least 1")
+        if self.restarts > sys.maxsize:  # as islice takes it
+            raise InputError(f"restarts must not exceed {sys.maxsize}")
         if self.max_iters < 1:
             raise InputError("max_iters must be at least 1")
         if not 0.0 < self.s_max < 1.0:
@@ -283,10 +285,13 @@ def collage_bound(eps: float, t: float) -> float:
 
 
 def _project(A: np.ndarray, b: np.ndarray, box: Box, s_max: float):
-    """project_map on a stack of maps x -> A[j] x + b[j], A (k, d, d) and
-    b (k, d), each row as if projected alone.  A row the box cannot take
-    after 63 shrinks of A, and a row with a coefficient that is not finite,
-    comes back NaN in A and b, where project_map raises.
+    """The nearest feasible map of each row of a stack x -> A[j] x + b[j],
+    A (k, d, d) and b (k, d), each row as if projected alone: singular values
+    clamped to s_max, rows of flat axes zeroed, translation shifted (and A
+    shrunk when even that cannot fit) so the box maps into itself.  Bitwise
+    idempotent; LAPACK's largest singular value of a result is at most s_max.
+    A row the box cannot take after 63 shrinks of A, and a row with a
+    coefficient that is not finite, comes back NaN in A and b.
 
     LAPACK's SVD decides every clamp, on the rows that the Frobenius norm,
     an upper bound of the largest singular value, screens in; on the line
@@ -355,21 +360,12 @@ def _project(A: np.ndarray, b: np.ndarray, box: Box, s_max: float):
 
 
 def _project_maps(A: np.ndarray, b: np.ndarray, box: Box, s_max: float):
-    """project_map on a stack of maps, as a tuple of AffineMaps."""
+    """_project as a tuple of AffineMaps; raises PreconditionError where a
+    row cannot be projected."""
     A, b = _project(A, b, box, s_max)
     if np.isnan(b).any():
         raise PreconditionError("cannot project the map into the domain")
     return tuple(map(AffineMap, A, b))
-
-
-def project_map(A: np.ndarray, b: np.ndarray, box: Box, s_max: float) -> AffineMap:
-    """Nearest feasible map: singular values clamped to s_max, rows of flat
-    axes zeroed, translation shifted (and A shrunk when even that cannot fit)
-    so the box maps into itself.  Idempotent bit for bit; LAPACK's largest
-    singular value of the result is at most s_max.  Raises PreconditionError
-    where 63 shrinks of A leave the image wider than the box."""
-    A, b = np.atleast_2d(np.array(A, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
-    return _project_maps(A[None], b[None], box, s_max)[0]
 
 
 def _tiles(points: np.ndarray, n: int):
@@ -511,7 +507,7 @@ def _descend(target, box, cfg, maps0, field):
         step0 = 0.1  # degenerate single-point domain
     stop_step = max(step0 * 1e-6, 1e-12)
 
-    # The starts are project_map outputs and a feasible map projects to
+    # The starts are _project_maps outputs and a feasible map projects to
     # itself, so the incumbent's blocks are their own projections.  A sweep
     # projects the blocks its candidates move, all at once, and a candidate
     # scores only those; the max/min combination of the shares is exact.  It

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -25,6 +26,8 @@ from .systems import IFS
 
 # Pixels in one raster (4096 x 4096); write_pgm holds ~10 bytes per pixel.
 MAX_PIXELS = 1 << 24
+# ASCII digits in a Netpbm number at most: every such decimal fits int64.
+_MAX_DIGITS = 18
 
 
 def _umask() -> int:
@@ -75,7 +78,7 @@ def _field(obj: dict, key: str, where: str):
 def _floats(value, where: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past the float range
         raise InputError(f"{where}: expected numbers: {exc}") from exc
 
 
@@ -207,19 +210,23 @@ def read_points_csv(path, resolution: float) -> PointSet:
 # ---------------------------------------------------------------------------
 # PGM / PBM rasters
 
-def _plain_samples(blob: bytes, pos: int, count: int):
-    """The first `count` whitespace-separated samples of blob[pos:] as int64
-    when each is 1 to 18 ASCII digits, whose int() is their decimal value;
-    None when any is not, or when there are fewer."""
+def _plain_samples(blob: bytes, pos: int, count: int, where) -> np.ndarray:
+    """The first `count` whitespace-separated samples of blob[pos:] as int64.
+    Raises InputError when there are fewer, or when any of them is not 1 to
+    _MAX_DIGITS ASCII digits."""
     raw = np.frombuffer(blob, dtype=np.uint8)[pos:]
     space = (raw == 32) | (raw - 9 < 5)  # bytes.split()'s separators: space and \t \n \v \f \r
     edges = np.flatnonzero(np.diff(space, prepend=True, append=True))
     starts, ends = edges[0 : 2 * count : 2], edges[1 : 2 * count : 2]
     if starts.size < count:
-        return None
+        raise InputError(f"{where}: graymap data too short")
     longest, body = int((ends - starts).max()), slice(0, ends[-1])
-    if longest > 18 or not (space[body] | (raw[body] - 48 < 10)).all():
-        return None
+    valid = space[body] | (raw[body] - 48 < 10)
+    if longest > _MAX_DIGITS or not valid.all():
+        stray = np.flatnonzero(~valid)
+        wrong = (ends - starts > _MAX_DIGITS) | (np.searchsorted(stray, ends) > np.searchsorted(stray, starts))
+        k = int(np.argmax(wrong))  # the first sample too long or holding a byte not a digit
+        raise InputError(f"{where}: bad graymap sample {blob[pos + starts[k] : pos + ends[k]][:20]!r}")
     values = np.zeros(count, dtype=np.int64)
     for k in range(-longest, 0):  # Horner over each sample's last `longest` bytes
         at = ends + k
@@ -227,11 +234,22 @@ def _plain_samples(blob: bytes, pos: int, count: int):
     return values
 
 
+# Whitespace and '#' comments, greedily, then one header token (empty at the end)
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def read_raster(path) -> tuple[np.ndarray, int]:
     """Raster as an (H, W) integer array plus its maximum value.
 
     Supports P1/P4 bitmaps (returned with 1 = black mark) and P2/P5
-    graymaps."""
+    graymaps, per the Netpbm grammar.  The header is the magic number,
+    width, height and, for graymaps, maxval, separated by whitespace and by
+    comments from '#' to the end of the line.  Every header number and every
+    P2 sample is 1 to 18 ASCII digits, without sign or separator; width and
+    height are positive and maxval lies in 1..65535.  P1 pixels are ASCII
+    '0' or '1', and no graymap sample exceeds maxval.  P4 and P5 data start
+    one byte after the header; a P5 sample is two bytes, most significant
+    first, when maxval exceeds 255.  Anything else raises InputError."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -241,39 +259,23 @@ def read_raster(path) -> tuple[np.ndarray, int]:
 
     def token():
         nonlocal pos
-        while pos < len(blob):
-            if blob[pos : pos + 1].isspace():
-                pos += 1
-            elif blob[pos : pos + 1] == b"#":
-                while pos < len(blob) and blob[pos : pos + 1] != b"\n":
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+        match = _HEADER_TOKEN.match(blob, pos)
+        pos = match.end()
+        if not match[1]:
             raise InputError(f"{path}: truncated header")
-        return blob[start:pos]
+        return match[1]
 
-    def integers(tokens, what: str) -> list[int]:
-        try:
-            return [int(tok) for tok in tokens]
-        except ValueError as exc:
-            raise InputError(f"{path}: bad {what}: {exc}") from exc
+    def number(what: str, top: int = 10**_MAX_DIGITS) -> int:
+        tok = token()
+        if not (tok.isdigit() and len(tok) <= _MAX_DIGITS and 0 < int(tok) <= top):  # bytes.isdigit(): ASCII only
+            raise InputError(f"{path}: bad {what} {tok[:20]!r}")
+        return int(tok)
 
     magic = token()
     if magic not in (b"P1", b"P2", b"P4", b"P5"):
         raise InputError(f"{path}: unsupported raster format {magic!r}")
-    width, height = integers((token(), token()), "raster dimensions")
-    if width <= 0 or height <= 0:
-        raise InputError(f"{path}: bad raster dimensions {width}x{height}")
-    if magic in (b"P2", b"P5"):
-        (maxval,) = integers((token(),), "maxval")
-        if maxval <= 0:
-            raise InputError(f"{path}: bad maxval {maxval}")
-    else:
-        maxval = 1
+    width, height = number("raster dimensions"), number("raster dimensions")
+    maxval = number("maxval", 65535) if magic in (b"P2", b"P5") else 1
 
     if magic == b"P1":
         bits = b"".join(blob[pos:].split())[: width * height]  # one ASCII 0 or 1 per pixel
@@ -283,13 +285,7 @@ def read_raster(path) -> tuple[np.ndarray, int]:
             raise InputError(f"{path}: bad bitmap digit {bad[:1]!r}")
         arr = (np.frombuffer(bits, dtype=np.uint8) == ord("1")).astype(int).reshape(height, width)
     elif magic == b"P2":
-        arr = _plain_samples(blob, pos, width * height)
-        if arr is None:  # a sign, another byte, a long sample or too few: int() per token decides
-            values = blob[pos:].split()
-            if len(values) < width * height:
-                raise InputError(f"{path}: graymap data too short")
-            arr = np.array(integers(values[: width * height], "graymap sample"))
-        arr = arr.reshape(height, width)
+        arr = _plain_samples(blob, pos, width * height, path).reshape(height, width)
     elif magic == b"P4":
         pos += 1  # single whitespace after the header
         row_bytes = (width + 7) // 8
@@ -310,6 +306,8 @@ def read_raster(path) -> tuple[np.ndarray, int]:
             raise InputError(f"{path}: graymap data too short")
         dtype = ">u2" if bytes_per == 2 else np.uint8
         arr = np.frombuffer(raw, dtype=dtype).reshape(height, width).astype(int)
+    if (top := int(arr.max())) > maxval:  # only a graymap can hold one
+        raise InputError(f"{path}: graymap sample {top} exceeds maxval {maxval}")
     return arr, maxval
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import stat
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -638,8 +639,11 @@ class TestRejectedArguments:
              f"resource limit: image would hold {10**400} points before deduplication; raise the resolution delta"),
             (["analyze", "{seq}", "--eps", "0.5", "--limit-out", "{missing}/limit.json"], None,
              "error: cannot write {missing}/limit.json: No such file or directory"),
+            (["collage-fit", "{img}", "--n", "2", "--restarts", str(10**23), "--out", "{out}.json"], None,
+             f"error: restarts must not exceed {sys.maxsize}"),
         ],
-        ids=["seed-flag", "seed-env", "horizon-geometric", "horizon-linear-frames", "n-over-cap", "limit-out-dir"],
+        ids=["seed-flag", "seed-env", "horizon-geometric", "horizon-linear-frames", "n-over-cap", "limit-out-dir",
+             "restarts-over-maxsize"],
     )
     def test_refused_before_any_work(self, files, capsys, monkeypatch, argv, seed_env, err):
         monkeypatch.delenv("IFSSEQ_SEED", raising=False)
@@ -700,8 +704,12 @@ class TestMalformedInputs:
             (b"P2\n2 1\n255\n0 1.5\n", "bad graymap sample"),
             (b"P1\n3 1\n1 7 0\n", "bad bitmap digit"),
             ("P1\n3 1\n1 \u0661 0\n".encode(), "bad bitmap digit"),  # an Arabic-Indic digit one
+            (b"P2\n1 1\n65536\n0\n", "bad maxval b'65536'"),
+            (b"P2\n2 2\n255\n0 300 255 10\n", "graymap sample 300 exceeds maxval 255"),
+            (b"P5\n1 1\n300\n\x01\x2d", "graymap sample 301 exceeds maxval 300"),  # two bytes, 0x012d
         ],
-        ids=["header-dimension", "p2-sample", "p1-digit-7", "p1-non-ascii-digit"],
+        ids=["header-dimension", "p2-sample", "p1-digit-7", "p1-non-ascii-digit", "maxval-65536",
+             "p2-sample-over-maxval", "p5-two-byte-sample-over-maxval"],
     )
     def test_raster(self, tmp_path, capsys, body, message):
         image = tmp_path / "bad.pgm"
@@ -719,9 +727,11 @@ class TestMalformedInputs:
             (True, [1.0], [{"A": [[0.5]], "b": [0.0]}], "dim: expected a positive integer"),
             ("1", [1.0], [{"A": [[0.5]], "b": [0.0]}], "dim: expected a positive integer"),
             (0, [1.0], [{"A": [[0.5]], "b": [0.0]}], "dim: expected a positive integer"),
+            (1, [1.0], [{"A": [[0.5]], "b": [10**400]}], "maps[0].b: expected numbers"),  # past the float range
+            (1, [10**400], [{"A": [[0.5]], "b": [0.0]}], "domain.hi: expected numbers"),
         ],
         ids=["non-numeric-matrix", "map-not-object", "non-numeric-domain", "float-dim", "bool-dim",
-             "string-dim", "zero-dim"],
+             "string-dim", "zero-dim", "huge-int-offset", "huge-int-domain"],
     )
     def test_spec(self, tmp_path, capsys, spec_files, dim, hi, maps, message):
         spec = tmp_path / "bad.json"

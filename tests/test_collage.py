@@ -34,7 +34,6 @@ from ifsseq.collage import (
     extrapolate,
     fit_ifs,
     fit_sequence,
-    project_map,
 )
 from ifsseq.formats import raster_to_points
 
@@ -249,7 +248,7 @@ class TestPerMapKernel:
             if rng.random() < 0.5:  # fix a corner of the box, so the images reach its edge
                 corner = (box.lo, box.hi)[rng.integers(2)]
                 b = corner - A @ corner
-            return project_map(A, b, box, 0.9)
+            return collage._project_maps(A[None], b[None], box, 0.9)[0]
 
         def brute(maps):
             return hausdorff_brute(target, hutchinson(IFS(box, tuple(maps)), target))
@@ -421,7 +420,7 @@ class TestPerMapKernel:
         cfg = FitConfig(n=3 if case == "sierpinski" else 2, max_iters=12, s_max=0.9, seed=0)
         if start == "warm":
             maps0 = tuple(
-                project_map(m.A + rng.normal(0.0, 0.05, m.A.shape), m.b + rng.normal(0.0, 0.05, m.b.shape), box, 0.9)
+                collage._project_maps(*(np.array([x + rng.normal(0.0, 0.05, x.shape)]) for x in (m.A, m.b)), box, 0.9)[0]
                 for m in truth.maps
             )
         elif start == "tiles":
@@ -728,7 +727,7 @@ class TestSweepArrays:
         # an infinite offset, a NaN slope and a map of the plane whose image
         # stays wider than a 1e-8 thin axis never fit: where the per-map
         # projection raises at the 64th shrink, the stack marks the row NaN
-        # and leaves the other rows as they are alone; project_map raises
+        # and leaves the other rows as they are alone; _project_maps raises
         line, thin = Box([0.0], [1.0]), Box([0.0, 0.0], [1.0, 1e-8])
         for box, A, b in (
             (line, [[0.5]], [math.inf]),
@@ -747,7 +746,7 @@ class TestSweepArrays:
             for k in (0, 2):
                 assert stack_A[k].tobytes() == alone[0].tobytes() and stack_b[k].tobytes() == alone[1].tobytes()
             with pytest.raises(PreconditionError) as public:
-                project_map(A, b, box, 0.9)
+                collage._project_maps(A[None], b[None], box, 0.9)
             assert str(public.value) == str(reference.value) == "cannot project the map into the domain"
 
 
@@ -778,15 +777,15 @@ class TestCollageBound:
 
 class TestProjectMap:
     def test_clamps_singular_values(self, unit_box):
-        m = project_map(np.array([[1.7]]), np.array([0.0]), unit_box, s_max=0.9)
+        (m,) = collage._project_maps(np.array([[[1.7]]]), np.array([[0.0]]), unit_box, 0.9)
         assert m.contractivity <= 0.9 + 1e-12
 
     def test_pulls_translation_inside(self, unit_box):
-        m = project_map(np.array([[0.5]]), np.array([5.0]), unit_box, s_max=0.9)
+        (m,) = collage._project_maps(np.array([[[0.5]]]), np.array([[5.0]]), unit_box, 0.9)
         assert m.maps_into(unit_box)
 
     def test_feasible_map_unchanged(self, unit_box):
-        m = project_map(np.array([[0.5]]), np.array([0.25]), unit_box, s_max=0.9)
+        (m,) = collage._project_maps(np.array([[[0.5]]]), np.array([[0.25]]), unit_box, 0.9)
         assert m.A.tolist() == [[0.5]] and m.b.tolist() == [0.25]
 
     @settings(max_examples=1000, deadline=None)
@@ -853,7 +852,7 @@ class TestProjectMap:
         A *= rng.uniform(0.0, 10.0) / spectral_norm(A)
         b = rng.uniform(lo - 20.0, lo + 20.0)
         s_max = rng.uniform(0.05, 0.99)
-        m = project_map(A, b, box, s_max)
+        (m,) = collage._project_maps(A[None], b[None], box, s_max)
         assert m.contractivity <= s_max + 1e-12
         IFS(box, (m,))  # contraction sending the box into itself
 

@@ -178,6 +178,10 @@ class TestWritersMatchPerElementOracles:
         assert path.read_bytes() == pgm_per_pixel(mask, maxval)
 
 
+# the remaining arguments of an explicit example of the P2 grammar property
+P2_PLAIN = {"respelled": None, "spelling": "+{}", "seps": [" "], "lead": False}
+
+
 class TestRasters:
     def write_p2(self, path, rows, maxval=255):
         h = len(rows)
@@ -203,7 +207,11 @@ class TestRasters:
     @settings(max_examples=400, deadline=None)
     @given(
         shape=st.tuples(st.integers(1, 4), st.integers(1, 6)),
+        maxval=st.one_of(st.integers(255, 65535), st.sampled_from([0, 1, 2, 255, 65535, 65536, 10**19])),
+        respelled=st.sampled_from([None] * 9 + ["width", "height", "maxval"]),
+        spelling=st.sampled_from(["+{}", "-{}", "{}_0", "0" * 18 + "{}"]),  # a sign, an underscore, 19+ digits
         tokens=st.one_of(
+            st.lists(st.integers(0, 255).map(str), min_size=24, max_size=30),  # samples that fit
             # digits only: up to 18 digits, 19 digits and more, past 2^63 and 2^64
             st.lists(
                 st.one_of(
@@ -226,30 +234,54 @@ class TestRasters:
         seps=st.lists(st.sampled_from([" ", "\n", "\t", "\r\n", "\x0b", "\x0c", "  \n# "]), min_size=1, max_size=4),
         lead=st.booleans(),
     )
-    def test_p2_samples_match_the_per_token_parse(self, tmp_path_factory, shape, tokens, seps, lead):
-        # every P2 body reads as int() of each token read it, values and
-        # dtype, or fails with the same message; tokens past the samples,
+    @example(shape=(1, 2), maxval=255, tokens=["0", "255"], **P2_PLAIN)
+    @example(shape=(1, 2), maxval=255, tokens=["+7", "1"], **P2_PLAIN)
+    @example(shape=(1, 2), maxval=255, tokens=["1_000", "1"], **P2_PLAIN)
+    @example(shape=(1, 2), maxval=65535, tokens=["0" * 18 + "1", "1"], **P2_PLAIN)
+    @example(shape=(2, 2), maxval=255, tokens=["0", "300", "255", "10"], **P2_PLAIN)
+    @example(shape=(1, 1), maxval=65536, tokens=["0"], **P2_PLAIN)
+    @example(shape=(1, 1), maxval=255, tokens=["0"], **{**P2_PLAIN, "respelled": "width"})
+    def test_p2_samples_follow_the_strict_grammar(
+        self, tmp_path_factory, shape, maxval, respelled, spelling, tokens, seps, lead
+    ):
+        # a P2 raster reads only when each header number and each of its
+        # first w*h samples is 1 to 18 ASCII digits, width and height are
+        # positive, maxval lies in 1..65535 and no sample exceeds it; the
+        # first rule broken names the failure, and tokens past the samples,
         # comments among them included, are never read
         height, width = shape
+        header = {"width": str(width), "height": str(height), "maxval": str(maxval)}
+        if respelled is not None:
+            header[respelled] = spelling.format(header[respelled])
         body = (seps[0] if lead else "") + "".join(tok + seps[k % len(seps)] for k, tok in enumerate(tokens))
         body = body.encode()
         path = tmp_path_factory.mktemp("p2") / "img.pgm"
-        path.write_bytes(f"P2\n{width} {height}\n255\n".encode() + body)
-        values = body.split()
-        try:
-            if len(values) < width * height:
-                raise InputError(f"{path}: graymap data too short")
-            try:
-                expected = np.array([int(tok) for tok in values[: width * height]]).reshape(height, width)
-            except ValueError as exc:
-                raise InputError(f"{path}: bad graymap sample: {exc}") from exc
-        except InputError as exc:
+        path.write_bytes(f"P2\n{header['width']} {header['height']}\n{header['maxval']}\n".encode() + body)
+
+        def plain(tok: bytes) -> bool:
+            return tok.isdigit() and len(tok) <= 18  # bytes.isdigit() is ASCII only
+
+        samples = body.split()[: width * height]
+        message = None
+        for key, what, top in (("width", "raster dimensions", 10**18), ("height", "raster dimensions", 10**18),
+                               ("maxval", "maxval", 65535)):
+            tok = header[key].encode()
+            if message is None and not (plain(tok) and 0 < int(tok) <= top):
+                message = f"bad {what} {tok[:20]!r}"
+        if message is None and len(samples) < width * height:
+            message = "graymap data too short"
+        if message is None and (bad := [tok for tok in samples if not plain(tok)]):
+            message = f"bad graymap sample {bad[0][:20]!r}"
+        if message is None and (top := max(map(int, samples))) > maxval:
+            message = f"graymap sample {top} exceeds maxval {maxval}"
+        if message is not None:
             with pytest.raises(InputError) as raised:
                 read_raster(path)
-            assert str(raised.value) == str(exc)
+            assert str(raised.value) == f"{path}: {message}"
         else:
-            arr, maxval = read_raster(path)
-            assert maxval == 255 and arr.dtype == expected.dtype and arr.tolist() == expected.tolist()
+            arr, read_maxval = read_raster(path)
+            assert read_maxval == maxval and arr.dtype == np.int64
+            assert arr.tolist() == np.array([int(tok) for tok in samples]).reshape(height, width).tolist()
 
     def test_p5_read(self, tmp_path):
         path = tmp_path / "img5.pgm"
@@ -325,6 +357,7 @@ class TestRasterPointConversions:
 # JSON values of every kind a hand-edited spec field might hold
 SCALARS = st.one_of(
     st.integers(-2, 4),
+    st.sampled_from([10**400, -(10**400)]),  # past the float range
     st.floats(allow_nan=True, allow_infinity=True),
     st.booleans(),
     st.text(max_size=3),
@@ -379,6 +412,8 @@ def _reads_or_input_error(read, path):
 class TestReadersRaiseOnlyInputError:
     @settings(max_examples=300, deadline=None)
     @given(spec=mutated_specs(), wrap=st.sampled_from(["list", "terms", "scalar"]))
+    @example(spec={"dim": 1, "domain": {"lo": [0.0], "hi": [1.0]}, "maps": [{"A": [[0.5]], "b": [10**400]}]},
+             wrap="list")
     def test_spec_and_sequence_files(self, tmp_path_factory, spec, wrap):
         path = tmp_path_factory.mktemp("spec") / "spec.json"
         path.write_text(json.dumps(spec))
