@@ -1,3 +1,4 @@
+import hashlib
 import math
 from unittest import mock
 
@@ -35,7 +36,7 @@ from ifsseq.collage import (
     fit_ifs,
     fit_sequence,
 )
-from ifsseq.formats import raster_to_points
+from ifsseq.formats import raster_to_points, render_raster
 
 from conftest import cantor_ifs, cantor_term, random_ifs
 
@@ -929,6 +930,27 @@ class TestFitIFS:
         monkeypatch.setattr(collage, "_descend", lambda *args: starts.append(args[3]) or descend(*args))
         fit_ifs(cantor_render, cfg, domain=unit_box)
         assert starts == expected
+
+    def test_default_budget_plane_fit_is_recorded(self):
+        # a whole default-budget 2D fit (8 restarts of up to 200 sweeps) on a
+        # 32x32 raster of two rotated similitudes, 22 points: the sha256 of
+        # every coefficient, the distance and the history, as recorded before
+        # the plane's sweeps were screened at witness points
+        def similitude(scale, theta, fixed):
+            A = scale * np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+            return AffineMap(A, np.asarray(fixed) - A @ np.asarray(fixed))
+
+        box = Box([0.0, 0.0], [1.0, 1.0])
+        system = IFS(box, (similitude(0.4, 0.7, [0.3, 0.35]), similitude(0.4, -1.1, [0.7, 0.65])))
+        render = attractor_points(system, 8, box_seed(box, 1e-3))
+        target = raster_to_points(render_raster(render, box, 32), 1 / 32)
+        assert len(target) == 22
+        result = fit_ifs(target, FitConfig(n=2))
+        digest = hashlib.sha256()
+        for m in result.ifs.maps:
+            digest.update(m.A.tobytes() + m.b.tobytes())
+        digest.update(np.array([result.distance, *result.history]).tobytes())
+        assert digest.hexdigest() == "d4c162fc8a7c77bd5696886376a90f481bc20fea1a43e317b74fcb413c23c547"
 
     def test_point_cap_is_checked_before_any_descent(self, monkeypatch, cantor_render):
         monkeypatch.setattr(attractor, "POINT_CAP", 2 * len(cantor_render) - 1)
