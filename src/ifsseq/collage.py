@@ -32,23 +32,20 @@ the scans it saves; there, and in collage_distance, a one-off, the same
 stack is one sorted scan.
 
 The descent keeps the incumbent's shares and scores only the maps that a
-candidate moves (see _descend).  Most candidates are rejected on the moved
-maps' directed max alone, as h is at least every map's directed max, so the
-per-point distances are taken only when that does not decide.  A sweep's
-candidates are one array (_candidate_moves), and in every dimension the
-descent projects all the maps they move at once (_project, one stacked
-projection, which marks a map it cannot project with NaN).  On the line it
-then screens the sweep at a few witness points (_line_survivors), the target
-points whose images lay farthest out for the shares built so far in the
-descent: the values there are exact and their max is a lower bound of
-out_sq, so a candidate whose bound reaches the incumbent's value is rejected
-as its out_sq would reject it.  The screen holds (moved maps, |W|) ticks,
-with |W| at most min(N, n + shares built in the descent), and most sweeps of
-a warm-started fit reject every candidate there.  Above, the descent walks
-every candidate.  The walk goes in order through _Share, which takes each
-moved map's one full gather, and _score: the first candidate that scores
-below the incumbent wins, as in a walk over every candidate, and a candidate
-with a NaN map raises where the walk reaches it.
+candidate moves (see _descend).  A sweep's candidates are one array
+(_candidate_moves), and the descent projects all the maps they move at once
+(_project, one stacked projection, which marks a map it cannot project with
+NaN).  Two masks over L, which only grow in a descent, hold points where a
+lower bound of h rejects a candidate before its shares are complete:
+- witness, the top of every share built (its farthest image's point):
+  _survivors bounds each moved map's out_sq there for the whole sweep, and
+  a candidate whose bound reaches the incumbent's value gets no share;
+- reach, the argmax of every near taken: _score bounds the in side there
+  from each share's exact values, and such a candidate takes no near.
+The walk goes in order through the survivors, _Share, which takes each of
+their moved maps' one full set of images, and _score: the first candidate
+that scores below the incumbent wins, as in a walk over every candidate, and
+a candidate with a NaN map raises where the walk reaches it.
 
 scipy.spatial loads at the first collage evaluation, not at import, so
 commands that never fit start without it.
@@ -69,7 +66,7 @@ from .attractor import (
     _TICK_LIMIT,
     PointSet,
     _check_images,
-    _directed_sq,
+    _min_sq_brute,
     _min_sq_sorted_1d,
     _screened_max_sq,
     _snap,
@@ -160,17 +157,15 @@ class _Share:
     is taken at once: on the line by _line_sq, from the fit's tick field
     (_tick_field) when one is given, else by the sorted scan
     (collage_distance, and targets too sparse for the field's size rule);
-    above, by the target's tree and the brute expression.  On the line top
-    is the index of the target point whose image lies farthest out, where
-    the descent screens later candidates (_line_survivors); None above.
-    near, per point of L the distance to those images (the exact square on
-    the line, the tree's distance above, with the tree kept in `tree`), is
-    taken at first use: a candidate whose moved maps alone reach the
-    incumbent's value is rejected without it.  A line sweep builds shares
-    only for the candidates its witness screen does not reject, so each is
-    its map's one full gather."""
+    above, by the target's tree and the brute expression.  top is the index
+    of the target point whose image lies farthest out, a witness point of
+    the descent (_survivors).  near, per point of L the distance to those
+    images (the exact square on the line, the tree's distance above, with
+    the tree kept in `tree`), is taken at first use, and reach_sq's exact
+    squares at given points of L as asked: _score takes near only where
+    out_sq and reach_sq do not reject."""
 
-    __slots__ = ("target", "images", "out_sq", "top", "tree", "_near")
+    __slots__ = ("target", "images", "out_sq", "top", "tree", "_near", "_reach")
 
     def __init__(self, target: PointSet, A: np.ndarray, b: np.ndarray, field=None):
         # images as AffineMap.transform takes them, snapped, not deduplicated;
@@ -179,14 +174,16 @@ class _Share:
         if target.dim == 1:
             ticks = _line_ticks(target, A[0], b, at)
             values = _line_sq(target, ticks, field)[0]
-            self.top = int(values.argmax())
-            self.out_sq = float(values[self.top])
             # ascending, as near's scan needs, or descending when a < 0
             images = ((ticks[0, ::-1] if A[0, 0] < 0.0 else ticks[0]) * target.resolution)[:, None]
         else:
             images = _snap(target.points[at] @ A.T + b, target.resolution)
-            self.out_sq, self.top = _directed_sq(images, target.points, target.tree), None
-        self.target, self.images, self.tree, self._near = target, images, None, None
+            values, _ = target.tree.query(images)
+        self.top = int(values.argmax())
+        self.out_sq = float(values[self.top])
+        if target.dim > 1:  # the tree's distances only screen; the brute expression decides
+            self.out_sq = _screened_max_sq(images, values, [(target.points, target.tree)])
+        self.target, self.images, self.tree, self._near, self._reach = target, images, None, None, None
 
     @property
     def near(self) -> np.ndarray:
@@ -199,6 +196,18 @@ class _Share:
                 self.tree = cKDTree(self.images)
                 self._near, _ = self.tree.query(self.target.points)
         return self._near
+
+    def reach_sq(self, at: np.ndarray) -> np.ndarray:
+        """The brute squared distances from the target points `at` to the
+        images (on the line by the sorted scan, bit for bit), each taken
+        once: the descent's reach only grows."""
+        if self._reach is None:  # per point of L, NaN until taken
+            self._reach = np.full(len(self.target), np.nan)
+        values = self._reach[at]
+        if (new := np.isnan(values)).any():
+            nearest = _min_sq_sorted_1d if self.target.dim == 1 else _min_sq_brute
+            values[new] = self._reach[at[new]] = nearest(self.target.points[at[new]], self.images)
+        return values
 
 
 def _line_ticks(target: PointSet, a: np.ndarray, b: np.ndarray, at=slice(None)) -> np.ndarray:
@@ -252,20 +261,25 @@ def _tick_field(target: PointSet, box: Box):
     return k0, _min_sq_sorted_1d((np.arange(k0, k1 + 1.0) * delta)[:, None], target.points)
 
 
-def _score(target: PointSet, shares, bound: float = math.inf) -> float:
+def _score(target: PointSet, shares, bound: float = math.inf, reach=None) -> float:
     """h(L, union of the shares' images), bit for bit the brute value: max
-    and min over the maps combine the per-map values exactly.  When the
-    images alone reach `bound`, their directed value, which lies in
-    [bound, h], stands in for h."""
-    out_sq = max(share.out_sq for share in shares)
-    if math.sqrt(out_sq) >= bound:
-        return math.sqrt(out_sq)
+    and min over the maps combine the per-map values exactly.  Lower bounds
+    come first, the images' directed value and then the in side at the
+    points of a mask `reach` (_Share.reach_sq): one that reaches `bound`
+    lies in [bound, h] and stands in for h.  Else near's argmax joins reach."""
+    sq = max(share.out_sq for share in shares)
+    if reach is not None and math.sqrt(sq) < bound and (at := np.flatnonzero(reach)).size:
+        sq = max(sq, float(reduce(np.minimum, [share.reach_sq(at) for share in shares]).max()))
+    if math.sqrt(sq) >= bound:
+        return math.sqrt(sq)
     near = reduce(np.minimum, [share.near for share in shares])
+    if reach is not None:
+        reach[near.argmax()] = True
     if target.dim == 1:
         in_sq = float(near.max())
     else:
         in_sq = _screened_max_sq(target.points, near, [(s.images, s.tree) for s in shares])
-    return math.sqrt(max(in_sq, out_sq))
+    return math.sqrt(max(in_sq, sq))
 
 
 def collage_distance(S: IFS, target: PointSet) -> float:
@@ -473,28 +487,36 @@ def _candidate_moves(params: np.ndarray, n: int, d: int, box: Box, step: float) 
     return params + steps
 
 
-def _line_survivors(
+def _survivors(
     target: PointSet, field, blocks: np.ndarray, moved: np.ndarray, shares, best: float, witness: np.ndarray
 ) -> np.ndarray:
-    """The candidates of a projected line sweep that a screen at the witness
+    """The candidates of a projected sweep that a screen at the witness
     points does not reject, as an ascending index array.
 
-    blocks is the sweep's (C, n, 2) array of projected slopes and offsets,
-    moved its (C, n) mask of moved maps and witness a mask over the target's
-    points, which the screen only reads.  A moved map's values at those
-    points are exact and their max is at most its out_sq, so a candidate
-    whose bound, with the incumbent's shares of the maps it keeps, reaches
-    best is rejected: its out_sq reaches best as well, where _score's early
-    return rejects it.  The survivors include every candidate that out_sq
-    does not reject, and are all of them when witness is all of L.  A
-    candidate with a NaN block, one _project could not project, passes
-    unscreened: the walk raises there."""
+    blocks is the sweep's (C, n, d*d + d) array of projected coefficients,
+    moved its (C, n) mask of moved maps and witness a mask over the
+    target's points, which the screen only reads.  A moved map's values at
+    those points bound its out_sq from below (on the line the exact field
+    or scan values; above the target tree's distances shrunk by the 1e-9
+    margin of _screened_max_sq), so a candidate whose bound, with the
+    incumbent's shares of the maps it keeps, reaches best is rejected, as
+    _score's out_sq would reject it.  The survivors include every candidate
+    that out_sq does not reject.  A candidate with a NaN block, one
+    _project could not project, passes unscreened: the walk raises there."""
+    d = target.dim
     ci, bi = np.nonzero(moved)  # moved maps in candidate order
-    a, b = blocks[ci, bi].T
-    ok, at = b == b, np.flatnonzero(witness)
+    rows = blocks[ci, bi]
+    ok, at = rows[:, -1] == rows[:, -1], np.flatnonzero(witness)
+    A, b = rows[ok, : d * d].reshape(-1, d, d), rows[ok, d * d :]
     bound = np.where(ok, 0.0, np.nan)
-    if at.size:  # the field reads each tick row's ends, which an empty row lacks
-        bound[ok] = _line_sq(target, _line_ticks(target, a[ok], b[ok], at), field).max(axis=1)
+    if at.size and d == 1:  # the field reads each tick row's ends, which an empty row lacks
+        bound[ok] = _line_sq(target, _line_ticks(target, A[:, 0, 0], b[:, 0], at), field).max(axis=1)
+    elif at.size:
+        # one row would take numpy's matrix-vector product, whose bits can
+        # differ from a row of the matrix product that _Share takes over L
+        points = target.points[at if at.size > 1 or len(target) == 1 else np.repeat(at, 2)]
+        dist, _ = target.tree.query(_snap(points @ A.swapaxes(1, 2) + b[:, None], target.resolution))
+        bound[ok] = (dist.max(axis=1) * (1.0 - 1e-9)) ** 2
     sq = np.tile([share.out_sq for share in shares], (len(blocks), 1))
     sq[ci, bi] = bound
     return np.flatnonzero(~(np.sqrt(sq.max(axis=1)) >= best))
@@ -512,13 +534,13 @@ def _descend(target, box, cfg, maps0, field):
     # projects the blocks its candidates move, all at once, and a candidate
     # scores only those; the max/min combination of the shares is exact.  It
     # is scored against the incumbent's value, which rejects most candidates
-    # on their out_sq: on the line most of them at the witness points.
+    # on a lower bound: at the witness points, on out_sq or at the reach points.
     params = np.concatenate([np.concatenate([m.A.ravel(), m.b]) for m in maps0])
     shares = [_Share(target, m.A, m.b, field) for m in maps0]
-    witness = np.zeros(len(target), bool)  # on the line, every share's top: _line_survivors's points
-    if d == 1:
-        witness[[share.top for share in shares]] = True
-    best = _score(target, shares)
+    witness = np.zeros(len(target), bool)  # every share's top: _survivors's points
+    witness[[share.top for share in shares]] = True
+    reach = np.zeros(len(target), bool)  # every near's argmax: _score's points
+    best = _score(target, shares, math.inf, reach)
     history = [best]
     step = step0
     for _ in range(cfg.max_iters):
@@ -530,16 +552,14 @@ def _descend(target, box, cfg, maps0, field):
         ci, bi = np.nonzero(moved)
         A, b = _project(blocks[ci, bi, : d * d].reshape(-1, d, d), blocks[ci, bi, d * d :], box, cfg.s_max)
         blocks[ci, bi] = np.concatenate([A.reshape(len(A), -1), b], axis=1)  # keep the projected coefficients
-        walk = _line_survivors(target, field, blocks, moved, shares, best, witness) if d == 1 else range(len(trials))
-        for c in walk:
+        for c in _survivors(target, field, blocks, moved, shares, best, witness):
             if np.isnan(blocks[c]).any():
                 raise PreconditionError("cannot project the map into the domain")
             trial_shares = list(shares)
             for i in np.flatnonzero(moved[c]):
                 trial_shares[i] = _Share(target, blocks[c, i, : d * d].reshape(d, d), blocks[c, i, d * d :], field)
-                if d == 1:
-                    witness[trial_shares[i].top] = True
-            value = _score(target, trial_shares, best)
+                witness[trial_shares[i].top] = True
+            value = _score(target, trial_shares, best, reach)
             if value < best:
                 best, params, shares = value, trials[c], trial_shares
                 history.append(best)

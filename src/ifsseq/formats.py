@@ -315,10 +315,10 @@ def foreground_mask(arr: np.ndarray, maxval: int, threshold: int | None = None) 
     """Boolean mask of foreground pixels.
 
     Bitmaps treat any nonzero mark as foreground; graymaps use a value
-    threshold, 128 unless overridden."""
+    threshold, by default the upper half of the scale, (maxval + 1) // 2."""
     if maxval == 1:
         return arr != 0
-    cut = 128 if threshold is None else threshold
+    cut = (maxval + 1) // 2 if threshold is None else threshold
     return arr >= cut
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from functools import reduce
 from unittest import mock
 
 import numpy as np
@@ -150,16 +151,17 @@ def project_one(A, b, box, s_max):
     return A[0], b[0]
 
 
-def line_survivors_reference(target, field, blocks, moved, shares, best):
-    """A line sweep's exact screen, as it was before the witness points: one
-    full (maps, points) gather of every moved map, and the candidates whose
-    out_sq does not reach best, or that hold a NaN block, in order."""
-    ci, bi = np.nonzero(moved)
+def survivors_reference(target, blocks, moved, shares, best):
+    """A sweep's exact screen, as it was before the witness points: every
+    moved map's out_sq from all of its snapped images by the brute
+    expression, and the candidates whose out_sq does not reach best, or
+    that hold a NaN block, in order."""
+    d = target.dim
     sq = np.tile([share.out_sq for share in shares], (len(blocks), 1))
-    a, b = blocks[ci, bi].T
-    ok, out_sq = b == b, np.full(b.shape, np.nan)
-    out_sq[ok] = collage._line_sq(target, collage._line_ticks(target, a[ok], b[ok]), field).max(axis=1)
-    sq[ci, bi] = out_sq
+    for c, i in zip(*np.nonzero(moved)):
+        A, b = blocks[c, i, : d * d].reshape(d, d), blocks[c, i, d * d :]
+        images = attractor._snap(target.points @ A.T + b, target.resolution)
+        sq[c, i] = attractor._min_sq_brute(images, target.points).max()  # NaN where b is
     return list(np.flatnonzero(~(np.sqrt(sq.max(axis=1)) >= best)))
 
 
@@ -217,14 +219,22 @@ class TestPerMapKernel:
         lattice=st.sampled_from([4, 8, 64]),
         overhang=st.booleans(),
         source=st.sampled_from(["field", "scan", "sparse"]),
+        reach=st.sampled_from(["none", "empty", "one", "random", "all"]),
+        bound=st.sampled_from(["incumbent", "random", "tight"]),
     )
-    def test_one_map_moves_combine_to_the_brute_value(self, seed, dim, n, flat, lattice, overhang, source):
+    def test_one_map_moves_combine_to_the_brute_value(
+        self, seed, dim, n, flat, lattice, overhang, source, reach, bound
+    ):
         # targets on a coarse sublattice of the pitch make exact distance
         # ties; a moved map is re-scored alone and combined with the shares
         # of the maps that stayed.  On the line out_sq comes from the fit's
         # tick field, from the sorted scan (no field), or from the scan of a
         # target too sparse for the field's size rule.  With overhang the
-        # target reaches half a pitch outside the box on every side
+        # target reaches half a pitch outside the box on every side.  Each
+        # move is scored against a bound (the incumbent's value, a random
+        # one, or one ulp either side of the brute value) with a reach mask
+        # that the calls share, as a descent's do: it gains only near's
+        # argmax, and the shares keep the exact values they took there
         rng = np.random.default_rng(seed)
         extent = np.ones(dim)
         if flat:
@@ -258,14 +268,33 @@ class TestPerMapKernel:
         shares = [collage._Share(target, m.A, m.b, field) for m in maps]
         incumbent = brute(maps)
         assert collage._score(target, shares) == incumbent
+        mask = None if reach == "none" else rng.random(len(target)) < {"random": rng.uniform(), "all": 1.0}.get(reach, 0.0)
+        if reach == "one":
+            mask[rng.integers(len(target))] = True
         for _ in range(3):
             j = rng.integers(n)
             maps[j] = draw(maps[j].A + rng.normal(0.0, 0.1, (dim, dim)), maps[j].b + rng.normal(0.0, 0.1, dim))
             shares[j] = collage._Share(target, maps[j].A, maps[j].b, field)
-            value, exact = collage._score(target, shares, incumbent), brute(maps)
-            # scored against the incumbent, as the descent does: exact below
-            # it, and at or above it a stand-in that rejects all the same
-            assert value == exact if exact < incumbent else incumbent <= value <= exact
+            exact = brute(maps)
+            limit = {
+                "incumbent": incumbent,
+                "random": exact * rng.uniform(0.5, 1.5),
+                "tight": np.nextafter(exact, rng.choice([-math.inf, math.inf])),
+            }[bound]
+            before = None if mask is None else mask.copy()
+            value = collage._score(target, shares, limit, mask)
+            # exact below the bound, and at or above it a stand-in that
+            # rejects all the same
+            assert value == exact if exact < limit else limit <= value <= exact
+            if mask is not None:
+                taken = shares[j]._near is not None  # the moved share's near is fresh
+                near = reduce(np.minimum, [share.near for share in shares])
+                before[near.argmax()] |= taken
+                assert (mask == before).all()
+                for share in (s for s in shares if s._reach is not None):
+                    at = np.flatnonzero(share._reach == share._reach)
+                    assert mask[at].all()
+                    assert share._reach[at].tobytes() == attractor._min_sq_brute(target.points[at], share.images).tobytes()
             assert collage._score(target, shares) == exact
             incumbent = exact
 
@@ -300,9 +329,10 @@ class TestPerMapKernel:
             _, _, history = collage._descend(target, box, cfg, maps0, collage._tick_field(target, box))
             assert len(history) > 1 and projected == sweeps
 
-    def test_line_descent_scans_only_for_near(self, monkeypatch):
+    def test_line_descent_scans_only_for_near_and_reach(self, monkeypatch):
         # with the fit's tick field every out_sq is a gather: the sorted scan
-        # runs only where a share's per-point distances are taken
+        # runs only where a share's per-point distances are taken, at all of
+        # L (near) or at the reach points it has not taken yet (reach_sq)
         box = Box([0.0], [1.0])
         truth = IFS(box, (AffineMap([[1 / 3]], [0.0]), AffineMap([[1 / 3]], [2 / 3])))
         target = attractor_points(truth, 6, box_seed(box, 1e-3))
@@ -310,70 +340,101 @@ class TestPerMapKernel:
         field = collage._tick_field(target, box)
         maps0 = collage._random_maps(target, box, cfg, np.random.default_rng(3))
         assert field is not None
-        scans, nears = [], []
-        scan, near = attractor._min_sq_sorted_1d, collage._Share.near
+        scans, nears, fresh, inside = [], [], [], []  # scans by caller, first nears, new reach points per call
+        scan, near, reach_sq = attractor._min_sq_sorted_1d, collage._Share.near, collage._Share.reach_sq
 
         def counted_scan(queries, points):
-            scans.append(queries is target.points)
+            scans.append("near" if queries is target.points else "reach" if inside else "other")
             return scan(queries, points)
 
         def counted_near(share):
             nears.append(share._near is None)
             return near.fget(share)
 
+        def counted_reach(share, at):
+            fresh.append(at.size if share._reach is None else int(np.isnan(share._reach[at]).sum()))
+            inside.append(share)
+            try:
+                return reach_sq(share, at)
+            finally:
+                inside.pop()
+
         for module in (attractor, collage):
             monkeypatch.setattr(module, "_min_sq_sorted_1d", counted_scan)
         monkeypatch.setattr(collage._Share, "near", property(counted_near))
+        monkeypatch.setattr(collage._Share, "reach_sq", counted_reach)
         _, _, history = collage._descend(target, box, cfg, maps0, field)
-        assert len(history) > 1 and all(scans) and len(scans) == sum(nears) > 0
+        assert len(history) > 1 and "other" not in scans and scans.count("near") == sum(nears) > 0
+        assert scans.count("reach") == sum(1 for k in fresh if k) > 0
 
-    def test_line_descent_gathers_each_surviving_map_once(self, monkeypatch):
-        # with the fit's tick field a line sweep screens at the witness points
-        # only: every tick array of all of a map's images is the one the map's
-        # _Share takes, and after each sweep the witness mask holds at most
-        # one point per share built so far, the n start shares included
-        box = Box([0.0], [1.0])
-        truth = IFS(box, (AffineMap([[1 / 3]], [0.0]), AffineMap([[1 / 3]], [2 / 3])))
-        target = attractor_points(truth, 6, box_seed(box, 1e-3))
-        cfg = FitConfig(n=2, max_iters=12, s_max=0.9, seed=0)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_descent_builds_each_surviving_map_once(self, monkeypatch, dim):
+        # a sweep walks the candidates its witness screen keeps, in order, up
+        # to the first that scores below the incumbent: the shares it builds
+        # are those candidates' moved maps, each once, and each takes the one
+        # full set of its map's images (on the line the one full tick gather,
+        # from the fit's tick field).  After each sweep the witness mask holds
+        # at most one point per share built so far, the n start shares included
+        box = Box(np.zeros(dim), np.ones(dim))
+        if dim == 1:  # the Cantor maps, and the Sierpinski maps of the square and of the cube
+            truth, depth, delta = IFS(box, (AffineMap([[1 / 3]], [0.0]), AffineMap([[1 / 3]], [2 / 3]))), 6, 1e-3
+        else:
+            offsets = np.vstack([np.zeros(dim), np.eye(dim) / 2])
+            truth, depth, delta = IFS(box, tuple(AffineMap(np.eye(dim) / 2, b) for b in offsets)), 6 - dim, 2.0 ** -(6 - dim)
+        target = attractor_points(truth, depth, box_seed(box, delta))
+        cfg = FitConfig(n=truth.n, max_iters=12, s_max=0.9, seed=0)
         field = collage._tick_field(target, box)
         maps0 = collage._random_maps(target, box, cfg, np.random.default_rng(3))
-        assert field is not None
-        full, built, masks, sweeps = [], [], [], []  # full-length gathers, shares, screened masks, per sweep
-        line_ticks, share_init = collage._line_ticks, collage._Share.__init__
-        line_survivors, candidate_moves = collage._line_survivors, collage._candidate_moves
+        assert (field is None) == (dim > 1)
+        full, built, sweeps, scores = [], [], [], []  # full image sets, shares, per sweep, below-the-bound per score
+        line_ticks, snap, share_init = collage._line_ticks, collage._snap, collage._Share.__init__
+        survivors, score = collage._survivors, collage._score
 
         def counted_ticks(target, a, b, at=slice(None)):
-            ticks = line_ticks(target, a, b, at)
-            if ticks.shape[1] == len(target):
-                full.append((len(built), len(ticks)))
-            return ticks
+            if isinstance(at, slice):  # all of a map's images, or a constant map's one
+                full.append(len(built))
+            return line_ticks(target, a, b, at)
 
-        def counted_init(share, *args):
-            built.append(None)  # counted before the gather, which it then owns
-            share_init(share, *args)
-            built[-1] = share
+        def counted_snap(points, resolution):
+            if points.ndim == 2:  # one map's images, where the screen snaps a stack
+                full.append(len(built))
+            return snap(points, resolution)
 
-        def recorded_survivors(*args):
-            masks.append(args[-1])
-            return line_survivors(*args)
+        def counted_init(share, target, A, b, *args):
+            built.append((A.tobytes(), b.tobytes()))  # counted before the images, which it then owns
+            share_init(share, target, A, b, *args)
 
-        def recorded_moves(*args):
-            if masks:  # the sweep before this one is over
-                sweeps.append((int(masks[-1].sum()), len(built)))
-            return candidate_moves(*args)
+        def recorded_survivors(target, field, blocks, moved, shares, best, witness):
+            kept = survivors(target, field, blocks, moved, shares, best, witness)
+            sweeps.append((blocks.copy(), moved, kept, witness, int(witness.sum()), len(built), len(scores)))
+            return kept
+
+        def recorded_score(target, shares, bound=math.inf, reach=None):
+            value = score(target, shares, bound, reach)
+            scores.append(value < bound)
+            return value
 
         monkeypatch.setattr(collage, "_line_ticks", counted_ticks)
+        monkeypatch.setattr(collage, "_snap", counted_snap)
         monkeypatch.setattr(collage._Share, "__init__", counted_init)
-        monkeypatch.setattr(collage, "_line_survivors", recorded_survivors)
-        monkeypatch.setattr(collage, "_candidate_moves", recorded_moves)
+        monkeypatch.setattr(collage, "_survivors", recorded_survivors)
+        monkeypatch.setattr(collage, "_score", recorded_score)
         _, _, history = collage._descend(target, box, cfg, maps0, field)
-        sweeps.append((int(masks[-1].sum()), len(built)))
-        assert len(history) > 1 and len(built) > cfg.n and all(mask is masks[0] for mask in masks)
-        # one full gather per share, of its one map, taken while it is built
-        assert [rows for _, rows in full] == [1] * len(built)
-        assert [k for k, _ in full] == list(range(1, len(built) + 1))
-        assert len(sweeps) == len(masks) and all(0 < points <= shares for points, shares in sweeps)
+        assert len(history) > 1 and len(built) > cfg.n and all(sweep[3] is sweeps[0][3] for sweep in sweeps)
+        assert full == list(range(1, len(built) + 1))  # one full image set per share, taken while it is built
+        ends = [sweep[5:] for sweep in sweeps[1:]] + [(len(built), len(scores))]
+        for (blocks, moved, kept, _, points, first_share, first_score), (last_share, last_score) in zip(sweeps, ends):
+            assert 0 < points <= first_share  # the witness mask as the sweep before left it
+            # the walk stops at the first candidate that scores below the bound
+            walked, below = kept[: last_score - first_score], scores[first_score:last_score]
+            assert not any(below[:-1]) and (len(walked) == len(kept) or below[-1])
+            expected = [
+                (blocks[c, i, : dim * dim].tobytes(), blocks[c, i, dim * dim :].tobytes())
+                for c in walked
+                for i in np.flatnonzero(moved[c])
+            ]
+            assert built[first_share:last_share] == expected
+        assert 0 < int(sweeps[-1][3].sum()) <= len(built)
 
     @pytest.mark.parametrize(
         "case, start, source",
@@ -389,14 +450,20 @@ class TestPerMapKernel:
                 ("sierpinski", "warm"), ("sierpinski", "random"), ("raster", "tiles"), ("raster", "random"),
                 ("thin", "tiles"),
             )
+        ]
+        + [
+            pytest.param(case, start, source, id=f"{case}-{start}-{source}")
+            for case, start in (("sierpinski", "warm"), ("sierpinski", "random"), ("raster", "tiles"), ("raster", "random"))
+            for source in ("unscreened", "exact")
         ],
     )
     def test_descent_matches_the_full_rescoring_reference(self, monkeypatch, case, start, source):
         # on the line out_sq comes from the sorted scan of a target too
         # sparse for the field's size rule or from the fit's tick field (the
-        # rule lifted), and the field's sweeps are screened at the descent's
-        # witness points, at none (every candidate is scored) or at all of L
-        # (the exact screen): the walk is the same whatever they are.  Sweeps
+        # rule lifted).  Sweeps are screened at the descent's witness points
+        # and candidates at its reach points, or, in every dimension, at none
+        # of L (every candidate takes near) or at all of it (on the line the
+        # exact screen): the walk is the same whatever they are.  Sweeps
         # that hold a map no shrink fits into the box: on the line the middle
         # candidate of every sweep gets an infinite offset, and in a box 1e-8
         # thin the moves of A[1, 0] by the step are too wide for it.  Both
@@ -433,7 +500,7 @@ class TestPerMapKernel:
                 field = collage._tick_field(target, box)
         else:
             field = collage._tick_field(target, box)
-        assert (field is None) == (source in ("sparse", None))
+        assert (field is None) == (source in ("sparse", None) or box.dim > 1)
 
         sweeps, ref_sweeps = [], []  # sweeps started by either side
         candidate_moves = collage._candidate_moves
@@ -453,15 +520,18 @@ class TestPerMapKernel:
             return trials
 
         monkeypatch.setattr(collage, "_candidate_moves", moves)
-        line_survivors, screens = collage._line_survivors, []
+        kernel, score, screens = collage._survivors, collage._score, []
 
         def survivors(target, field, blocks, moved, shares, best, witness):
-            screened = np.full(len(witness), source == "exact")
             screens.append(1)
-            return line_survivors(target, field, blocks, moved, shares, best, screened)
+            return kernel(target, field, blocks, moved, shares, best, np.full(len(witness), source == "exact"))
+
+        def fixed_reach(target, shares, bound=math.inf, reach=None):
+            return score(target, shares, bound, np.full(len(target), source == "exact"))
 
         if source in ("unscreened", "exact"):
-            monkeypatch.setattr(collage, "_line_survivors", survivors)
+            monkeypatch.setattr(collage, "_survivors", survivors)
+            monkeypatch.setattr(collage, "_score", fixed_reach)
 
         def outcome(run):
             try:
@@ -657,36 +727,41 @@ class TestSweepArrays:
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 3),
         n=st.integers(1, 4),
         step=st.sampled_from([0.3, 0.05, 1e-3]),
         source=st.sampled_from(["field", "scan"]),
         best=st.sampled_from(["incumbent", "random", "tight"]),
         unprojectable=st.booleans(),
-        witness=st.sampled_from(["empty", "all", "random"]),
+        witness=st.sampled_from(["empty", "one", "all", "random"]),
     )
-    def test_line_survivors_cover_the_per_candidate_screen(
-        self, seed, n, step, source, best, unprojectable, witness
-    ):
+    def test_survivors_cover_the_per_candidate_screen(self, seed, d, n, step, source, best, unprojectable, witness):
         # the screen at the witness points keeps, in order, every candidate
         # whose out_sq, taken share by share, does not reach best, and every
         # candidate with a block the projection marked NaN; at all of L it
-        # keeps exactly those.  It only reads the mask, and an empty mask
-        # gathers nothing.  A tight best lies one ulp above some candidate's
-        # out_sq, where a screen with any slack rejects a survivor
+        # keeps exactly those on the line, and above at most the candidates
+        # the tree's 1e-9 margin adds, whose out_sq lies that close to best
+        # (lattice targets make such ties).  It only reads the mask, and an
+        # empty mask takes no images.  A tight best lies one ulp above some
+        # candidate's out_sq, where a screen with any slack rejects a
+        # survivor.  On the line out_sq comes from the fit's tick field or
+        # the sorted scan; above, the witness images are the bits of the
+        # moved maps' _Share images at those points, one point or many, for
+        # the whole stack
         rng = np.random.default_rng(seed)
-        box = Box([0.0], [1.0])
-        target = PointSet(rng.integers(0, 65, (rng.integers(1, 40), 1)) / 64, 1.0 / 64)
+        box = Box(np.zeros(d), np.ones(d))
+        target = PointSet(rng.integers(0, 65, (rng.integers(1, 40), d)) / 64, 1.0 / 64)
         with mock.patch.object(collage, "FIELD_TICKS_PER_POINT", math.inf):
             field = collage._tick_field(target, box) if source == "field" else None
         maps0 = collage._random_maps(target, box, FitConfig(n=n, s_max=0.9), rng)
         shares = [collage._Share(target, m.A, m.b, field) for m in maps0]
         params = np.concatenate([np.concatenate([m.A.ravel(), m.b]) for m in maps0])
-        trials = collage._candidate_moves(params, n, 1, box, step)
-        blocks = trials.reshape(len(trials), n, 2)
+        trials = collage._candidate_moves(params, n, d, box, step)
+        blocks = trials.reshape(len(trials), n, -1)
         moved = (trials.view(np.int64) != params.view(np.int64)).reshape(blocks.shape).any(axis=2)
         ci, bi = np.nonzero(moved)
-        A, b = collage._project(blocks[ci, bi, :1].reshape(-1, 1, 1), blocks[ci, bi, 1:], box, 0.9)
-        blocks[ci, bi] = np.concatenate([A.reshape(-1, 1), b], axis=1)
+        A, b = collage._project(blocks[ci, bi, : d * d].reshape(-1, d, d), blocks[ci, bi, d * d :], box, 0.9)
+        blocks[ci, bi] = np.concatenate([A.reshape(len(A), -1), b], axis=1)
         if unprojectable:
             nan = rng.random(len(ci)) < 0.1
             blocks[ci[nan], bi[nan]] = np.nan
@@ -695,7 +770,7 @@ class TestSweepArrays:
         for c, row in enumerate(blocks):
             if c not in unscreened:
                 trial = [
-                    collage._Share(target, row[i, :1].reshape(1, 1), row[i, 1:], field) if moved[c, i] else shares[i]
+                    collage._Share(target, row[i, : d * d].reshape(d, d), row[i, d * d :], field) if moved[c, i] else shares[i]
                     for i in range(n)
                 ]
                 out_sq[c] = max(share.out_sq for share in trial)
@@ -705,24 +780,39 @@ class TestSweepArrays:
         else:
             best = value * rng.uniform(0.5, 1.5) if best == "random" else value
         expected = sorted(unscreened + [c for c, sq in out_sq.items() if not math.sqrt(sq) >= best])
-        assert line_survivors_reference(target, field, blocks, moved, shares, best) == expected
+        assert survivors_reference(target, blocks, moved, shares, best) == expected
 
-        mask = rng.random(len(target)) < {"empty": 0.0, "all": 1.0, "random": rng.uniform()}[witness]
-        before, gathers = mask.copy(), []
-        line_ticks = collage._line_ticks
+        mask = rng.random(len(target)) < {"random": rng.uniform(), "all": 1.0}.get(witness, 0.0)
+        if witness == "one":
+            mask[rng.integers(len(target))] = True
+        before, images = mask.copy(), []  # the images each call takes: ticks, or points before the snap
+        line_ticks, snap = collage._line_ticks, collage._snap
 
-        def counted_ticks(*args):
-            gathers.append(args)
-            return line_ticks(*args)
+        def ticks(*args):
+            images.append(line_ticks(*args))
+            return images[-1]
 
-        with mock.patch.object(collage, "_line_ticks", counted_ticks):
-            survivors = collage._line_survivors(target, field, blocks, moved, shares, best, mask)
+        def snapped(points, resolution):
+            images.append(points)
+            return snap(points, resolution)
+
+        with mock.patch.object(collage, "_line_ticks", ticks), mock.patch.object(collage, "_snap", snapped):
+            survivors = collage._survivors(target, field, blocks, moved, shares, best, mask)
+            assert len(images) == (1 if mask.any() else 0)
+            if d > 1 and mask.any():  # each stacked map's witness images, before the snap, are its share's
+                at = np.flatnonzero(mask)
+                rows = [(c, i) for c, i in zip(ci, bi) if not np.isnan(blocks[c, i]).any()]
+                assert len(images[0]) == len(rows)
+                for taken, (c, i) in zip(images[0], rows):
+                    collage._Share(target, blocks[c, i, : d * d].reshape(d, d), blocks[c, i, d * d :])
+                    own = images[-1][at] if len(images[-1]) > 1 else images[-1]  # a constant map's one image
+                    assert taken.tobytes() == np.resize(own, taken.shape).tobytes()
         assert survivors.dtype.kind == "i" and (np.diff(survivors) > 0).all()
         assert set(expected) <= set(survivors.tolist())
         if mask.all():
-            assert survivors.tolist() == expected
+            extra = set(survivors.tolist()) - set(expected)
+            assert not extra if d == 1 else all(math.sqrt(out_sq[c]) * (1.0 - 2e-9) < best for c in extra)
         assert (mask == before).all()
-        assert len(gathers) == (1 if mask.any() else 0)
 
     def test_unprojectable_rows_come_back_nan(self):
         # an infinite offset, a NaN slope and a map of the plane whose image

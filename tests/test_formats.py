@@ -197,6 +197,24 @@ class TestRasters:
         mask = foreground_mask(arr, maxval)
         assert mask.tolist() == [[False, True], [True, False]]
 
+    @pytest.mark.parametrize(
+        "maxval, samples, expected",
+        [
+            (100, [0, 49, 50, 100], [False, False, True, True]),  # no foreground under a cut at 128
+            (255, [0, 127, 128, 255], [False, False, True, True]),
+            (65535, [0, 200, 32767, 32768, 65535], [False, False, False, True, True]),  # 200 was foreground
+        ],
+        ids=["maxval-100", "maxval-255", "maxval-65535"],
+    )
+    def test_default_cut_is_half_the_scale(self, tmp_path, maxval, samples, expected):
+        # foreground is the upper half of the scale, samples from
+        # (maxval + 1) // 2 up, unless a threshold is given
+        path = tmp_path / "img.pgm"
+        self.write_p2(path, [samples], maxval)
+        arr, read_maxval = read_raster(path)
+        assert foreground_mask(arr, read_maxval).tolist() == [expected]
+        assert foreground_mask(arr, read_maxval, 1).tolist() == [[s >= 1 for s in samples]]
+
     def test_p1_read(self, tmp_path):
         path = tmp_path / "img.pbm"
         path.write_text("P1\n# comment\n3 2\n0 1 0\n1 1 0\n")
