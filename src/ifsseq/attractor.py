@@ -8,7 +8,7 @@ number of its ticks round(x/delta).  The key is exact while every |tick| is
 below 2^51 and the column spans multiply to less than 2^53, and then
 fl(tick*delta) lies within delta/4 of tick*delta, so the stored rows equal
 the sorted unique snapped values bit for bit.  Beyond those limits PointSet
-sorts the snapped values themselves (np.lexsort).
+takes np.unique of the snapped values themselves.
 
 The Hausdorff distance ships in two variants that must agree bit for bit: a
 plain O(|A||B|) reference and an accelerated path (sorted scan in one
@@ -67,8 +67,8 @@ class PointSet:
     column spans (highest tick - lowest tick + 1) is below 2^53: each key is
     then an exact float64 integer, and fl(k*delta) lies within delta/4 of
     k*delta (a subnormal product is exact), so distinct ticks give distinct
-    values in the same order.  Beyond those limits the snapped values
-    themselves are sorted (np.lexsort).
+    values in the same order.  Beyond those limits the rows are found by
+    np.unique on the snapped values themselves.
     """
 
     __slots__ = ("points", "resolution", "_tree")
@@ -166,12 +166,7 @@ def _lattice_rows(pts: np.ndarray, resolution: float, lo, hi) -> np.ndarray:
 def _value_rows(pts: np.ndarray, resolution: float) -> np.ndarray:
     """PointSet's rows by sorting the snapped values themselves."""
     with np.errstate(over="ignore"):
-        grid = _snap(pts, resolution)
-    grid += 0.0
-    grid = grid[np.lexsort(grid.T[::-1])]
-    fresh = np.ones(grid.shape[0], dtype=bool)
-    np.any(grid[1:] != grid[:-1], axis=1, out=fresh[1:])
-    return grid[fresh]
+        return np.unique(_snap(pts, resolution) + 0.0, axis=0)
 
 
 def box_seed(box: Box, resolution: float) -> PointSet:

@@ -44,7 +44,7 @@ from .formats import (
     write_points_csv,
 )
 from .maps import Box
-from .sequences import align_chain, analyze_sequence
+from .sequences import analyze_sequence
 from .systems import cost_matrix, optimal_matching
 
 MODEL_NAMES = {"last": "hold-last", "linear": "linear", "geometric": "geometric"}
@@ -272,7 +272,7 @@ def cmd_predict(args) -> int:
         print("per-frame collage distances:", " ".join(f"{v:.6g}" for v in fit.distances))
         inputs = paths
     else:
-        sequence = align_chain(read_sequence(source))
+        sequence = read_sequence(source)
         if len(sequence) < 2:
             raise PreconditionError("prediction needs at least 2 terms")
         inputs = [source]

@@ -629,8 +629,8 @@ def fit_ifs(
 def fit_sequence(
     targets, cfg: FitConfig, domain: Box | None = None
 ) -> FitSequenceResult:
-    """Fit every frame, warm-starting each from the previous fit, then align
-    the fitted chain.  Frame failures carry the frame index."""
+    """Fit every frame, warm-starting each from the previous fit; the fits
+    stay in frame order.  Frame failures carry the frame index."""
     targets = list(targets)
     if not targets:
         raise InputError("need at least one target frame")
@@ -650,9 +650,8 @@ def fit_sequence(
             raise type(exc)(f"frame {k}: {exc}") from exc
         results.append(result)
         previous = result.ifs.maps
-    sequence = align_chain(IFSSequence(tuple(r.ifs for r in results)))
     return FitSequenceResult(
-        sequence=sequence,
+        sequence=IFSSequence(tuple(r.ifs for r in results)),
         distances=tuple(r.distance for r in results),
     )
 
@@ -716,8 +715,8 @@ def _extrapolate_series(y: np.ndarray, horizon: int, kind: str) -> float:
 
 
 def extrapolate(seq: IFSSequence, model: ExtrapolationModel) -> IFS:
-    """Carry each affine coefficient of the aligned chain `horizon` steps past
-    the final term and rebuild a feasible system."""
+    """Carry each affine coefficient of the chain, aligned by align_chain,
+    `horizon` steps past the final term and rebuild a feasible system."""
     aligned = align_chain(seq)
     minimum = 3 if model.kind == "geometric" else 2
     if len(aligned) < minimum:

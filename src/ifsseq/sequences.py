@@ -6,14 +6,14 @@ All predicates act on finite prefixes.  "For every eps there is an N" becomes
 nonvacuous: it has to cover at least one consecutive pair (or, for Cauchy,
 one pair of distinct indices).  Returned indices count terms from 1.
 
-align_chain is the one alignment path: it matches each consecutive cost
-matrix (systems.cost_links) against the previous term as already reindexed.
-The identity, the smallest permutation, is then the tie-broken optimal
-matching of every aligned link, so the decrease flags compare the aligned
-contraction-factor traces slot by slot.  analyze_sequence builds the cost
-tensor of the aligned terms once and reads everything else from it and its
-matrix of D (systems._distances, which matches a row of pairs at a time);
-pairwise_distances and cauchy_index read the tensor of the raw terms.
+A sequence holds only its terms; the alignment is computed from them by one
+path, _alignment, which matches each consecutive cost matrix against the
+previous term as already reindexed.  The identity, the smallest permutation,
+is then the tie-broken optimal matching of every aligned link, so the
+decrease flags compare the aligned contraction-factor traces slot by slot.
+align_chain takes the matrices from systems.cost_links; analyze_sequence
+takes them from the one cost tensor it builds and reads everything else from
+that tensor and its matrix of D (systems._distances).
 """
 
 from __future__ import annotations
@@ -40,15 +40,10 @@ from .systems import (
 
 @dataclass(frozen=True, eq=False)
 class IFSSequence:
-    """Ordered list of systems sharing arity and domain.
-
-    `aligned` records that consecutive minimal ordering has been applied;
-    `alignment` then holds the permutation applied to each term.
-    """
+    """Ordered list of systems sharing arity and domain, in the order given;
+    align_chain computes the minimally ordered chain."""
 
     terms: tuple[IFS, ...]
-    aligned: bool = False
-    alignment: tuple[Permutation, ...] | None = None
 
     def __post_init__(self):
         terms = tuple(self.terms)
@@ -96,22 +91,27 @@ class SequenceReport:
     failure: InputError | PreconditionError | None = None
 
 
+def _alignment(links: np.ndarray) -> tuple[Permutation, ...]:
+    """One permutation per term from the (m - 1, n, n) consecutive cost
+    matrices, the identity for term 1."""
+    perms = [Permutation.identity(links.shape[-1])]
+    for C in links:
+        perms.append(optimal_matching(C[list(perms[-1].image)])[0])
+    return tuple(perms)
+
+
 def align_chain(seq: IFSSequence) -> IFSSequence:
     """Reindex each term so it is minimally ordered with respect to the
-    previous (already reindexed) term.  Idempotent; term 1 is unchanged."""
-    if seq.aligned:
-        return seq
-    perms = [Permutation.identity(seq.n)]
-    for C in cost_links(seq.terms):
-        perms.append(optimal_matching(C[list(perms[-1].image)])[0])
-    terms = seq.terms
-    aligned = terms[:1] + tuple(t.reordered(p) for t, p in zip(terms[1:], perms[1:]))
-    return IFSSequence(aligned, aligned=True, alignment=tuple(perms))
+    previous (already reindexed) term.  An aligned chain comes back equal,
+    term for term (above ENUMERATE_MAX_N maps, up to the MATCH_TOL band)."""
+    perms = _alignment(cost_links(seq.terms))
+    return IFSSequence(tuple(t.reordered(p) for t, p in zip(seq.terms, perms)))
 
 
-def _traces(aligned: IFSSequence) -> np.ndarray:
-    """(n, m) contraction factors of each slot along an aligned chain."""
-    return np.array([[t.maps[i].contractivity for t in aligned.terms] for i in range(aligned.n)])
+def _traces(seq: IFSSequence, alignment: tuple[Permutation, ...]) -> np.ndarray:
+    """(n, m) contraction factors of each slot along the aligned chain."""
+    factors = np.array([[f.contractivity for f in t.maps] for t in seq.terms])
+    return np.take_along_axis(factors, np.array([p.image for p in alignment]), axis=1).T
 
 
 def _decreases(factors: np.ndarray) -> np.ndarray:
@@ -122,7 +122,7 @@ def _decreases(factors: np.ndarray) -> np.ndarray:
 def _link_flags(seq: IFSSequence) -> np.ndarray:
     """leq(term_{j+1}, term_j) for each consecutive pair of the aligned chain:
     the identity matches every aligned link, so leq compares slot by slot."""
-    return np.all(_decreases(_traces(align_chain(seq))), axis=0)
+    return np.all(_decreases(_traces(seq, _alignment(cost_links(seq.terms)))), axis=0)
 
 
 def pairwise_distances(seq: IFSSequence) -> np.ndarray:
@@ -219,20 +219,24 @@ def limit_of_contractions(
 def analyze_sequence(seq: IFSSequence, eps: float) -> SequenceReport:
     """Every diagnostic of the aligned chain from one cost tensor.
 
-    The chain is aligned by align_chain.  Its cost tensor gives D between the
-    aligned terms, one matching per pair j < k; minimal-ordering
-    transitivity, the Cauchy index at eps, each slot's dbar matrix and the
-    residual D(last term, limit) are read from D and the tensor.  The
-    decrease flags and each slot's decreasing tail come from the aligned
-    factor traces.  The limit candidate is the final aligned term (no
+    The alignment P comes from the blocks T[j, j + 1] of the cost tensor T
+    of the terms; block [j, k] of the aligned tensor is T[j, k][P[j]][:, P[k]].
+    The aligned tensor gives D between the aligned terms, one matching per
+    pair j < k; minimal-ordering transitivity, the Cauchy index at eps, each
+    slot's dbar matrix and the residual D(last term, limit) are read from D
+    and the tensor.  The decrease flags and each slot's decreasing tail come
+    from the aligned factor traces.  The limit candidate is the final aligned term (no
     extrapolation), so a successful extraction has residual 0.  A failed
     limit extraction is returned in `failure`, not raised, so the report
     still carries everything computed before it.
     """
-    aligned = align_chain(seq)
-    T = cost_tensor(aligned.terms)
+    T = cost_tensor(seq.terms)
+    alignment = _alignment(np.diagonal(T, 1).transpose(2, 0, 1))
+    P = np.array([p.image for p in alignment])
+    T = np.take_along_axis(T, P[:, None, :, None], axis=2)
+    T = np.take_along_axis(T, P[None, :, None, :], axis=3)
     dist = _distances(T)
-    traces = _traces(aligned)
+    traces = _traces(seq, alignment)
     decreases = _decreases(traces)
     flags = np.all(decreases, axis=0)
     limit, residual, cauchy_at, failure = None, math.nan, None, None
@@ -246,7 +250,7 @@ def analyze_sequence(seq: IFSSequence, eps: float) -> SequenceReport:
                 failure = PreconditionError(f"slot {i + 1}: {problem}")
                 break
         else:
-            limit = aligned.terms[-1]
+            limit = seq.terms[-1].reordered(alignment[-1])
             residual = float(dist[-1, -1])
     return SequenceReport(
         pairwise=dist,
@@ -254,7 +258,7 @@ def analyze_sequence(seq: IFSSequence, eps: float) -> SequenceReport:
         decreasing=all(flags),
         eventually_decreasing_at=_eventually_from_flags(flags),
         cauchy_at=cauchy_at,
-        alignment=aligned.alignment,
+        alignment=alignment,
         limit=limit,
         residual=residual,
         mo_set=_mo_transitive(T, dist),

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import shutil
@@ -12,6 +13,7 @@ import pytest
 import scipy
 
 import ifsseq
+from ifsseq import sequences, systems
 from ifsseq import IFS, AffineMap, Box, attractor_points, box_seed, big_d, hausdorff
 from ifsseq.cli import format_value, main
 from ifsseq.formats import (
@@ -35,6 +37,25 @@ def spec_files(tmp_path, ifs_s, ifs_t, ifs_u):
         write_ifs(path, system)
         paths[name] = str(path)
     return paths
+
+
+def count_calls(monkeypatch):
+    """Count cost tensors, consecutive cost matrices and IFS.reordered calls
+    made from here on."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("cost_tensor", "cost_links"):
+        wrapper = counted(name, getattr(systems, name))
+        for module in (systems, sequences):
+            monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(IFS, "reordered", counted("reordered", IFS.reordered))
+    return calls
 
 
 class TestFormatValue:
@@ -176,6 +197,15 @@ class TestAnalyze:
         seqfile = Path(__file__).parent / "fixtures" / "analyze" / "converging2d.seq.json"
         assert main(["analyze", str(seqfile), "--eps", "nan"]) == 2
         assert capsys.readouterr().err == "error: eps must be positive\n"
+
+    def test_reads_every_figure_from_one_cost_tensor(self, tmp_path, monkeypatch):
+        # the recorded alignment of this fixture permutes 7 of its 10 terms
+        seqfile = Path(__file__).parent / "fixtures" / "analyze" / "converging2d.seq.json"
+        calls = count_calls(monkeypatch)
+        assert main(["analyze", str(seqfile), "--eps", "0.05", "--limit-out", str(tmp_path / "limit.json")]) == 0
+        assert calls["cost_tensor"] == 1
+        assert calls["cost_links"] == 0
+        assert calls["reordered"] <= 1
 
     def test_cantor_sequence_report(self, tmp_path, capsys):
         seq = IFSSequence(tuple(cantor_term(j) for j in range(1, 11)))
@@ -509,6 +539,17 @@ class TestPredict:
         assert code == 0
         predicted = read_ifs(prefix + ".ifs.json")
         assert big_d(predicted, cantor_ifs()) <= 0.01
+
+    def test_sequence_file_is_aligned_once(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        swap = ifsseq.Permutation((1, 0))
+        terms = tuple(cantor_term(j) if j < 3 else cantor_term(j).reordered(swap) for j in range(1, 6))
+        seqfile = tmp_path / "seq.json"
+        write_sequence(seqfile, IFSSequence(terms))
+        calls = count_calls(monkeypatch)
+        assert main(["predict", str(seqfile), "--model", "linear", "--horizon", "1", "--out-prefix", "p"]) == 0
+        assert calls["cost_links"] == 1
+        assert calls["cost_tensor"] == 0
 
     def test_unidentifiable_decay_warns_once(self, tmp_path, capsys):
         # the first map's scale grows faster each step, so its decay ratio >= 1

@@ -5,8 +5,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from ifsseq import (
     IFS,
@@ -14,9 +15,11 @@ from ifsseq import (
     Box,
     IFSSequence,
     InputError,
+    Permutation,
     PointSet,
     PreconditionError,
     ResourceLimitError,
+    align_chain,
     attractor_points,
     big_d,
     box_seed,
@@ -149,6 +152,17 @@ def project_one(A, b, box, s_max):
     """The stacked projection of one map, as (A, b), NaN where it fails."""
     A, b = collage._project(np.asarray(A, dtype=float)[None], np.asarray(b, dtype=float)[None], box, s_max)
     return A[0], b[0]
+
+
+class RoundingTree(cKDTree):
+    """A KD-tree whose distances come back 4 ulps high: the rounding that the
+    1e-9 margins on tree distances absorb.  scipy's tree returns the brute
+    distance bit for bit on every input tried, lattice or not, so only a tree
+    that rounds differently shows whether the margins are there."""
+
+    def query(self, x, *args, **kwargs):
+        dist, idx = super().query(x, *args, **kwargs)
+        return dist * (1.0 + 4.0 * 2.0**-52), idx
 
 
 def survivors_reference(target, blocks, moved, shares, best):
@@ -734,8 +748,14 @@ class TestSweepArrays:
         best=st.sampled_from(["incumbent", "random", "tight"]),
         unprojectable=st.booleans(),
         witness=st.sampled_from(["empty", "one", "all", "random"]),
+        pitch=st.sampled_from([1 / 64, 0.1, 1e-3, 1 / 3]),
+        rounding=st.booleans(),
     )
-    def test_survivors_cover_the_per_candidate_screen(self, seed, d, n, step, source, best, unprojectable, witness):
+    @example(0, 2, 1, 0.3, "field", "tight", False, "all", 0.1, True)
+    @example(0, 3, 2, 0.05, "scan", "tight", False, "all", 1e-3, True)
+    def test_survivors_cover_the_per_candidate_screen(
+        self, seed, d, n, step, source, best, unprojectable, witness, pitch, rounding
+    ):
         # the screen at the witness points keeps, in order, every candidate
         # whose out_sq, taken share by share, does not reach best, and every
         # candidate with a block the projection marked NaN; at all of L it
@@ -747,10 +767,16 @@ class TestSweepArrays:
         # survivor.  On the line out_sq comes from the fit's tick field or
         # the sorted scan; above, the witness images are the bits of the
         # moved maps' _Share images at those points, one point or many, for
-        # the whole stack
+        # the whole stack.  The target lies on a dyadic lattice or on one
+        # whose pitch is not a power of two; with `rounding` its tree's
+        # distances come back a few ulps high (RoundingTree), which the
+        # screen's margin absorbs
         rng = np.random.default_rng(seed)
         box = Box(np.zeros(d), np.ones(d))
-        target = PointSet(rng.integers(0, 65, (rng.integers(1, 40), d)) / 64, 1.0 / 64)
+        ticks = round(1 / pitch)
+        target = PointSet(rng.integers(0, ticks + 1, (rng.integers(1, 40), d)) * pitch, pitch)
+        if rounding and d > 1:
+            target._tree = RoundingTree(target.points)
         with mock.patch.object(collage, "FIELD_TICKS_PER_POINT", math.inf):
             field = collage._tick_field(target, box) if source == "field" else None
         maps0 = collage._random_maps(target, box, FitConfig(n=n, s_max=0.9), rng)
@@ -1060,8 +1086,7 @@ class TestFitSequence:
         frames = self.make_frames(unit_box, count=3)
         cfg = FitConfig(n=2, restarts=6, max_iters=150, s_max=0.9, seed=2)
         fit = fit_sequence(frames, cfg, domain=unit_box)
-        assert fit.sequence.aligned
-        for k, fitted in enumerate(fit.sequence.terms, start=1):
+        for k, fitted in enumerate(align_chain(fit.sequence).terms, start=1):
             assert big_d(fitted, cantor_term(k, unit_box)) <= 0.05
 
     def test_single_frame(self, unit_box, cantor_render):
@@ -1129,6 +1154,13 @@ class TestExtrapolate:
         with pytest.warns(RuntimeWarning, match="falling back"):
             out = extrapolate(IFSSequence(terms), ExtrapolationModel("geometric", horizon=1))
         assert out is not None
+
+    @pytest.mark.parametrize("kind", ["linear", "geometric"])
+    def test_aligns_the_chain(self, unit_box, kind):
+        seq = IFSSequence(tuple(cantor_term(j, unit_box) for j in range(1, 6)))
+        swapped = IFSSequence(seq.terms[:1] + tuple(t.reordered(Permutation((1, 0))) for t in seq.terms[1:]))
+        model = ExtrapolationModel(kind, horizon=3)
+        assert extrapolate(swapped, model) == extrapolate(seq, model)
 
     def test_needs_enough_terms(self, unit_box, ifs_s):
         seq = IFSSequence((ifs_s, ifs_s))

@@ -30,9 +30,12 @@ from ifsseq.sequences import (
     pairwise_distances,
 )
 
+from ifsseq.systems import MATCH_TOL, Permutation, matching_brute_force
+
 from conftest import cantor_ifs, cantor_term, random_ifs
 
 EXACT = 1e-12
+LINE, SQUARE = Box([0.0], [1.0]), Box([0.0, 0.0], [1.0, 1.0])
 
 
 def scaling_pair(box, a1, a2):
@@ -56,18 +59,38 @@ class TestConstruction:
             IFSSequence(())
 
 
+def coefficient_bytes(seq):
+    return [m.A.tobytes() + m.b.tobytes() for term in seq.terms for m in term.maps]
+
+
 class TestAlignChain:
     def test_second_term_reordered(self, ifs_s, ifs_u):
-        seq = align_chain(IFSSequence((ifs_s, ifs_u)))
-        assert seq.aligned
-        assert seq.alignment[0].is_identity
-        assert seq.alignment[1].image == (1, 0)
-        assert seq.terms[1].maps == (ifs_u.maps[1], ifs_u.maps[0])
+        seq = IFSSequence((ifs_s, ifs_u))
+        aligned = align_chain(seq)
+        assert aligned.terms[0] == ifs_s
+        assert aligned.terms[1].maps == (ifs_u.maps[1], ifs_u.maps[0])
+        assert [p.image for p in analyze_sequence(seq, 0.5).alignment] == [(0, 1), (1, 0)]
 
     def test_idempotent(self, ifs_s, ifs_t, ifs_u):
         seq = align_chain(IFSSequence((ifs_s, ifs_t, ifs_u)))
         again = align_chain(seq)
-        assert again is seq
+        assert again.terms == seq.terms
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda rng: similitude_sequence(rng, LINE, 3, 6, rate=0.7), id="shuffled-1d"),
+            pytest.param(lambda rng: similitude_sequence(rng, SQUARE, 3, 9, rate=0.7), id="shuffled-2d"),
+            pytest.param(lambda rng: similitude_sequence(rng, LINE, 7, 4, rate=0.7), id="shuffled-7-maps"),
+            pytest.param(lambda rng: dyadic_sequence(rng, SQUARE, 13, settle=False), id="tie-heavy"),
+            pytest.param(lambda rng: dyadic_sequence(rng, SQUARE, 13, settle=True), id="tie-heavy-settling"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_aligned_chain_is_a_fixed_point(self, make, seed):
+        aligned = align_chain(make(np.random.default_rng(seed)))
+        assert coefficient_bytes(align_chain(aligned)) == coefficient_bytes(aligned)
+        assert all(p.is_identity for p in analyze_sequence(aligned, 0.5).alignment)
 
     def test_preserves_consecutive_distances(self, unit_box):
         rng = np.random.default_rng(21)
@@ -291,13 +314,30 @@ def _cauchy(dist, eps):
     return next((s + 1 for s in range(m - 1) if dist[s:, s:].max() < eps), None)
 
 
+def brute_matching(C):
+    """optimal_matching's tie-break by enumeration: the first permutation in
+    lexicographic order whose cost, summed left to right, is within MATCH_TOL
+    of matching_brute_force's least.  matching_brute_force's own choice, the
+    first of least cost, differs from it where a cost lies within MATCH_TOL
+    of the least but above it (tie-heavy chains have such links)."""
+    n = C.shape[0]
+    _, least = matching_brute_force(C)
+    for perm in itertools.permutations(range(n)):
+        if float(sum(C[i, perm[i]] for i in range(n))) <= least + MATCH_TOL:
+            return Permutation(perm)
+
+
 def reference_analysis(seq, eps):
-    """The analysis composed from per-pair primitives, as the CLI ran it
-    before the cost tensor: align_chain, then big_d per pair, leq per
-    consecutive pair, is_minimally_ordered per ordered pair and dbar_inf per
-    slot pair."""
-    aligned = align_chain(seq)
-    terms, m, n = aligned.terms, len(aligned), aligned.n
+    """The analysis composed from per-pair primitives: each term reordered by
+    brute_matching against the previous reordered term, then big_d per pair,
+    leq per consecutive pair, is_minimally_ordered per ordered pair and
+    dbar_inf per slot pair."""
+    terms, alignment = [seq.terms[0]], [Permutation.identity(seq.n)]
+    for term in seq.terms[1:]:
+        sigma = brute_matching(cost_matrix(terms[-1], term))
+        terms.append(term.reordered(sigma))
+        alignment.append(sigma)
+    m, n = len(seq), seq.n
     dist = np.zeros((m, m))
     for j in range(m):
         for k in range(j + 1, m):
@@ -315,7 +355,7 @@ def reference_analysis(seq, eps):
         dbar = np.zeros((m, m))
         for j in range(m):
             for k in range(j + 1, m):
-                dbar[j, k] = dbar[k, j] = dbar_inf(slot[j], slot[k], aligned.domain)
+                dbar[j, k] = dbar[k, j] = dbar_inf(slot[j], slot[k], seq.domain)
         f = traces[i]
         if _start([f[j + 1] <= f[j] + 1e-12 for j in range(m - 1)]) is None:
             failure = f"slot {i + 1}: contractivity factors are not eventually decreasing"
@@ -323,14 +363,14 @@ def reference_analysis(seq, eps):
             failure = f"slot {i + 1}: sequence is not Cauchy at eps={eps}"
         if failure:
             break
-    limit = None if failure else IFS(aligned.domain, terms[-1].maps)
+    limit = None if failure else IFS(seq.domain, terms[-1].maps)
     return {
         "pairwise": dist,
         "factor_traces": traces,
         "decreasing": all(flags),
         "eventually_decreasing_at": _start(flags),
         "cauchy_at": _cauchy(dist, eps),
-        "alignment": aligned.alignment,
+        "alignment": tuple(alignment),
         "mo_set": mo_set,
         "failure": failure,
         "limit": limit,
@@ -379,8 +419,6 @@ def dyadic_sequence(rng, box, length, settle):
 
 
 class TestAnalyzeSequence:
-    SQUARE = Box([0.0, 0.0], [1.0, 1.0])
-
     def check(self, seq, eps):
         report = analyze_sequence(seq, eps)
         expected = reference_analysis(seq, eps)
@@ -400,26 +438,26 @@ class TestAnalyzeSequence:
     @pytest.mark.parametrize("seed", range(6))
     def test_converging_shuffled_sequences(self, seed):
         rng = np.random.default_rng(seed)
-        box = self.SQUARE if seed % 2 else Box([0.0], [1.0])
+        box = SQUARE if seed % 2 else LINE
         seq = similitude_sequence(rng, box, 3, 5 + 2 * seed, rate=0.7)
         assert self.check(seq, 0.05).failure is None
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_shuffled_sequences(self, seed):
         rng = np.random.default_rng(100 + seed)
-        terms = tuple(random_ifs(rng, self.SQUARE, 3) for _ in range(4 + seed))
+        terms = tuple(random_ifs(rng, SQUARE, 3) for _ in range(4 + seed))
         self.check(IFSSequence(terms), 0.9)
 
     @pytest.mark.parametrize("settle", [False, True])
     @pytest.mark.parametrize("length", [3, 8, 13, 16])
     def test_tie_heavy_sequences(self, length, settle):
-        seq = dyadic_sequence(np.random.default_rng(length), self.SQUARE, length, settle)
+        seq = dyadic_sequence(np.random.default_rng(length), SQUARE, length, settle)
         self.check(seq, 0.3)
 
     @pytest.mark.parametrize("settle", [False, True])
     @pytest.mark.parametrize("length", [3, 8, 13, 16])
     def test_tie_heavy_reads_match_primitives(self, length, settle):
-        seq = dyadic_sequence(np.random.default_rng(length), self.SQUARE, length, settle)
+        seq = dyadic_sequence(np.random.default_rng(length), SQUARE, length, settle)
         terms = align_chain(seq).terms
         links = list(zip(terms, terms[1:]))
         # the identity is the tie-broken optimal matching of every aligned link
@@ -438,13 +476,13 @@ class TestAnalyzeSequence:
         assert self.check(IFSSequence((plane_s, plane_t, plane_u)), 1.9).mo_set is False
 
     def test_not_cauchy(self):
-        seq = similitude_sequence(np.random.default_rng(7), self.SQUARE, 3, 6, rate=0.9)
+        seq = similitude_sequence(np.random.default_rng(7), SQUARE, 3, 6, rate=0.9)
         report = self.check(seq, 0.001)
         assert isinstance(report.failure, PreconditionError)
         assert str(report.failure) == "slot 1: sequence is not Cauchy at eps=0.001"
 
     def test_not_eventually_decreasing(self):
-        seq = similitude_sequence(np.random.default_rng(8), self.SQUARE, 3, 8, rate=0.7, bump=1)
+        seq = similitude_sequence(np.random.default_rng(8), SQUARE, 3, 8, rate=0.7, bump=1)
         report = self.check(seq, 0.5)
         assert isinstance(report.failure, PreconditionError)
         assert "contractivity factors are not eventually decreasing" in str(report.failure)
@@ -470,4 +508,4 @@ class TestAnalyzeSequence:
 
     def test_already_aligned_chain_is_not_realigned(self, cantor_seq):
         aligned = align_chain(cantor_seq)
-        assert analyze_sequence(aligned, 0.2).alignment is aligned.alignment
+        assert analyze_sequence(aligned, 0.2).alignment == (Permutation.identity(2),) * len(aligned)
