@@ -8,7 +8,9 @@ and `predict` share the render flags (--depth, --image, --px).  `attractor`,
 `collage-fit` and `predict` also write a manifest beside their outputs,
 recording inputs (with digests), flags, seeds, and versions, so any such run
 can be reproduced byte for byte; `analyze --limit-out` writes the limit spec
-alone.  IFSSEQ_SEED overrides the default seed when --seed is not given.
+alone.  A command whose outputs (its manifest included) name one file twice,
+or name one of its inputs, is refused before any work.
+IFSSEQ_SEED overrides the default seed when --seed is not given.
 Negative --domain-lo/--domain-hi bounds take the `=` form, as in
 --domain-lo=-1,-1: after a space argparse reads "-1,-1" as an option.
 The collage module loads in the two fitting commands only, so dist,
@@ -107,11 +109,29 @@ def _parse_domain(lo: str | None, hi: str | None):
     return Box(lo_vec, hi_vec)
 
 
-def _require_out_dirs(*paths):
-    """Refuse outputs in a missing directory before any work is done."""
-    for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
+def _file_key(path):
+    """What identifies the file a path names: its device and inode when it
+    exists (one stat, where resolving every link takes one per component),
+    else its absolute path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.abspath(path)
+    return st.st_dev, st.st_ino
+
+
+def _require_outputs(inputs, *outputs):
+    """Refuse, before any work is done, an output in a missing directory and
+    an output that names the same file as an input or an earlier output,
+    which its write would replace.  Empty or unset outputs are not written."""
+    named = {_file_key(p): f"input {p}" for p in inputs}
+    for path in filter(None, outputs):
+        if not Path(path).parent.is_dir():
             raise InputError(f"cannot write {path}: No such file or directory")
+        key = _file_key(path)
+        if key in named:
+            raise InputError(f"cannot write {path}: it names the same file as {named[key]}")
+        named[key] = f"output {path}"
 
 
 def _load_frame(path, pitch: float | None, threshold: int | None) -> PointSet:
@@ -166,21 +186,19 @@ def cmd_dist(args) -> int:
 
 
 def cmd_attractor(args) -> int:
-    _require_out_dirs(args.out, args.image)
+    outputs = [p for p in (args.out, args.image) if p]
+    manifest = outputs[0] + ".manifest.json" if outputs else None
+    _require_outputs([args.file], *outputs, manifest)
     resolution, render, mask = _render(read_ifs(args.file), args, args.delta)
-    outputs = []
     if args.out:
         write_points_csv(args.out, render)
-        outputs.append(args.out)
         print(f"wrote {len(render)} points to {args.out}")
     else:
         print(f"rendered {len(render)} points at depth {args.depth}, delta {resolution}")
     if args.image:
         write_pgm(args.image, mask)
-        outputs.append(args.image)
         print(f"wrote raster {mask.shape[1]}x{mask.shape[0]} to {args.image}")
     if outputs:
-        manifest = str(outputs[0]) + ".manifest.json"
         write_manifest(
             manifest,
             "attractor",
@@ -195,7 +213,7 @@ def cmd_analyze(args) -> int:
     """Report on a sequence file.  Every figure comes from one cost tensor of
     the terms (analyze_sequence); a failed limit extraction is reported with
     the Cauchy index, then raised."""
-    _require_out_dirs(args.limit_out)
+    _require_outputs([args.seqfile], args.limit_out)
     seq = read_sequence(args.seqfile)
     report = analyze_sequence(seq, args.eps)
     print(f"terms: {len(seq)}, arity: {seq.n}, dim: {seq.domain.dim}")
@@ -222,7 +240,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_collage_fit(args) -> int:
     from .collage import collage_bound, fit_ifs
-    _require_out_dirs(args.out)
+    manifest = str(args.out) + ".manifest.json"
+    _require_outputs([args.image], args.out, manifest)
     target = _load_frame(args.image, args.delta, args.threshold)
     cfg, domain, fit_flags = _fit_setup(args)
     result = fit_ifs(target, cfg, domain=domain)
@@ -235,7 +254,7 @@ def cmd_collage_fit(args) -> int:
         print("warning: search never beat the constant-map baseline")
     print(f"spec written to {args.out}")
     write_manifest(
-        str(args.out) + ".manifest.json",
+        manifest,
         "collage-fit",
         {**fit_flags, "delta": args.delta, "threshold": args.threshold},
         [args.image],
@@ -258,24 +277,23 @@ def cmd_predict(args) -> int:
     from .collage import ExtrapolationModel, extrapolate, fit_sequence
     out_spec = Path(args.out_prefix + ".ifs.json")
     out_csv = Path(args.out_prefix + ".points.csv")
-    _require_out_dirs(out_spec, args.image)
-    model = ExtrapolationModel(MODEL_NAMES[args.model], horizon=args.horizon, s_max=args.s_max)
+    manifest = args.out_prefix + ".manifest.json"
     source = Path(args.frames)
+    inputs = _frame_paths(source) if source.is_dir() else [source]
+    _require_outputs(inputs, out_spec, out_csv, args.image, manifest)
+    model = ExtrapolationModel(MODEL_NAMES[args.model], horizon=args.horizon, s_max=args.s_max)
     if source.is_dir():
-        paths = _frame_paths(source)
-        frames = [_load_frame(p, args.delta, args.threshold) for p in paths]
+        frames = [_load_frame(p, args.delta, args.threshold) for p in inputs]
         if len(frames) < 2:
             raise PreconditionError("prediction needs at least 2 frames")
         cfg, domain, fit_flags = _fit_setup(args)
         fit = fit_sequence(frames, cfg, domain=domain)
         sequence = fit.sequence
         print("per-frame collage distances:", " ".join(f"{v:.6g}" for v in fit.distances))
-        inputs = paths
     else:
         sequence = read_sequence(source)
         if len(sequence) < 2:
             raise PreconditionError("prediction needs at least 2 terms")
-        inputs = [source]
         fit_flags = {}
     # each distinct extrapolation warning becomes one line, like collage-fit's
     with warnings.catch_warnings(record=True) as caught:
@@ -293,7 +311,7 @@ def cmd_predict(args) -> int:
     print(f"extrapolated spec written to {out_spec}")
     print(f"attractor ({len(render)} points) written to {out_csv}")
     write_manifest(
-        args.out_prefix + ".manifest.json",
+        manifest,
         "predict",
         {
             **fit_flags,

@@ -5,7 +5,10 @@ exactly.  Rasters convert to point sets by taking foreground pixel centers at
 the pixel pitch; render_raster over the raster's own box, one pixel per pitch,
 inverts the conversion exactly.
 All writers go through a temp file plus rename, so readers never observe a
-partial file.
+partial file.  The point CSV and the PGM are each built as one byte buffer:
+write_points_csv formats each distinct value of a column once and lays the
+rows out in a NUL-padded byte grid, write_pgm marks foreground cells with a
+byte no other cell holds; neither makes a Python object per row or pixel.
 """
 
 from __future__ import annotations
@@ -167,22 +170,23 @@ def write_sequence(path, seq: IFSSequence):
 # ---------------------------------------------------------------------------
 # point CSVs
 
-_CSV_BLOCK_ROWS = 4096
-
-
 def write_points_csv(path, points: PointSet):
-    """One line per point, each coordinate as f"{x:.12g}".  A grid holds few
-    distinct values per column, so each is formatted once; rows are joined a
-    block at a time, so no string per row is ever held."""
+    """One line per point, each coordinate as f"{x:.12g}", which is the text
+    of b"%.12g" % x.  A render's column holds few distinct values, so each is
+    formatted once, with its separator, into a table of fixed-width cells
+    padded with NULs.  Each column gathers its cells through the inverse
+    index, and the columns side by side are one byte grid, a row per line.
+    No number's text holds a NUL, so the grid without its NULs is the file;
+    no Python object is made per row."""
     columns = []
-    for column in points.points.T:
+    for k, column in enumerate(points.points.T):
         values, index = np.unique(column, return_inverse=True)
-        columns.append(np.array([f"{x:.12g}" for x in values.tolist()], dtype=object)[index])
-    blocks = []
-    for start in range(0, len(points), _CSV_BLOCK_ROWS):
-        rows = zip(*(cells[start : start + _CSV_BLOCK_ROWS] for cells in columns))
-        blocks.append(("\n".join(map(",".join, rows)) + "\n").encode())
-    _atomic_write(path, b"".join(blocks))
+        fmt = b"%.12g\n" if k == points.dim - 1 else b"%.12g,"
+        # 20 bytes hold the widest text, -1.23456789012e-308, and a separator
+        cells = np.fromiter(map(fmt.__mod__, memoryview(values)), dtype="S20", count=values.size)
+        cells = cells.astype(f"S{np.char.str_len(cells).max()}")[index]
+        columns.append(cells.view(np.uint8).reshape(len(points), -1))
+    _atomic_write(path, np.hstack(columns).tobytes().replace(b"\0", b""))
 
 
 def read_points_csv(path, resolution: float) -> PointSet:

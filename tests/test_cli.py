@@ -663,6 +663,52 @@ class TestRejectedArguments:
         assert err.startswith(f"error: cannot write {files['missing']}/")
         assert err.endswith(": No such file or directory\n") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["attractor", "{spec}", "--depth", "2", "--out", "{out}", "--image", "{out}"],
+             "cannot write {out}: it names the same file as output {out}"),
+            (["attractor", "{spec}", "--depth", "2", "--out", "{out}.csv", "--image", "{out}.csv.manifest.json"],
+             "cannot write {out}.csv.manifest.json: it names the same file as output {out}.csv.manifest.json"),
+            (["attractor", "{spec}", "--depth", "2", "--out", "{spec}"],
+             "cannot write {spec}: it names the same file as input {spec}"),
+            (["attractor", "{spec}", "--depth", "2", "--image", "{dir}/./cantor.json"],
+             "cannot write {dir}/./cantor.json: it names the same file as input {spec}"),
+            (["predict", "{seq}", "--model", "last", "--horizon", "1", "--out-prefix", "{out}",
+              "--image", "{out}.points.csv"],
+             "cannot write {out}.points.csv: it names the same file as output {out}.points.csv"),
+            (["predict", "{seq}", "--model", "last", "--horizon", "1", "--out-prefix", "{out}",
+              "--image", "{seq}"],
+             "cannot write {seq}: it names the same file as input {seq}"),
+            (["predict", "{frames}", "--model", "last", "--horizon", "1", "--n", "1", "--iters", "1",
+              "--out-prefix", "{out}", "--image", "{frames}/f1.pgm"],
+             "cannot write {frames}/f1.pgm: it names the same file as input {frames}/f1.pgm"),
+            (["collage-fit", "{img}", "--n", "1", "--iters", "1", "--out", "{img}"],
+             "cannot write {img}: it names the same file as input {img}"),
+            (["analyze", "{seq}", "--eps", "0.5", "--limit-out", "{seq}"],
+             "cannot write {seq}: it names the same file as input {seq}"),
+        ],
+        ids=["attractor-out-image", "attractor-image-manifest", "attractor-out-input", "attractor-image-input",
+             "predict-image-csv", "predict-image-seq", "predict-image-frame", "collage-fit-out-input",
+             "analyze-limit-input"],
+    )
+    def test_clashing_paths_are_refused_before_any_work(self, files, tmp_path, capsys, argv, err):
+        # each of these once exited 0, one write replacing another file
+        files = {**files, "dir": str(tmp_path)}
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert main([arg.format(**files) for arg in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {err.format(**files)}\n")
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("link", [os.link, os.symlink], ids=["hard", "symbolic"])
+    def test_an_output_linked_to_an_input_is_refused(self, files, tmp_path, capsys, link):
+        alias = tmp_path / "alias.json"
+        link(files["spec"], alias)
+        spec = Path(files["spec"]).read_bytes()
+        assert main(["attractor", files["spec"], "--depth", "2", "--out", str(alias)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {alias}: it names the same file as input {files['spec']}\n"
+        assert Path(files["spec"]).read_bytes() == spec
+
     HUGE_HORIZON = "horizon must not exceed the largest float, 1.79769e+308"
 
     @pytest.mark.parametrize(

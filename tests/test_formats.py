@@ -1,13 +1,14 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ifsseq import IFS, AffineMap, Box, IFSSequence, InputError, PointSet
+from ifsseq import IFS, AffineMap, Box, IFSSequence, InputError, PointSet, attractor_points
 from ifsseq.cli import main
 from ifsseq.formats import (
     foreground_mask,
@@ -123,6 +124,37 @@ def csv_per_element(points: PointSet) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def similitude(scale: float, theta: float, fixed) -> AffineMap:
+    c, s = np.cos(theta), np.sin(theta)
+    A = scale * np.array([[c, -s], [s, c]])
+    return AffineMap(A, np.asarray(fixed) - A @ np.asarray(fixed))
+
+
+@pytest.fixture(scope="module")
+def render_2d() -> PointSet:
+    """A depth-10 render of three rotated similitudes at delta 1e-3, the
+    size of a benchmark render: 73,617 points."""
+    maps = (similitude(0.52, 0.2, [0.2, 0.2]), similitude(0.52, -0.25, [0.8, 0.3]), similitude(0.52, 0.1, [0.45, 0.8]))
+    return attractor_points(IFS(Box([0.0, 0.0], [1.0, 1.0]), maps), 10)
+
+
+def widest_texts(exponents, pitch: float, dim: int = 2) -> PointSet:
+    """Negative values of 12 significant digits at the given exponents: most
+    cells are as wide as .12g text gets, 19 bytes before the separator."""
+    rng = np.random.default_rng(7)
+    return PointSet(-rng.uniform(1, 10, (300, dim)) * 10.0 ** rng.choice(exponents, (300, dim)), pitch)
+
+
+POINTS_CSV_CASES = {
+    "near-1e300": lambda: widest_texts(np.arange(295, 306), 1e280),
+    "near-1e-300": lambda: widest_texts(-np.arange(295, 306), 1e-318),
+    "subnormal-products": lambda: widest_texts(np.arange(-316, -308), 5e-324, dim=3),
+    "one-value-column": lambda: PointSet(np.column_stack([np.full(500, 0.25), np.arange(500) * 1e-3]), 1e-3),
+    "one-value-every-column": lambda: PointSet([[-3.5, 1e-7, 2.0]], 1e-9),
+    "distinct-1d": lambda: PointSet(np.random.default_rng(8).uniform(-1, 1, (9000, 1)), 1e-12),
+}
+
+
 def pgm_per_pixel(mask: np.ndarray, maxval: int) -> bytes:
     """write_pgm as it was: one str() per pixel."""
     height, width = mask.shape
@@ -144,7 +176,7 @@ class TestWritersMatchPerElementOracles:
     )
     def test_points_csv(self, tmp_path_factory, seed, dim, rows, pitch, scale, lattice):
         # both signs, tiny and large values, and, on a lattice, few distinct
-        # values per column; more than 4096 rows spans several blocks
+        # values per column
         rng = np.random.default_rng(seed)
         if lattice:
             pts = rng.integers(-40, 40, (rows, dim)) * (pitch * 3.0) + rng.uniform(-pitch, pitch, (rows, dim))
@@ -154,6 +186,49 @@ class TestWritersMatchPerElementOracles:
         path = tmp_path_factory.mktemp("csv") / "points.csv"
         write_points_csv(path, ps)
         assert path.read_bytes() == csv_per_element(ps)
+
+    @pytest.mark.parametrize("case", sorted(POINTS_CSV_CASES))
+    def test_points_csv_cases(self, tmp_path, case):
+        ps = POINTS_CSV_CASES[case]()
+        if case == "distinct-1d":
+            assert len(ps) == 9000
+        path = tmp_path / "points.csv"
+        write_points_csv(path, ps)
+        assert path.read_bytes() == csv_per_element(ps)
+
+    def test_points_csv_render_sized(self, tmp_path, render_2d):
+        assert len(render_2d) >= 60_000
+        path = tmp_path / "points.csv"
+        write_points_csv(path, render_2d)
+        assert path.read_bytes() == csv_per_element(render_2d)
+
+    def test_points_csv_peak_memory_stays_near_the_output(self, tmp_path, render_2d):
+        # an 8,720-point attractor on the line, nearly every value distinct,
+        # and a depth-10 render in the plane; the writer that joined one
+        # string per row peaked at 16.2 and 4.9 times the bytes written, and
+        # the per-row oracle, csv_per_element, at 11.2 and 7.8 times
+        s = 0.3225
+        line = IFS(Box([0.0], [1.0]), tuple(AffineMap([[s]], [o]) for o in (0.0, 0.5 - s / 2, 1 - s)))
+        path = tmp_path / "points.csv"
+        write_points_csv(path, PointSet([[0.5]], 1e-3))  # allocations made once per process
+        for ps, bound in ((attractor_points(line, 10), 11.0), (render_2d, 4.8)):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                write_points_csv(path, ps)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * path.stat().st_size
+
+    def test_bytes_format_is_the_f_string(self):
+        # write_points_csv formats with b"%.12g" % x: the same text as
+        # f"{x:.12g}" on random float64 bit patterns, subnormals, zeros,
+        # infinities and NaNs included
+        bits = np.random.default_rng(9).integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf, np.nan, 1e12, 1e-5]
+        for x in [*bits.view(np.float64).tolist(), *specials]:
+            assert b"%.12g" % x == f"{x:.12g}".encode(), x
 
     def test_points_csv_prints_zero_unsigned(self, tmp_path):
         path = tmp_path / "points.csv"
