@@ -9,7 +9,7 @@ and `predict` share the render flags (--depth, --image, --px).  `attractor`,
 recording inputs (with digests), flags, seeds, and versions, so any such run
 can be reproduced byte for byte; `analyze --limit-out` writes the limit spec
 alone.  A command whose outputs (its manifest included) name one file twice,
-or name one of its inputs, is refused before any work.
+a directory or one of its inputs is refused before any work.
 IFSSEQ_SEED overrides the default seed when --seed is not given.
 Negative --domain-lo/--domain-hi bounds take the `=` form, as in
 --domain-lo=-1,-1: after a space argparse reads "-1,-1" as an option.
@@ -53,10 +53,11 @@ MODEL_NAMES = {"last": "hold-last", "linear": "linear", "geometric": "geometric"
 RATIONAL_DENOMINATOR_CAP = 10**6
 
 
-def default_seed() -> int:
+def default_seed() -> int | None:
+    """IFSSEQ_SEED as an integer, or None (FitConfig's seed) when unset."""
     env = os.environ.get("IFSSEQ_SEED")
     if env is None:
-        return 0
+        return None
     try:
         return int(env)
     except ValueError as exc:
@@ -121,13 +122,16 @@ def _file_key(path):
 
 
 def _require_outputs(inputs, *outputs):
-    """Refuse, before any work is done, an output in a missing directory and
-    an output that names the same file as an input or an earlier output,
-    which its write would replace.  Empty or unset outputs are not written."""
+    """Refuse, before any work is done, an output in a missing directory, an
+    output that is a directory, and an output that names the same file as an
+    input or an earlier output, which its write would replace.  Empty or
+    unset outputs are not written."""
     named = {_file_key(p): f"input {p}" for p in inputs}
     for path in filter(None, outputs):
         if not Path(path).parent.is_dir():
             raise InputError(f"cannot write {path}: No such file or directory")
+        if os.path.isdir(path):
+            raise InputError(f"cannot write {path}: Is a directory")
         key = _file_key(path)
         if key in named:
             raise InputError(f"cannot write {path}: it names the same file as {named[key]}")
@@ -145,22 +149,13 @@ def _load_frame(path, pitch: float | None, threshold: int | None) -> PointSet:
 
 
 def _fit_setup(args):
-    """FitConfig, declared domain and manifest flags from the fit flags."""
+    """FitConfig, declared domain and manifest flags from the fit flags; an
+    unset budget flag takes FitConfig's default, which the manifest records."""
     from .collage import FitConfig
-    cfg = FitConfig(
-        n=args.n,
-        restarts=args.restarts,
-        max_iters=args.iters,
-        s_max=args.s_max,
-        seed=args.seed if args.seed is not None else default_seed(),
-    )
-    flags = {
-        "n": args.n,
-        "restarts": args.restarts,
-        "iters": args.iters,
-        "s_max": args.s_max,
-        "seed": cfg.seed,
-    }
+    seed = args.seed if args.seed is not None else default_seed()
+    budget = {"restarts": args.restarts, "max_iters": args.iters, "s_max": args.s_max, "seed": seed}
+    cfg = FitConfig(n=args.n, **{k: v for k, v in budget.items() if v is not None})
+    flags = {"n": cfg.n, "restarts": cfg.restarts, "iters": cfg.max_iters, "s_max": cfg.s_max, "seed": cfg.seed}
     return cfg, _parse_domain(args.domain_lo, args.domain_hi), flags
 
 
@@ -281,7 +276,8 @@ def cmd_predict(args) -> int:
     source = Path(args.frames)
     inputs = _frame_paths(source) if source.is_dir() else [source]
     _require_outputs(inputs, out_spec, out_csv, args.image, manifest)
-    model = ExtrapolationModel(MODEL_NAMES[args.model], horizon=args.horizon, s_max=args.s_max)
+    overrides = {} if args.s_max is None else {"s_max": args.s_max}
+    model = ExtrapolationModel(MODEL_NAMES[args.model], horizon=args.horizon, **overrides)
     if source.is_dir():
         frames = [_load_frame(p, args.delta, args.threshold) for p in inputs]
         if len(frames) < 2:
@@ -294,7 +290,7 @@ def cmd_predict(args) -> int:
         sequence = read_sequence(source)
         if len(sequence) < 2:
             raise PreconditionError("prediction needs at least 2 terms")
-        fit_flags = {}
+        fit_flags = {"s_max": model.s_max}  # the projection's bound, the one fit flag read here
     # each distinct extrapolation warning becomes one line, like collage-fit's
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
@@ -338,9 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = argparse.ArgumentParser(add_help=False)
     fit.add_argument("--seed", type=int, default=None)
-    fit.add_argument("--restarts", type=int, default=8)
-    fit.add_argument("--iters", type=int, default=200)
-    fit.add_argument("--s-max", type=float, default=0.95, dest="s_max")
+    # the budget flags default to FitConfig's values, resolved in _fit_setup
+    fit.add_argument("--restarts", type=int, default=None)
+    fit.add_argument("--iters", type=int, default=None)
+    fit.add_argument("--s-max", type=float, default=None, dest="s_max")
     fit.add_argument("--delta", type=float, default=None, help="frame point pitch override")
     fit.add_argument("--threshold", type=int, default=None, help="graymap foreground threshold")
     fit.add_argument(

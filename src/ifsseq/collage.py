@@ -28,8 +28,8 @@ over their (maps, points) array of ticks (_line_sq).  Each entry is the
 sorted scan's own expression at the same query float k*delta, so the gather
 gives the scan's value bit for bit.  The field is skipped past
 FIELD_TICKS_PER_POINT ticks per target point, where it would cost more than
-the scans it saves; there, and in collage_distance, a one-off, the same
-stack is one sorted scan.
+the scans it saves; there the same stack is one sorted scan.  The shares
+serve the descent alone: collage_distance is hausdorff(L, W(L)).
 
 The descent keeps the incumbent's shares and scores only the maps that a
 candidate moves (see _descend).  A sweep's candidates are one array
@@ -70,6 +70,8 @@ from .attractor import (
     _min_sq_sorted_1d,
     _screened_max_sq,
     _snap,
+    hausdorff,
+    hutchinson,
 )
 from .errors import InputError, PreconditionError
 from .maps import AffineMap, Box, spectral_norm
@@ -118,7 +120,7 @@ class ExtrapolationModel:
 
     kind: str
     horizon: int
-    s_max: float = 0.95
+    s_max: float = FitConfig.s_max
 
     KINDS = ("hold-last", "linear", "geometric")
 
@@ -155,8 +157,7 @@ class _Share:
 
     out_sq, the max squared distance from the map's snapped images into L,
     is taken at once: on the line by _line_sq, from the fit's tick field
-    (_tick_field) when one is given, else by the sorted scan
-    (collage_distance, and targets too sparse for the field's size rule);
+    (_tick_field), or by the sorted scan for a target too sparse for one;
     above, by the target's tree and the brute expression.  top is the index
     of the target point whose image lies farthest out, a witness point of
     the descent (_survivors).  near, per point of L the distance to those
@@ -167,17 +168,15 @@ class _Share:
 
     __slots__ = ("target", "images", "out_sq", "top", "tree", "_near", "_reach")
 
-    def __init__(self, target: PointSet, A: np.ndarray, b: np.ndarray, field=None):
-        # images as AffineMap.transform takes them, snapped, not deduplicated;
-        # a constant map's are one point, as min and max ignore duplicates
-        at = slice(None) if A.any() else slice(0, 1)
+    def __init__(self, target: PointSet, A: np.ndarray, b: np.ndarray, field):
+        # images as AffineMap.transform takes them, snapped, not deduplicated
         if target.dim == 1:
-            ticks = _line_ticks(target, A[0], b, at)
+            ticks = _line_ticks(target, A[0], b)
             values = _line_sq(target, ticks, field)[0]
             # ascending, as near's scan needs, or descending when a < 0
             images = ((ticks[0, ::-1] if A[0, 0] < 0.0 else ticks[0]) * target.resolution)[:, None]
         else:
-            images = _snap(target.points[at] @ A.T + b, target.resolution)
+            images = _snap(target.points @ A.T + b, target.resolution)
             values, _ = target.tree.query(images)
         self.top = int(values.argmax())
         self.out_sq = float(values[self.top])
@@ -261,20 +260,19 @@ def _tick_field(target: PointSet, box: Box):
     return k0, _min_sq_sorted_1d((np.arange(k0, k1 + 1.0) * delta)[:, None], target.points)
 
 
-def _score(target: PointSet, shares, bound: float = math.inf, reach=None) -> float:
+def _score(target: PointSet, shares, bound: float, reach: np.ndarray) -> float:
     """h(L, union of the shares' images), bit for bit the brute value: max
     and min over the maps combine the per-map values exactly.  Lower bounds
     come first, the images' directed value and then the in side at the
-    points of a mask `reach` (_Share.reach_sq): one that reaches `bound`
+    points of the mask `reach` (_Share.reach_sq): one that reaches `bound`
     lies in [bound, h] and stands in for h.  Else near's argmax joins reach."""
     sq = max(share.out_sq for share in shares)
-    if reach is not None and math.sqrt(sq) < bound and (at := np.flatnonzero(reach)).size:
+    if math.sqrt(sq) < bound and (at := np.flatnonzero(reach)).size:
         sq = max(sq, float(reduce(np.minimum, [share.reach_sq(at) for share in shares]).max()))
     if math.sqrt(sq) >= bound:
         return math.sqrt(sq)
     near = reduce(np.minimum, [share.near for share in shares])
-    if reach is not None:
-        reach[near.argmax()] = True
+    reach[near.argmax()] = True
     if target.dim == 1:
         in_sq = float(near.max())
     else:
@@ -283,9 +281,8 @@ def _score(target: PointSet, shares, bound: float = math.inf, reach=None) -> flo
 
 
 def collage_distance(S: IFS, target: PointSet) -> float:
-    """h(L, W(L)), bit for bit hausdorff(target, hutchinson(S, target))."""
-    _check_images(target, S.domain, S.n)
-    return _score(target, [_Share(target, m.A, m.b) for m in S.maps])
+    """h(L, W(L)), the collage distance of S on the target L."""
+    return hausdorff(target, hutchinson(S, target))
 
 
 def collage_bound(eps: float, t: float) -> float:

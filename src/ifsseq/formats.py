@@ -41,21 +41,23 @@ def _umask() -> int:
 
 
 def _atomic_write(path, data: bytes):
-    path = Path(path)
+    """Write through a temp file beside `path` and a rename; an OSError on
+    the way is an InputError, and the temp file is removed."""
+    path, tmp = Path(path), None
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
-    try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
         os.chmod(tmp, 0o666 & ~_umask())  # mkstemp creates the file 0600
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise InputError(f"cannot write {path}: {exc.strerror}") from exc
         raise
 
 

@@ -13,9 +13,10 @@ import pytest
 import scipy
 
 import ifsseq
-from ifsseq import sequences, systems
+from ifsseq import collage, sequences, systems
 from ifsseq import IFS, AffineMap, Box, attractor_points, box_seed, big_d, hausdorff
 from ifsseq.cli import format_value, main
+from ifsseq.collage import FitConfig
 from ifsseq.formats import (
     read_ifs,
     read_points_csv,
@@ -463,6 +464,30 @@ class TestCollageFit:
         err = capsys.readouterr().err
         assert err.startswith("resource limit: ") and err.count("\n") == 1
 
+    def test_default_budget_is_fit_configs(self, tmp_path, monkeypatch):
+        # without budget flags a fit runs, and its manifest records,
+        # FitConfig's own defaults
+        monkeypatch.delenv("IFSSEQ_SEED", raising=False)
+        fit_ifs, configs = collage.fit_ifs, []
+
+        def recorded_fit(target, cfg, **kwargs):
+            configs.append(cfg)
+            return fit_ifs(target, cfg, **kwargs)
+
+        monkeypatch.setattr(collage, "fit_ifs", recorded_fit)
+        mask = np.zeros((2, 4), dtype=bool)
+        mask[0, 1] = True
+        write_pgm(tmp_path / "dot.pgm", mask)
+        out = tmp_path / "fit.json"
+        assert main(["collage-fit", str(tmp_path / "dot.pgm"), "--n", "2", "--out", str(out)]) == 0
+        cfg = FitConfig(n=2)
+        assert configs == [cfg]
+        flags = json.loads((tmp_path / "fit.json.manifest.json").read_text())["flags"]
+        assert flags == {
+            "n": cfg.n, "restarts": cfg.restarts, "iters": cfg.max_iters, "s_max": cfg.s_max, "seed": cfg.seed,
+            "delta": None, "threshold": None,
+        }
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         img = self.cantor_pgm(tmp_path, width=243, depth=5)
         out = tmp_path / "fit.json"
@@ -476,6 +501,20 @@ class TestCollageFit:
 
 class TestPredict:
     DOMAIN = ["--domain-lo", "0", "--domain-hi", "1"]
+    SEQFILE = Path(__file__).parent / "fixtures" / "analyze" / "converging1d.seq.json"
+
+    def test_sequence_file_manifest_records_s_max(self, tmp_path, monkeypatch):
+        # --s-max bounds the projection of the extrapolated maps, so runs
+        # that differ in it write different specs and must record it
+        monkeypatch.chdir(tmp_path)
+        specs, manifests = [], []
+        for s_max in (["--s-max", "0.2"], ["--s-max", "0.9"], []):
+            argv = ["predict", str(self.SEQFILE), "--model", "linear", "--horizon", "3", "--out-prefix", "p"]
+            assert main(argv + s_max) == 0
+            specs.append(Path("p.ifs.json").read_bytes())
+            manifests.append(json.loads(Path("p.manifest.json").read_text())["flags"])
+        assert specs[0] != specs[1]
+        assert [flags["s_max"] for flags in manifests] == [0.2, 0.9, FitConfig.s_max]
 
     def frames_dir(self, tmp_path, count=3, width=243):
         frames = tmp_path / "frames"
@@ -662,6 +701,33 @@ class TestRejectedArguments:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {files['missing']}/")
         assert err.endswith(": No such file or directory\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["attractor", "{spec}", "--depth", "2", "--out", "{outdir}"],
+            ["attractor", "{spec}", "--depth", "2", "--image", "{outdir}"],
+            ["collage-fit", "{img}", "--n", "1", "--out", "{outdir}"],
+            ["analyze", "{seq}", "--eps", "0.5", "--limit-out", "{outdir}"],
+            ["predict", "{seq}", "--model", "last", "--horizon", "1", "--out-prefix", "{out}", "--image", "{outdir}"],
+        ],
+        ids=["attractor-out", "attractor-image", "collage-fit-out", "analyze-limit-out", "predict-image"],
+    )
+    def test_directory_output_is_refused_before_any_work(self, files, tmp_path, monkeypatch, capsys, argv):
+        # each of these once did its work and then ended in a traceback
+        # from the rename onto the directory
+        def no_work(*args, **kwargs):
+            raise AssertionError("the work must not start")
+
+        for name in ("ifsseq.collage.fit_ifs", "ifsseq.collage.extrapolate", "ifsseq.cli.attractor_points",
+                     "ifsseq.cli.analyze_sequence"):
+            monkeypatch.setattr(name, no_work)
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert main([arg.format(**files, outdir=outdir) for arg in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write {outdir}: Is a directory\n")
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize(
         "argv, err",

@@ -78,9 +78,13 @@ class TestCollageDistance:
         mask = rng.random((1 if dim == 1 else width, width)) < rng.uniform(0.05, 0.6)
         mask.flat[rng.integers(mask.size)] = True
         target = raster_to_points(mask, 1.0 / width)
-        assert collage_distance(system, target) == hausdorff_brute(
-            target, hutchinson(system, target)
-        )
+        brute = hausdorff_brute(target, hutchinson(system, target))
+        assert collage_distance(system, target) == brute
+        # the descent's scorer over the system's shares, from the fit's tick
+        # field (None above the line or on a sparse target) and from the scan
+        for field in (collage._tick_field(target, box), None):
+            shares = [collage._Share(target, m.A, m.b, field) for m in system.maps]
+            assert collage._score(target, shares, math.inf, np.zeros(len(target), bool)) == brute
 
 
 def candidate_moves_reference(params, n, d, box, step):
@@ -268,7 +272,7 @@ class TestPerMapKernel:
         def draw(A, b):
             if dim == 1:  # slopes negative, -0.0, 0.0 and positive
                 A = np.array([[(-rng.uniform(0.05, 0.9), -0.0, 0.0, rng.uniform(0.05, 0.9))[rng.integers(4)]]])
-            elif rng.random() < 0.2:  # a constant map, whose share is one image
+            elif rng.random() < 0.2:  # a constant map, whose images all coincide
                 A = np.zeros((dim, dim))
             if rng.random() < 0.5:  # fix a corner of the box, so the images reach its edge
                 corner = (box.lo, box.hi)[rng.integers(2)]
@@ -281,7 +285,7 @@ class TestPerMapKernel:
         maps = [draw(rng.standard_normal((dim, dim)), rng.uniform(0.0, 1.0, dim) * extent) for _ in range(n)]
         shares = [collage._Share(target, m.A, m.b, field) for m in maps]
         incumbent = brute(maps)
-        assert collage._score(target, shares) == incumbent
+        assert collage._score(target, shares, math.inf, np.zeros(len(target), bool)) == incumbent
         mask = None if reach == "none" else rng.random(len(target)) < {"random": rng.uniform(), "all": 1.0}.get(reach, 0.0)
         if reach == "one":
             mask[rng.integers(len(target))] = True
@@ -295,8 +299,8 @@ class TestPerMapKernel:
                 "random": exact * rng.uniform(0.5, 1.5),
                 "tight": np.nextafter(exact, rng.choice([-math.inf, math.inf])),
             }[bound]
-            before = None if mask is None else mask.copy()
-            value = collage._score(target, shares, limit, mask)
+            before = None if mask is None else mask.copy()  # "none" takes a fresh mask per call
+            value = collage._score(target, shares, limit, np.zeros(len(target), bool) if mask is None else mask)
             # exact below the bound, and at or above it a stand-in that
             # rejects all the same
             assert value == exact if exact < limit else limit <= value <= exact
@@ -309,7 +313,7 @@ class TestPerMapKernel:
                     at = np.flatnonzero(share._reach == share._reach)
                     assert mask[at].all()
                     assert share._reach[at].tobytes() == attractor._min_sq_brute(target.points[at], share.images).tobytes()
-            assert collage._score(target, shares) == exact
+            assert collage._score(target, shares, math.inf, np.zeros(len(target), bool)) == exact
             incumbent = exact
 
     def test_descent_projects_each_moved_block_once(self, monkeypatch):
@@ -405,7 +409,7 @@ class TestPerMapKernel:
         survivors, score = collage._survivors, collage._score
 
         def counted_ticks(target, a, b, at=slice(None)):
-            if isinstance(at, slice):  # all of a map's images, or a constant map's one
+            if isinstance(at, slice):  # all of a map's images
                 full.append(len(built))
             return line_ticks(target, a, b, at)
 
@@ -423,7 +427,7 @@ class TestPerMapKernel:
             sweeps.append((blocks.copy(), moved, kept, witness, int(witness.sum()), len(built), len(scores)))
             return kept
 
-        def recorded_score(target, shares, bound=math.inf, reach=None):
+        def recorded_score(target, shares, bound, reach):
             value = score(target, shares, bound, reach)
             scores.append(value < bound)
             return value
@@ -540,7 +544,7 @@ class TestPerMapKernel:
             screens.append(1)
             return kernel(target, field, blocks, moved, shares, best, np.full(len(witness), source == "exact"))
 
-        def fixed_reach(target, shares, bound=math.inf, reach=None):
+        def fixed_reach(target, shares, bound, reach):
             return score(target, shares, bound, np.full(len(target), source == "exact"))
 
         if source in ("unscreened", "exact"):
@@ -607,7 +611,7 @@ class TestTickField:
             b = image - a * end
         A, b = project_one([[a]], [b], box, s_max)
         share = collage._Share(target, A, b, (k0, sq))
-        assert share.out_sq == collage._Share(target, A, b).out_sq
+        assert share.out_sq == collage._Share(target, A, b, None).out_sq
         images = np.rint((target.points[:, 0] * A[0, 0] + b[0]) / pitch)
         low, high = images.min(), images.max()
         assert k0 <= low and high <= k0 + sq.size - 1
@@ -800,7 +804,7 @@ class TestSweepArrays:
                     for i in range(n)
                 ]
                 out_sq[c] = max(share.out_sq for share in trial)
-        value = collage._score(target, shares)
+        value = collage._score(target, shares, math.inf, np.zeros(len(target), bool))
         if best == "tight" and out_sq:
             best = np.nextafter(math.sqrt(rng.choice(list(out_sq.values()))), math.inf)
         else:
@@ -830,8 +834,8 @@ class TestSweepArrays:
                 rows = [(c, i) for c, i in zip(ci, bi) if not np.isnan(blocks[c, i]).any()]
                 assert len(images[0]) == len(rows)
                 for taken, (c, i) in zip(images[0], rows):
-                    collage._Share(target, blocks[c, i, : d * d].reshape(d, d), blocks[c, i, d * d :])
-                    own = images[-1][at] if len(images[-1]) > 1 else images[-1]  # a constant map's one image
+                    collage._Share(target, blocks[c, i, : d * d].reshape(d, d), blocks[c, i, d * d :], field)
+                    own = images[-1][at]
                     assert taken.tobytes() == np.resize(own, taken.shape).tobytes()
         assert survivors.dtype.kind == "i" and (np.diff(survivors) > 0).all()
         assert set(expected) <= set(survivors.tolist())
@@ -1024,11 +1028,11 @@ class TestFitIFS:
         maps = tuple(AffineMap(0.5 * np.eye(2), b) for b in ([0.0, 0.0], [0.5, 0.0], [0.0, 0.5]))
         target = attractor_points(IFS(box, maps), 8, box_seed(box, 1 / 32))
         scored = []
-        kernel = collage._score  # every candidate and every baseline is scored here
+        kernel = collage._score  # every candidate is scored here; the baseline by collage_distance
         monkeypatch.setattr(collage, "_score", lambda *args: scored.append(1) or kernel(*args))
         cfg = FitConfig(n=3, restarts=3, max_iters=200)
         assert fit_ifs(target, cfg, init_maps=maps) == FitResult(IFS(box, maps), 0.0, (0.0,))
-        assert len(scored) <= cfg.restarts + 1
+        assert len(scored) <= cfg.restarts
 
     def test_random_starts_are_drawn_one_restart_at_a_time(self, monkeypatch, unit_box, cantor_render):
         # restart 0 fits a single point exactly, so no random start is drawn

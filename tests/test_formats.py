@@ -1,6 +1,8 @@
 import contextlib
+import errno
 import io
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -101,6 +103,35 @@ class TestIFSSpecFiles:
         path.write_text(json.dumps([term, term, wider]))
         with pytest.raises(InputError, match=r"^term 3 lives on a different domain$"):
             read_sequence(path)
+
+
+class TestAtomicWrite:
+    def test_a_failed_write_is_an_input_error_and_leaves_no_file(self, tmp_path, monkeypatch):
+        # mkstemp, the write and the rename each fail with an OSError, which
+        # the writers report as an InputError with the path and the reason
+        system = cantor_ifs()
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
+        with pytest.raises(InputError, match=f"^cannot write {outdir}: Is a directory$"):
+            write_ifs(outdir, system)
+        with pytest.raises(InputError, match=f"^cannot write {tmp_path}/missing/s.json: No such file or directory$"):
+            write_ifs(tmp_path / "missing" / "s.json", system)
+
+        def full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        class FullFile(io.FileIO):
+            write = full
+
+        for name in ("write", "replace"):
+            with monkeypatch.context() as patch:
+                if name == "write":
+                    patch.setattr(os, "fdopen", lambda fd, mode: FullFile(fd, "w"))
+                else:
+                    patch.setattr(os, "replace", full)
+                with pytest.raises(InputError, match=f"^cannot write {tmp_path}/s.json: No space left on device$"):
+                    write_ifs(tmp_path / "s.json", system)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir"] and not any(outdir.iterdir())
 
 
 class TestPointsCSV:
