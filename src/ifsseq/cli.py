@@ -1,8 +1,9 @@
 """Command line surface: dist, attractor, analyze, collage-fit, predict.
 
 Exit codes: 0 success, 2 parse or validation error, 3 resource cap exceeded
-(points, vertices, or a --px raster above formats.MAX_PIXELS), 4 precondition
-failure.  `collage-fit` and `predict` share the fit flags (--seed, --restarts,
+(points, vertices, a --px raster above formats.MAX_PIXELS, or a cost tensor
+above systems.COST_TENSOR_CAP entries), 4 precondition failure.
+`collage-fit` and `predict` share the fit flags (--seed, --restarts,
 --iters, --s-max, --delta, --threshold, --domain-lo, --domain-hi); `attractor`
 and `predict` share the render flags (--depth, --image, --px).  `attractor`,
 `collage-fit` and `predict` also write a manifest beside their outputs,

@@ -1,8 +1,10 @@
 """File formats: system spec files (JSON), point CSVs, and PGM/PBM rasters.
 
 Spec files serialize coefficients with repr, which round-trips float64
-exactly.  Rasters convert to point sets by taking foreground pixel centers at
-the pixel pitch; render_raster over the raster's own box, one pixel per pitch,
+exactly.  A sequence file's values are checked once, over one stack of all
+its coefficients, whose views its maps are.
+Rasters convert to point sets by taking foreground pixel centers at the
+pixel pitch; render_raster over the raster's own box, one pixel per pitch,
 inverts the conversion exactly.
 All writers go through a temp file plus rename, so readers never observe a
 partial file.  The point CSV and the PGM are each built as one byte buffer:
@@ -23,9 +25,9 @@ import numpy as np
 
 from .attractor import PointSet
 from .errors import InputError, ResourceLimitError
-from .maps import AffineMap, Box
+from .maps import AffineMap, Box, _require_contraction, _require_finite, spectral_norm
 from .sequences import IFSSequence
-from .systems import IFS
+from .systems import IFS, _require_inside
 
 # Pixels in one raster (4096 x 4096); write_pgm holds ~10 bytes per pixel.
 MAX_PIXELS = 1 << 24
@@ -91,10 +93,8 @@ def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-def ifs_from_dict(data: dict, where: str = "spec", domain: Box | None = None) -> IFS:
-    """The system a spec describes.  When its bounds equal those of `domain`
-    bit for bit, the system takes `domain` itself, so the terms of a sequence
-    file share one box and its vertices."""
+def _spec_box(data: dict, where: str, previous: Box | None) -> tuple[int, Box]:
+    """A spec's dim and domain: `previous` itself if the bounds match its bits."""
     dim = _field(data, "dim", where)
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise InputError(f"{where}.dim: expected a positive integer, got {dim!r}")
@@ -104,14 +104,16 @@ def ifs_from_dict(data: dict, where: str = "spec", domain: Box | None = None) ->
     if not isinstance(lo, list) or len(lo) != dim or not isinstance(hi, list) or len(hi) != dim:
         raise InputError(f"{where}.domain: lo/hi must be vectors of length {dim}")
     lo, hi = _floats(lo, f"{where}.domain.lo"), _floats(hi, f"{where}.domain.hi")
-    if domain is not None and _same_bits(lo, domain.lo) and _same_bits(hi, domain.hi):
-        box = domain
-    else:
-        box = Box(lo, hi)
+    if previous is not None and _same_bits(lo, previous.lo) and _same_bits(hi, previous.hi):
+        return dim, previous
+    return dim, Box(lo, hi)
+
+
+def _spec_maps(data: dict, dim: int, where: str):
+    """(tag, A, b) for each map of a spec, its structure checked as it is reached."""
     raw_maps = _field(data, "maps", where)
     if not isinstance(raw_maps, list) or not raw_maps:
         raise InputError(f"{where}.maps: need a nonempty list")
-    maps = []
     for k, entry in enumerate(raw_maps):
         tag = f"{where}.maps[{k}]"
         A = _floats(_field(entry, "A", tag), f"{tag}.A")
@@ -122,6 +124,17 @@ def ifs_from_dict(data: dict, where: str = "spec", domain: Box | None = None) ->
             raise InputError(f"{tag}.A: expected a {dim}x{dim} matrix, got shape {A.shape}")
         if b.shape != (dim,):
             raise InputError(f"{tag}.b: expected a vector of length {dim}")
+        yield tag, A, b
+
+
+def ifs_from_dict(data: dict, where: str = "spec", domain: Box | None = None) -> IFS:
+    """The system a spec describes.  When its bounds equal those of `domain`
+    bit for bit, the system takes `domain` itself, so the terms of a sequence
+    file share one box and its vertices.  The first fault in file order is
+    reported: each map's values are checked before the next map's structure."""
+    dim, box = _spec_box(data, where, domain)
+    maps = []
+    for tag, A, b in _spec_maps(data, dim, where):
         try:
             maps.append(AffineMap(A, b))
         except InputError as exc:
@@ -153,12 +166,40 @@ def write_ifs(path, system: IFS):
     _write_json(path, ifs_to_dict(system))
 
 
+def _stacked_sequence(data: list, path) -> IFSSequence:
+    """The terms as views of one stack, A (m, n, d, d) and b (m, n, d): each
+    term's structure is checked as in ifs_from_dict, then the values once."""
+    boxes, A, b = [], [], []
+    for k, entry in enumerate(data):
+        dim, box = _spec_box(entry, f"{path}[{k}]", boxes[-1] if boxes else None)
+        _, A_k, b_k = zip(*_spec_maps(entry, dim, f"{path}[{k}]"))
+        if boxes and (box != boxes[0] or len(A_k) != len(A[0])):
+            raise InputError(f"{path}[{k}]: differs from term 1 in dimension, domain or arity")
+        boxes.append(box)
+        A.append(A_k)
+        b.append(b_k)
+    A, b = np.array(A), np.array(b)
+    _require_finite(A, b)
+    norms = [[spectral_norm(a) for a in A_k] for A_k in A]  # one scalar norm per map, as AffineMap takes it
+    _require_contraction(max(map(max, norms)))
+    _require_inside(A, b, boxes[0])
+    A.flags.writeable = b.flags.writeable = False
+    return IFSSequence(tuple(
+        IFS._checked(box, tuple(map(AffineMap._checked, A_k, b_k, norms_k)))
+        for box, A_k, b_k, norms_k in zip(boxes, A, b, norms)
+    ))
+
+
 def read_sequence(path) -> IFSSequence:
     data = _read_json(path)
     if isinstance(data, dict):
         data = _field(data, "terms", str(path))
     if not isinstance(data, list) or not data:
         raise InputError(f"{path}: expected a nonempty list of systems")
+    try:
+        return _stacked_sequence(data, path)
+    except InputError:  # read again term by term, for the first fault in file order
+        pass
     terms = []
     for k, entry in enumerate(data):
         terms.append(ifs_from_dict(entry, f"{path}[{k}]", terms[-1].domain if terms else None))

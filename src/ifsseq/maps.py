@@ -21,6 +21,18 @@ from .errors import ContractionError, InputError, ResourceLimitError
 MAX_VERTEX_DIM = 20
 
 
+def _require_finite(A: np.ndarray, b: np.ndarray):
+    """The finite check of one map's coefficients or a stack's."""
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise InputError("map coefficients must be finite")
+
+
+def _require_contraction(norm: float):
+    """The contraction check of one spectral norm, or a stack's largest."""
+    if not norm < 1.0:
+        raise ContractionError(f"spectral norm {norm} is not below 1; not a contraction")
+
+
 def spectral_norm(A: np.ndarray) -> float:
     """Largest singular value; closed form for d <= 2 where finite, else LAPACK."""
     A = np.asarray(A, dtype=float)
@@ -135,17 +147,22 @@ class AffineMap:
             raise InputError("A must be a square matrix")
         if b.ndim != 1 or b.size != A.shape[0]:
             raise InputError("b must be a vector matching A")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise InputError("map coefficients must be finite")
+        _require_finite(A, b)
         A.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_norm", spectral_norm(A))
-        if check and not self._norm < 1.0:
-            raise ContractionError(
-                f"spectral norm {self._norm} is not below 1; not a contraction"
-            )
+        if check:
+            _require_contraction(self._norm)
+
+    @classmethod
+    def _checked(cls, A: np.ndarray, b: np.ndarray, norm: float) -> "AffineMap":
+        """The map on read-only A and b that have passed both checks, whose
+        spectral norm is `norm`, built without running them again."""
+        f = object.__new__(cls)
+        f.__dict__.update(A=A, b=b, _norm=norm)
+        return f
 
     @property
     def dim(self) -> int:
@@ -216,7 +233,10 @@ def dbar_stacks(Af, bf, Ag, bg, domain: Box) -> np.ndarray:
     Af (..., p, d, d) and bf (..., p, d) hold maps f_i; Ag (..., q, d, d) and
     bg (..., q, d) hold maps g_j; the leading axes broadcast.  Entry [..., i, j]
     of the (..., p, q) result is dbar_inf(f_i, g_j, domain) bit for bit, as it
-    is the same vertex expression as sup_distance.
+    is the same vertex expression as sup_distance: the vertex images are one
+    2-D product laid out (2^d, ..., p, q, d), where a stacked matmul would
+    make one BLAS call per pair, but each coordinate is the same dot product
+    and its squares are summed over the same last axis.
     """
     Af, bf, Ag, bg = (np.asarray(x, dtype=float) for x in (Af, bf, Ag, bg))
     d = domain.dim
@@ -226,6 +246,7 @@ def dbar_stacks(Af, bf, Ag, bg, domain: Box) -> np.ndarray:
         )
     dA = Af[..., :, None, :, :] - Ag[..., None, :, :, :]
     db = bf[..., :, None, :] - bg[..., None, :, :]
-    vals = ((domain.vertices() @ dA.swapaxes(-1, -2) + db[..., None, :]) ** 2).sum(axis=-1)
-    s = np.sqrt(vals.max(axis=-1))
+    V = domain.vertices()
+    img = (V @ dA.reshape(-1, d).T).reshape(len(V), *dA.shape[:-1])
+    s = np.sqrt(((img + db) ** 2).sum(axis=-1).max(axis=0))
     return s / (1.0 + s)

@@ -37,8 +37,12 @@ BRUTE_FORCE_MAX_N = 8
 # on every kind of input measured; at n = 7 it is 2x slower on near-identity
 # optima, which aligned sequence terms have, and at n = 8 7x slower on all.
 ENUMERATE_MAX_N = 6
-# Sums held per _lex_optimal call in _distances (256 KiB of float64).
+# Sums held per _lex_optimal call on upper-triangle pairs in _distances (256 KiB).
 ENUMERATE_CHUNK = 1 << 15
+# Entries m^2 n^2 of a cost tensor, as attractor.POINT_CAP: 40 MB.  At the cap
+# with n = 1, analyze peaks ~160 MB above its start: the tensor is gathered twice
+# to align it, and D and its traces are m x m.
+COST_TENSOR_CAP = 5_000_000
 # Row p of _PERMUTATIONS[n] is the p-th permutation of 0..n-1 in
 # itertools.permutations (lexicographic) order, built at import (~0.3 ms).
 _PERMUTATIONS = tuple(
@@ -111,12 +115,15 @@ class IFS:
                 raise InputError(f"map {k} has dimension {m.dim}, domain has {box.dim}")
             if not m.contractivity < 1.0:
                 raise InputError(f"map {k} is not a contraction (factor {m.contractivity})")
-        A, b = np.array([m.A for m in maps]), np.array([m.b for m in maps])
-        img = box.vertices() @ A.swapaxes(-1, -2) + b[:, None]  # every map's vertex images
-        inside = ((img >= box.lo - 1e-9) & (img <= box.hi + 1e-9)).all(axis=(1, 2))  # as maps_into decides
-        if not inside.all():
-            raise InputError(f"map {int(np.argmin(inside))} does not send the domain into itself")
+        _require_inside(np.array([m.A for m in maps]), np.array([m.b for m in maps]), box)
         object.__setattr__(self, "maps", maps)
+
+    @classmethod
+    def _checked(cls, domain: Box, maps: tuple[AffineMap, ...]) -> "IFS":
+        """The system of contractions that have passed _require_inside."""
+        S = object.__new__(cls)
+        S.__dict__.update(domain=domain, maps=maps)
+        return S
 
     @property
     def n(self) -> int:
@@ -145,6 +152,17 @@ class IFS:
 
     def __repr__(self):
         return f"IFS(domain={self.domain!r}, n={self.n})"
+
+
+def _require_inside(A: np.ndarray, b: np.ndarray, box: Box):
+    """The containment check of maps A (..., n, d, d), b (..., n, d) in box, at
+    its vertices as maps_into decides; the first map outside is named by its
+    index among its n."""
+    V, n = box.vertices(), b.shape[-2]
+    img = (V @ A.reshape(-1, box.dim).T).reshape(len(V), *b.shape) + b
+    inside = ((img >= box.lo - 1e-9) & (img <= box.hi + 1e-9)).all(axis=(0, -1))
+    if not inside.all():
+        raise InputError(f"map {int(np.argmin(inside)) % n} does not send the domain into itself")
 
 
 def _stacks(terms) -> tuple[np.ndarray, np.ndarray]:
@@ -182,6 +200,8 @@ def cost_tensor(terms) -> np.ndarray:
     terms = list(terms)
     A, b = _stacks(terms)
     m, n = b.shape[:2]
+    if m * m * n * n > COST_TENSOR_CAP:
+        raise ResourceLimitError(f"the cost tensor of {m} terms of arity {n} exceeds the {COST_TENSOR_CAP}-entry cap")
     out = np.empty((m, m, n, n))
     for j in range(m):
         out[j, j:] = dbar_stacks(A[j], b[j], A[j:], b[j:], terms[0].domain)
@@ -336,8 +356,9 @@ def leq(S: IFS, T: IFS) -> bool:
 
 def _distances(T: np.ndarray) -> np.ndarray:
     """Symmetric matrix of D over the systems behind a cost tensor.  Up to
-    ENUMERATE_MAX_N maps row j comes from _lex_optimal on T[j, j + 1:],
-    ENUMERATE_CHUNK sums at a time; above it, one optimal_matching per pair."""
+    ENUMERATE_MAX_N maps the pairs j < k of the upper triangle, in row order,
+    are gathered from T and matched by _lex_optimal, ENUMERATE_CHUNK sums at
+    a time; above it, one optimal_matching per pair."""
     m, n = T.shape[0], T.shape[-1]
     out = np.zeros((m, m))
     if n > ENUMERATE_MAX_N:
@@ -346,10 +367,10 @@ def _distances(T: np.ndarray) -> np.ndarray:
                 out[j, k] = out[k, j] = optimal_matching(T[j, k])[1]
         return out
     step = ENUMERATE_CHUNK // len(_PERMUTATIONS[n])
-    for j in range(m):
-        for k in range(j + 1, m, step):
-            out[j, k : k + step] = _lex_optimal(T[j, k : k + step])[1]
-        out[j + 1 :, j] = out[j, j + 1 :]
+    J, K = np.triu_indices(m, 1)
+    for at in range(0, J.size, step):
+        j, k = J[at : at + step], K[at : at + step]
+        out[j, k] = out[k, j] = _lex_optimal(T[j, k])[1]
     return out
 
 

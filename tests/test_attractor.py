@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -19,10 +20,13 @@ from ifsseq import (
     box_seed,
     chaos_game,
     code_point,
+    default_resolution,
     directed_distance,
     hausdorff,
     hausdorff_brute,
     hutchinson,
+    minimal_order,
+    sup_distance,
 )
 from ifsseq import attractor
 from ifsseq.attractor import _directed_sq, _min_sq_brute, _snap
@@ -450,3 +454,47 @@ class TestConvergenceReport:
             piece2 = PointSet(term.maps[1].transform(render.points), DELTA)
             gap = piece2.points[:, 0].min() - piece1.points[:, 0].max()
             assert gap > 0.0
+
+
+def exact_hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
+    """h between two small arrays of points, unsnapped."""
+    sq = ((P[:, None, :] - Q[None, :, :]) ** 2).sum(axis=-1)
+    return math.sqrt(max(sq.min(axis=1).max(), sq.min(axis=0).max()))
+
+
+class TestAttractorContinuity:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        n=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        mix=st.sampled_from([0.0, 0.01, 0.1, 1.0]),
+        data=st.data(),
+    )
+    def test_attractors_lie_within_the_matched_sup_distance(self, dim, n, seed, mix, data):
+        """h(A_S, A_T) <= max_i sup||f_i - g_sigma(i)|| / (1 - min(t_S, t_T))
+        over the minimal ordering sigma.  Each render at depth k and pitch
+        delta lies within t^k/(1 - t) h(seed, W(seed)) + delta sqrt(d)/(2(1 - t))
+        of its attractor, so the renders add both slacks.  T mixes S's maps,
+        shuffled, with another system's by the weight `mix`."""
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-1.0, 1.0, dim)
+        box = Box(lo, lo + rng.uniform(0.5, 2.0, dim))
+        S, other = random_ifs(rng, box, n, smax=0.5), random_ifs(rng, box, n, smax=0.5)
+        T = IFS(box, tuple(
+            AffineMap((1 - mix) * S.maps[i].A + mix * other.maps[i].A, (1 - mix) * S.maps[i].b + mix * other.maps[i].b)
+            for i in data.draw(st.permutations(range(n)))
+        ))
+        aligned, _ = minimal_order(S, T)
+        sup = max(sup_distance(f, g, box) for f, g in zip(S.maps, aligned.maps))
+        bound = sup / (1.0 - min(S.contractivity, T.contractivity))
+        depth, delta = 8, default_resolution(dim)
+        start = box_seed(box, delta)
+        slack, renders = 0.0, []
+        for system in (S, T):
+            t = system.contractivity
+            images = np.vstack([f.transform(start.points) for f in system.maps])
+            slack += t**depth / (1.0 - t) * exact_hausdorff(start.points, images)
+            slack += delta * math.sqrt(dim) / (2.0 * (1.0 - t))
+            renders.append(attractor_points(system, depth, start))
+        assert hausdorff(*renders) <= bound + slack + 1e-12

@@ -1,5 +1,6 @@
 import collections
 import json
+import math
 import os
 import shutil
 import stat
@@ -244,6 +245,24 @@ class TestAnalyze:
         write_sequence(seqfile, IFSSequence((ifs_s, ifs_t, ifs_s, ifs_t)))
         assert main(["analyze", str(seqfile), "--eps", "0.01"]) == 4
         assert "precondition failed" in capsys.readouterr().err
+
+
+    def test_cost_tensor_cap_exits_3(self, tmp_path, capsys):
+        # the fewest one-map terms whose m^2 n^2-entry cost tensor passes the cap
+        m = math.isqrt(systems.COST_TENSOR_CAP) + 1
+        term = {"dim": 1, "domain": {"lo": [0.0], "hi": [1.0]}, "maps": [{"A": [[0.5]], "b": [0.25]}]}
+        seqfile = tmp_path / "seq.json"
+        seqfile.write_text(json.dumps([term] * m))
+        tracemalloc.start()
+        try:
+            code = main(["analyze", str(seqfile), "--eps", "0.05"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
+        assert peak < 8 * systems.COST_TENSOR_CAP / 2  # the tensor is refused before it is allocated
 
 
 class TestAnalyzeRecordedOutput:

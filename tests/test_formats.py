@@ -2,6 +2,7 @@ import contextlib
 import errno
 import io
 import json
+import math
 import os
 import tracemalloc
 
@@ -103,6 +104,100 @@ class TestIFSSpecFiles:
         path.write_text(json.dumps([term, term, wider]))
         with pytest.raises(InputError, match=r"^term 3 lives on a different domain$"):
             read_sequence(path)
+
+
+FAULTS = ("nonfinite", "norm", "outside", "shape", "arity", "dim", "domain")
+
+
+@st.composite
+def sequence_files(draw):
+    """A sequence file of m <= 8 terms of n <= 5 maps in d <= 3 dimensions, as
+    JSON-ready terms, with up to two faults at random terms and maps.  The box
+    is random, and each term may write its zero bounds as -0.0; a map's A is
+    nested or flat, and some of its entries are signed zeros."""
+    d, n, m = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = np.array(draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.25]), min_size=d, max_size=d)))
+    hi = lo + np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=d, max_size=d)))
+    terms = []
+    for signed in draw(st.lists(st.booleans(), min_size=m, max_size=m)):
+        maps = []
+        for _ in range(n):
+            # |A| sums to at most 0.2 per row, so the image of the box fits it
+            A = rng.uniform(-0.2, 0.2, (d, d)) / d
+            A = np.where(rng.random((d, d)) < 0.2, rng.choice([0.0, -0.0]), A)
+            low = np.minimum(A * lo, A * hi).sum(axis=1)
+            spread = np.abs(A) @ (hi - lo)
+            b = lo - low + rng.uniform(0, 1, d) * (hi - lo - spread)
+            maps.append({"A": A.tolist() if rng.random() < 0.5 else A.ravel().tolist(), "b": b.tolist()})
+        bounds = [np.where(x == 0.0, -0.0 if signed else 0.0, x).tolist() for x in (lo, hi)]
+        terms.append({"dim": d, "domain": {"lo": bounds[0], "hi": bounds[1]}, "maps": maps})
+    faults = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), st.sampled_from(FAULTS))
+    for k, j, fault in draw(st.lists(faults, max_size=2)):
+        j %= len(terms[k]["maps"])  # an earlier fault may have dropped a map
+        entry = terms[k]["maps"][j]
+        if fault == "nonfinite":
+            key = draw(st.sampled_from(["A", "b"]))
+            values = np.array(entry[key])  # nested or flat, as written
+            values.flat[draw(st.integers(0, values.size - 1))] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+            entry[key] = values.tolist()
+        elif fault == "norm":  # the identity, which sends the box into itself
+            entry["A"], entry["b"] = np.eye(d).tolist(), [0.0] * d
+        elif fault == "outside":
+            entry["b"] = (hi + 1.0).tolist()
+        elif fault == "shape":
+            entry[draw(st.sampled_from(["A", "b"]))] = [0.1] * (d + 1)
+        elif fault == "arity":
+            terms[k]["maps"] = terms[k]["maps"][:j] + terms[k]["maps"][j + 1 :] if n > 1 else [entry, entry]
+        elif fault == "dim":
+            terms[k] = {
+                "dim": d + 1,
+                "domain": {"lo": [0.0] * (d + 1), "hi": [1.0] * (d + 1)},
+                "maps": [{"A": (0.5 * np.eye(d + 1)).tolist(), "b": [0.0] * (d + 1)}],
+            }
+        else:
+            terms[k]["domain"] = {"lo": lo.tolist(), "hi": (hi + 1.0).tolist()}
+    return terms
+
+
+def read_term_by_term(path) -> IFSSequence:
+    """The per-term reader: ifs_from_dict on each term, then IFSSequence."""
+    terms = []
+    for k, entry in enumerate(json.loads(path.read_text())):
+        terms.append(ifs_from_dict(entry, f"{path}[{k}]", terms[-1].domain if terms else None))
+    return IFSSequence(tuple(terms))
+
+
+class TestStackedSequenceReader:
+    @settings(max_examples=300, deadline=None)
+    @given(terms=sequence_files())
+    @example(terms=[  # a NaN that LAPACK's SVD would meet, were the finite check skipped
+        {"dim": 3, "domain": {"lo": [0.0] * 3, "hi": [1.0] * 3},
+         "maps": [{"A": [[math.nan, 0.0, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]], "b": [0.0] * 3}]},
+    ])
+    def test_reads_what_the_per_term_reader_reads(self, tmp_path_factory, terms):
+        path = tmp_path_factory.mktemp("seq") / "seq.json"
+        path.write_text(json.dumps(terms))
+        try:
+            want = read_term_by_term(path)
+        except InputError as exc:
+            with pytest.raises(type(exc)) as caught:
+                read_sequence(path)
+            assert str(caught.value) == str(exc)  # the first fault in file order
+            return
+        got = read_sequence(path)
+        assert len(got) == len(want) and got.n == want.n
+        for k, (S, T) in enumerate(zip(got.terms, want.terms)):
+            assert S.domain.lo.tobytes() == T.domain.lo.tobytes()
+            assert S.domain.hi.tobytes() == T.domain.hi.tobytes()
+            if k:  # a term takes the previous term's box when its bounds equal it bit for bit
+                prev = got.terms[k - 1].domain
+                same = S.domain.lo.tobytes() + S.domain.hi.tobytes() == prev.lo.tobytes() + prev.hi.tobytes()
+                assert (S.domain is prev) == same == (T.domain is want.terms[k - 1].domain)
+            for f, g in zip(S.maps, T.maps, strict=True):
+                assert f.A.tobytes() == g.A.tobytes() and f.b.tobytes() == g.b.tobytes()
+                assert f.contractivity.hex() == g.contractivity.hex()
+                assert not (f.A.flags.writeable or f.b.flags.writeable)
 
 
 class TestAtomicWrite:

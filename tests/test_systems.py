@@ -13,6 +13,7 @@ from ifsseq import (
     Box,
     InputError,
     Permutation,
+    ResourceLimitError,
     big_d,
     cost_links,
     cost_matrix,
@@ -474,3 +475,10 @@ class TestCostTensor:
     def test_rejects_mixed_arity(self, ifs_s, unit_box):
         with pytest.raises(InputError, match="arity mismatch"):
             cost_tensor([ifs_s, IFS(unit_box, (AffineMap([[0.5]], [0.0]),))])
+
+    def test_cap_bounds_the_entries(self, ifs_s, monkeypatch):
+        # m^2 n^2 entries: two terms of two maps are 16, three are 36
+        monkeypatch.setattr(systems, "COST_TENSOR_CAP", 16)
+        assert cost_tensor([ifs_s] * 2).shape == (2, 2, 2, 2)
+        with pytest.raises(ResourceLimitError, match=r"^the cost tensor of 3 terms of arity 2 exceeds the 16-entry cap$"):
+            cost_tensor([ifs_s] * 3)
