@@ -9,13 +9,13 @@ and `predict` share the render flags (--depth, --image, --px).  `attractor`,
 `collage-fit` and `predict` also write a manifest beside their outputs,
 recording inputs (with digests), flags, seeds, and versions, so any such run
 can be reproduced byte for byte; `analyze --limit-out` writes the limit spec
-alone.  A command whose outputs (its manifest included) name one file twice,
-a directory or one of its inputs is refused before any work.
+alone.  An output (a manifest included) naming a file twice, a directory, an
+input or a file that predict would read as a frame is refused before any work.
 IFSSEQ_SEED overrides the default seed when --seed is not given.
 Negative --domain-lo/--domain-hi bounds take the `=` form, as in
 --domain-lo=-1,-1: after a space argparse reads "-1,-1" as an option.
-The collage module loads in the two fitting commands only, so dist,
-attractor and analyze start without it.
+The collage module loads in collage-fit and predict over frames only, so
+dist, attractor, analyze and predict on a sequence file start without it.
 """
 
 from __future__ import annotations
@@ -47,11 +47,12 @@ from .formats import (
     write_points_csv,
 )
 from .maps import Box
-from .sequences import analyze_sequence
+from .sequences import ExtrapolationModel, analyze_sequence, extrapolate
 from .systems import cost_matrix, optimal_matching
 
 MODEL_NAMES = {"last": "hold-last", "linear": "linear", "geometric": "geometric"}
 RATIONAL_DENOMINATOR_CAP = 10**6
+FRAME_SUFFIXES = (".pgm", ".pbm", ".csv")  # the files of a frame directory that predict reads
 
 
 def default_seed() -> int | None:
@@ -260,26 +261,27 @@ def cmd_collage_fit(args) -> int:
 
 
 def _frame_paths(directory) -> list:
-    exts = {".pgm", ".pbm", ".csv"}
-    paths = sorted(
-        p for p in Path(directory).iterdir() if p.suffix.lower() in exts
-    )
+    paths = sorted(p for p in Path(directory).iterdir() if p.suffix.lower() in FRAME_SUFFIXES)
     if not paths:
         raise InputError(f"{directory}: no frame files (.pgm/.pbm/.csv) found")
     return paths
 
 
 def cmd_predict(args) -> int:
-    from .collage import ExtrapolationModel, extrapolate, fit_sequence
     out_spec = Path(args.out_prefix + ".ifs.json")
     out_csv = Path(args.out_prefix + ".points.csv")
     manifest = args.out_prefix + ".manifest.json"
     source = Path(args.frames)
     inputs = _frame_paths(source) if source.is_dir() else [source]
     _require_outputs(inputs, out_spec, out_csv, args.image, manifest)
+    frame_dir = _file_key(source) if source.is_dir() else None
+    for path in filter(None, (out_csv, args.image)):  # the spec and manifest suffixes are no frame's
+        if Path(path).suffix.lower() in FRAME_SUFFIXES and _file_key(Path(path).parent) == frame_dir:
+            raise InputError(f"cannot write {path}: a later run would read it as a frame of {source}")
     overrides = {} if args.s_max is None else {"s_max": args.s_max}
     model = ExtrapolationModel(MODEL_NAMES[args.model], horizon=args.horizon, **overrides)
     if source.is_dir():
+        from .collage import fit_sequence
         frames = [_load_frame(p, args.delta, args.threshold) for p in inputs]
         if len(frames) < 2:
             raise PreconditionError("prediction needs at least 2 frames")

@@ -1,11 +1,10 @@
-"""Collage-theorem distances and bounds, collage fitting, and sequence
-extrapolation.
+"""Collage-theorem distances and bounds, and collage fitting.
 
 Fitting minimizes the collage distance h(L, W(L)) by random-restart
 coordinate descent over the flat coefficient vector, projecting every
-candidate back to the feasible set (singular values clamped, flat axes
-zeroed, translation pulled inside the domain).  The projection is bitwise
-idempotent: a feasible map projects to itself, so the descent projects each
+candidate back to the feasible set (maps._project: singular values clamped,
+flat axes zeroed, translation pulled inside the domain).  The projection is
+bitwise idempotent: a feasible map projects to itself, so the descent projects each
 candidate once and keeps the projected coefficients.
 
 The objective is scored per map.  A map's share is the directed max from
@@ -56,7 +55,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import cache, reduce
 
@@ -74,8 +72,8 @@ from .attractor import (
     hutchinson,
 )
 from .errors import InputError, PreconditionError
-from .maps import AffineMap, Box, spectral_norm
-from .sequences import IFSSequence, align_chain
+from .maps import S_MAX, AffineMap, Box, _project, _project_maps, spectral_norm
+from .sequences import IFSSequence
 from .systems import IFS
 
 INITIAL_STEP = 0.1  # first descent step, as a fraction of the domain diameter
@@ -90,7 +88,7 @@ class FitConfig:
     n: int
     restarts: int = 8
     max_iters: int = 200
-    s_max: float = 0.95
+    s_max: float = S_MAX
     seed: int = 0
 
     def __post_init__(self):
@@ -106,36 +104,6 @@ class FitConfig:
             raise InputError("s_max must lie in (0, 1)")
         if self.seed < 0:
             raise InputError("seed must be nonnegative")
-
-
-@dataclass(frozen=True)
-class ExtrapolationModel:
-    """How per-coefficient series are carried past the last observed term.
-
-    Kinds: 'hold-last' repeats the final term; 'linear' continues the
-    least-squares slope; 'geometric' decays the remaining change toward an
-    estimated limit.  All curves are anchored at the final term, so horizon
-    zero reproduces it exactly.
-    """
-
-    kind: str
-    horizon: int
-    s_max: float = FitConfig.s_max
-
-    KINDS = ("hold-last", "linear", "geometric")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise InputError(f"kind must be one of {self.KINDS}")
-        if self.horizon < 0:
-            raise InputError("horizon must be nonnegative")
-        if self.kind != "hold-last":  # hold-last never reads the horizon
-            try:
-                float(self.horizon)  # as linear and geometric take it
-            except OverflowError:
-                raise InputError(f"horizon must not exceed the largest float, {sys.float_info.max:g}") from None
-        if not 0.0 < self.s_max < 1.0:
-            raise InputError("s_max must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -293,90 +261,6 @@ def collage_bound(eps: float, t: float) -> float:
     if not 0.0 <= t < 1.0:
         raise InputError("contractivity factor must lie in [0, 1)")
     return eps / (1.0 - t)
-
-
-def _project(A: np.ndarray, b: np.ndarray, box: Box, s_max: float):
-    """The nearest feasible map of each row of a stack x -> A[j] x + b[j],
-    A (k, d, d) and b (k, d), each row as if projected alone: singular values
-    clamped to s_max, rows of flat axes zeroed, translation shifted (and A
-    shrunk when even that cannot fit) so the box maps into itself.  Bitwise
-    idempotent; LAPACK's largest singular value of a result is at most s_max.
-    A row the box cannot take after 63 shrinks of A, and a row with a
-    coefficient that is not finite, comes back NaN in A and b.
-
-    LAPACK's SVD decides every clamp, on the rows that the Frobenius norm,
-    an upper bound of the largest singular value, screens in; on the line
-    that SVD is |a| with singular vectors of sign +-1, so the clamp is a
-    clip to [-s_max, s_max].  The stacked SVD, products and vertex images
-    give each row the bits of the same calls on that row alone.  The loop
-    runs on every row still active: A shrinks by 0.8 while the image is
-    wider than the box, else b shifts into it, until b repeats, bit for bit,
-    a value taken since the row's last shrink."""
-    A, b = np.array(A, dtype=float), np.array(b, dtype=float)
-    k, d = b.shape
-    extent = box.hi - box.lo
-    every = (lambda x: x[:, 0]) if d == 1 else (lambda x: x.all(axis=1))  # per row, at a view's cost on the line
-
-    def svd_above(rows):  # the rows whose LAPACK norm exceeds s_max, with their SVDs
-        M = A[rows]
-        rows = rows[np.sqrt((M * M).sum(axis=(1, 2))) > s_max * (1.0 - 1e-12)]
-        u, s, vt = np.linalg.svd(A[rows])
-        above = s[:, 0] > s_max
-        return rows[above], (u[above], s[above], vt[above])
-
-    with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow fail, silently
-        failed = ~(every(np.isfinite(b)) & every(np.isfinite(A.reshape(k, -1))))
-        if d == 1:  # a clip, exactly s_max in norm where it clamps, so no nudge
-            A = np.minimum(np.maximum(A, -s_max), s_max)
-        else:
-            rows, (u, s, vt) = svd_above(np.flatnonzero(~failed))
-            D = np.zeros_like(u)
-            D[:, range(d), range(d)] = np.minimum(s, s_max)
-            A[rows] = u @ D @ vt
-            if extent.any() and not extent.all():  # constant on flat axes, unless all are
-                A[:, extent == 0.0] = 0.0
-                rows = np.flatnonzero(~failed)
-            while rows.size:  # clamping or zeroing can leave LAPACK's norm ulps over s_max
-                rows, _ = svd_above(rows)
-                A[rows] = np.nextafter(A[rows], 0.0)
-
-        vertices, active, limit = box.vertices(), ~failed, extent + 1e-15
-        shrinks, since, seen = np.zeros(k, int), np.zeros(k, int), [b.view(np.int64)]
-        while active.any():
-            img = vertices @ A.swapaxes(1, 2) + b[:, None, :]
-            low = high = img[:, 0]
-            for corner in img.swapaxes(0, 1)[1:]:  # a per-row reduction, in the order of img.min(axis=0)
-                low, high = np.minimum(low, corner), np.maximum(high, corner)
-            wide = active & ~every(high - low <= limit)  # image wider than the box
-            if wide.any():
-                failed |= wide & (shrinks == 63)
-                wide &= ~failed
-                A[wide] *= 0.8
-                shrinks += wide
-                since[wide] = len(seen) - 1  # the seen set restarts at the current b
-                active &= ~(wide | failed)
-            # b + shift can land an ulp outside the box, and an image that fits only
-            # within the slack above can shift back and forth: a repeat ends it
-            shift = np.maximum(box.lo - low, 0.0) + np.minimum(box.hi - high, 0.0)
-            b = np.where(active[:, None], b + shift, b)
-            bits = b.view(np.int64)
-            active &= ~every(seen[-1] == bits)  # most rows repeat the last b
-            if active.any():  # and the values taken since each row's last shrink
-                for j, old in enumerate(seen[:-1]):
-                    active &= ~(every(old == bits) & (since <= j))
-            seen.append(bits)
-            active |= wide
-    A[failed], b[failed] = np.nan, np.nan
-    return A, b
-
-
-def _project_maps(A: np.ndarray, b: np.ndarray, box: Box, s_max: float):
-    """_project as a tuple of AffineMaps; raises PreconditionError where a
-    row cannot be projected."""
-    A, b = _project(A, b, box, s_max)
-    if np.isnan(b).any():
-        raise PreconditionError("cannot project the map into the domain")
-    return tuple(map(AffineMap, A, b))
 
 
 def _tiles(points: np.ndarray, n: int):
@@ -651,79 +535,3 @@ def fit_sequence(
         sequence=IFSSequence(tuple(r.ifs for r in results)),
         distances=tuple(r.distance for r in results),
     )
-
-
-def _limit_and_ratio(y: np.ndarray):
-    """Estimated limit and step ratio of a convergent coefficient series.
-
-    Solves y_j = s + (alpha*j + gamma) * (y_j - y_{j-1}) in least squares,
-    which is exact both for geometric tails c + beta*rho^j and for harmonic
-    tails c + a/j.  Returns None when the series does not show a usable
-    one-sided decay.
-    """
-    m = y.size
-    diffs = np.diff(y)
-    scale = max(np.abs(y).max(), 1.0)
-    if np.abs(diffs[-3:]).max() <= 1e-12 * scale:
-        return float(y[-1]), 0.0  # already converged
-    recent = diffs[-3:] if diffs.size >= 3 else diffs
-    if not (np.all(recent > 0) or np.all(recent < 0)):
-        return float(y[-1]), 0.0  # oscillation, treat as settled noise
-    rho = diffs[-1] / diffs[-2] if diffs.size >= 2 and diffs[-2] != 0.0 else None
-    if rho is None or not np.isfinite(rho):
-        return None
-    if abs(rho) >= 1.0:
-        return None
-    if m >= 4:
-        j = np.arange(2, m + 1, dtype=float)  # 1-based indices with a prior step
-        w = diffs  # w_j = y_j - y_{j-1}
-        design = np.column_stack([np.ones(m - 1), j * w, w])
-        coeffs, *_ = np.linalg.lstsq(design, y[1:], rcond=None)
-        limit = float(coeffs[0])
-    else:
-        # exactly three points: classic three-point geometric fit
-        limit = float(y[-1] + diffs[-1] * rho / (1.0 - rho))
-    if not np.isfinite(limit):
-        return None
-    # a limit far outside the observed range signals a blowup, not a trend
-    spread = float(y.max() - y.min())
-    lo, hi = y.min() - 10.0 * spread, y.max() + 10.0 * spread
-    return float(np.clip(limit, lo, hi)), float(rho)
-
-
-def _extrapolate_series(y: np.ndarray, horizon: int, kind: str) -> float:
-    if kind == "hold-last" or horizon == 0:
-        return float(y[-1])
-    if kind == "linear":
-        j = np.arange(1, y.size + 1, dtype=float)
-        slope = float(np.polyfit(j, y, 1)[0]) if y.size > 1 else 0.0
-        return float(y[-1] + slope * horizon)
-    fitted = _limit_and_ratio(y)
-    if fitted is None:
-        warnings.warn(
-            "geometric decay not identifiable (step ratio >= 1); falling back "
-            "to the linear model",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return _extrapolate_series(y, horizon, "linear")
-    limit, rho = fitted
-    return float(limit + (y[-1] - limit) * rho**horizon)
-
-
-def extrapolate(seq: IFSSequence, model: ExtrapolationModel) -> IFS:
-    """Carry each affine coefficient of the chain, aligned by align_chain,
-    `horizon` steps past the final term and rebuild a feasible system."""
-    aligned = align_chain(seq)
-    minimum = 3 if model.kind == "geometric" else 2
-    if len(aligned) < minimum:
-        raise PreconditionError(
-            f"{model.kind} extrapolation needs at least {minimum} terms"
-        )
-    series = np.array([[np.concatenate([m.A.ravel(), m.b]) for m in term.maps] for term in aligned.terms])
-    coeffs = np.array(
-        [[_extrapolate_series(y, model.horizon, model.kind) for y in per_map.T] for per_map in series.transpose(1, 0, 2)]
-    )
-    d = aligned.domain.dim
-    maps = _project_maps(coeffs[:, : d * d].reshape(-1, d, d), coeffs[:, d * d :], aligned.domain, model.s_max)
-    return IFS(aligned.domain, maps)

@@ -1,4 +1,6 @@
-"""Affine maps on box domains and the bounded sup-metric between them.
+"""Affine maps on box domains, the bounded sup-metric between them, and the
+feasible set: the maps that send a box into itself with largest singular
+value at most s_max, S_MAX by default, onto which `_project` takes a stack.
 
 The ambient metric is Euclidean.  For affine maps the pointwise distance
 x -> ||(A_f - A_g) x + (b_f - b_g)|| is convex, so its supremum over a box
@@ -16,9 +18,10 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import ContractionError, InputError, ResourceLimitError
+from .errors import ContractionError, InputError, PreconditionError, ResourceLimitError
 
 MAX_VERTEX_DIM = 20
+S_MAX = 0.95  # the default bound of the feasible set: a projected map's largest singular value
 
 
 def _require_finite(A: np.ndarray, b: np.ndarray):
@@ -250,3 +253,87 @@ def dbar_stacks(Af, bf, Ag, bg, domain: Box) -> np.ndarray:
     img = (V @ dA.reshape(-1, d).T).reshape(len(V), *dA.shape[:-1])
     s = np.sqrt(((img + db) ** 2).sum(axis=-1).max(axis=0))
     return s / (1.0 + s)
+
+
+def _project(A: np.ndarray, b: np.ndarray, box: Box, s_max: float):
+    """The nearest feasible map of each row of a stack x -> A[j] x + b[j],
+    A (k, d, d) and b (k, d), each row as if projected alone: singular values
+    clamped to s_max, rows of flat axes zeroed, translation shifted (and A
+    shrunk when even that cannot fit) so the box maps into itself.  Bitwise
+    idempotent; LAPACK's largest singular value of a result is at most s_max.
+    A row the box cannot take after 63 shrinks of A, and a row with a
+    coefficient that is not finite, comes back NaN in A and b.
+
+    LAPACK's SVD decides every clamp, on the rows that the Frobenius norm,
+    an upper bound of the largest singular value, screens in; on the line
+    that SVD is |a| with singular vectors of sign +-1, so the clamp is a
+    clip to [-s_max, s_max].  The stacked SVD, products and vertex images
+    give each row the bits of the same calls on that row alone.  The loop
+    runs on every row still active: A shrinks by 0.8 while the image is
+    wider than the box, else b shifts into it, until b repeats, bit for bit,
+    a value taken since the row's last shrink."""
+    A, b = np.array(A, dtype=float), np.array(b, dtype=float)
+    k, d = b.shape
+    extent = box.hi - box.lo
+    every = (lambda x: x[:, 0]) if d == 1 else (lambda x: x.all(axis=1))  # per row, at a view's cost on the line
+
+    def svd_above(rows):  # the rows whose LAPACK norm exceeds s_max, with their SVDs
+        M = A[rows]
+        rows = rows[np.sqrt((M * M).sum(axis=(1, 2))) > s_max * (1.0 - 1e-12)]
+        u, s, vt = np.linalg.svd(A[rows])
+        above = s[:, 0] > s_max
+        return rows[above], (u[above], s[above], vt[above])
+
+    with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow fail, silently
+        failed = ~(every(np.isfinite(b)) & every(np.isfinite(A.reshape(k, -1))))
+        if d == 1:  # a clip, exactly s_max in norm where it clamps, so no nudge
+            A = np.minimum(np.maximum(A, -s_max), s_max)
+        else:
+            rows, (u, s, vt) = svd_above(np.flatnonzero(~failed))
+            D = np.zeros_like(u)
+            D[:, range(d), range(d)] = np.minimum(s, s_max)
+            A[rows] = u @ D @ vt
+            if extent.any() and not extent.all():  # constant on flat axes, unless all are
+                A[:, extent == 0.0] = 0.0
+                rows = np.flatnonzero(~failed)
+            while rows.size:  # clamping or zeroing can leave LAPACK's norm ulps over s_max
+                rows, _ = svd_above(rows)
+                A[rows] = np.nextafter(A[rows], 0.0)
+
+        vertices, active, limit = box.vertices(), ~failed, extent + 1e-15
+        shrinks, since, seen = np.zeros(k, int), np.zeros(k, int), [b.view(np.int64)]
+        while active.any():
+            img = vertices @ A.swapaxes(1, 2) + b[:, None, :]
+            low = high = img[:, 0]
+            for corner in img.swapaxes(0, 1)[1:]:  # a per-row reduction, in the order of img.min(axis=0)
+                low, high = np.minimum(low, corner), np.maximum(high, corner)
+            wide = active & ~every(high - low <= limit)  # image wider than the box
+            if wide.any():
+                failed |= wide & (shrinks == 63)
+                wide &= ~failed
+                A[wide] *= 0.8
+                shrinks += wide
+                since[wide] = len(seen) - 1  # the seen set restarts at the current b
+                active &= ~(wide | failed)
+            # b + shift can land an ulp outside the box, and an image that fits only
+            # within the slack above can shift back and forth: a repeat ends it
+            shift = np.maximum(box.lo - low, 0.0) + np.minimum(box.hi - high, 0.0)
+            b = np.where(active[:, None], b + shift, b)
+            bits = b.view(np.int64)
+            active &= ~every(seen[-1] == bits)  # most rows repeat the last b
+            if active.any():  # and the values taken since each row's last shrink
+                for j, old in enumerate(seen[:-1]):
+                    active &= ~(every(old == bits) & (since <= j))
+            seen.append(bits)
+            active |= wide
+    A[failed], b[failed] = np.nan, np.nan
+    return A, b
+
+
+def _project_maps(A: np.ndarray, b: np.ndarray, box: Box, s_max: float):
+    """_project as a tuple of AffineMaps; raises PreconditionError where a
+    row cannot be projected."""
+    A, b = _project(A, b, box, s_max)
+    if np.isnan(b).any():
+        raise PreconditionError("cannot project the map into the domain")
+    return tuple(map(AffineMap, A, b))

@@ -1,5 +1,5 @@
 """Sequences of same-arity systems: alignment, monotonicity, Cauchy analysis,
-and limit extraction.
+limit extraction, and the tail fit that carries a chain past its last term.
 
 All predicates act on finite prefixes.  "For every eps there is an N" becomes
 "the smallest N witnessed inside the given prefix", and a witness must be
@@ -13,18 +13,22 @@ is then the tie-broken optimal matching of every aligned link, so the
 decrease flags compare the aligned contraction-factor traces slot by slot.
 align_chain takes the matrices from systems.cost_links; analyze_sequence
 takes them from the one cost tensor it builds and reads everything else from
-that tensor and its matrix of D (systems._distances).
+that tensor and its matrix of D (systems._distances).  extrapolate fits each
+coefficient's tail along align_chain's chain and projects the result onto
+the feasible set (maps._project_maps).
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .maps import AffineMap, Box, dbar_stacks
+from .maps import S_MAX, AffineMap, Box, _project_maps, dbar_stacks
 from .systems import (
     FACTOR_TOL,
     IFS,
@@ -264,3 +268,109 @@ def analyze_sequence(seq: IFSSequence, eps: float) -> SequenceReport:
         mo_set=_mo_transitive(T, dist),
         failure=failure,
     )
+
+
+@dataclass(frozen=True)
+class ExtrapolationModel:
+    """How per-coefficient series are carried past the last observed term.
+
+    Kinds: 'hold-last' repeats the final term; 'linear' continues the
+    least-squares slope; 'geometric' decays the remaining change toward an
+    estimated limit.  All curves are anchored at the final term, so horizon
+    zero reproduces it exactly.
+    """
+
+    kind: str
+    horizon: int
+    s_max: float = S_MAX
+
+    KINDS = ("hold-last", "linear", "geometric")
+
+    def __post_init__(self):
+        if self.kind not in self.KINDS:
+            raise InputError(f"kind must be one of {self.KINDS}")
+        if self.horizon < 0:
+            raise InputError("horizon must be nonnegative")
+        if self.kind != "hold-last":  # hold-last never reads the horizon
+            try:
+                float(self.horizon)  # as linear and geometric take it
+            except OverflowError:
+                raise InputError(f"horizon must not exceed the largest float, {sys.float_info.max:g}") from None
+        if not 0.0 < self.s_max < 1.0:
+            raise InputError("s_max must lie in (0, 1)")
+
+
+def _limit_and_ratio(y: np.ndarray):
+    """Estimated limit and step ratio of a convergent coefficient series.
+
+    Solves y_j = s + (alpha*j + gamma) * (y_j - y_{j-1}) in least squares,
+    which is exact both for geometric tails c + beta*rho^j and for harmonic
+    tails c + a/j.  Returns None when the series does not show a usable
+    one-sided decay.
+    """
+    m = y.size
+    diffs = np.diff(y)
+    scale = max(np.abs(y).max(), 1.0)
+    if np.abs(diffs[-3:]).max() <= 1e-12 * scale:
+        return float(y[-1]), 0.0  # already converged
+    recent = diffs[-3:] if diffs.size >= 3 else diffs
+    if not (np.all(recent > 0) or np.all(recent < 0)):
+        return float(y[-1]), 0.0  # oscillation, treat as settled noise
+    rho = diffs[-1] / diffs[-2] if diffs.size >= 2 and diffs[-2] != 0.0 else None
+    if rho is None or not np.isfinite(rho):
+        return None
+    if abs(rho) >= 1.0:
+        return None
+    if m >= 4:
+        j = np.arange(2, m + 1, dtype=float)  # 1-based indices with a prior step
+        w = diffs  # w_j = y_j - y_{j-1}
+        design = np.column_stack([np.ones(m - 1), j * w, w])
+        coeffs, *_ = np.linalg.lstsq(design, y[1:], rcond=None)
+        limit = float(coeffs[0])
+    else:
+        # exactly three points: classic three-point geometric fit
+        limit = float(y[-1] + diffs[-1] * rho / (1.0 - rho))
+    if not np.isfinite(limit):
+        return None
+    # a limit far outside the observed range signals a blowup, not a trend
+    spread = float(y.max() - y.min())
+    lo, hi = y.min() - 10.0 * spread, y.max() + 10.0 * spread
+    return float(np.clip(limit, lo, hi)), float(rho)
+
+
+def _extrapolate_series(y: np.ndarray, horizon: int, kind: str) -> float:
+    if kind == "hold-last" or horizon == 0:
+        return float(y[-1])
+    if kind == "linear":
+        j = np.arange(1, y.size + 1, dtype=float)
+        slope = float(np.polyfit(j, y, 1)[0]) if y.size > 1 else 0.0
+        return float(y[-1] + slope * horizon)
+    fitted = _limit_and_ratio(y)
+    if fitted is None:
+        warnings.warn(
+            "geometric decay not identifiable (step ratio >= 1); falling back "
+            "to the linear model",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return _extrapolate_series(y, horizon, "linear")
+    limit, rho = fitted
+    return float(limit + (y[-1] - limit) * rho**horizon)
+
+
+def extrapolate(seq: IFSSequence, model: ExtrapolationModel) -> IFS:
+    """Carry each affine coefficient of the chain, aligned by align_chain,
+    `horizon` steps past the final term and rebuild a feasible system."""
+    aligned = align_chain(seq)
+    minimum = 3 if model.kind == "geometric" else 2
+    if len(aligned) < minimum:
+        raise PreconditionError(
+            f"{model.kind} extrapolation needs at least {minimum} terms"
+        )
+    series = np.array([[np.concatenate([m.A.ravel(), m.b]) for m in term.maps] for term in aligned.terms])
+    coeffs = np.array(
+        [[_extrapolate_series(y, model.horizon, model.kind) for y in per_map.T] for per_map in series.transpose(1, 0, 2)]
+    )
+    d = aligned.domain.dim
+    maps = _project_maps(coeffs[:, : d * d].reshape(-1, d, d), coeffs[:, d * d :], aligned.domain, model.s_max)
+    return IFS(aligned.domain, maps)

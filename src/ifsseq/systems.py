@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .maps import AffineMap, Box, dbar_stacks
+from .maps import AffineMap, Box, _require_contraction, dbar_stacks
 
 MATCH_TOL = 1e-12
 FACTOR_TOL = 1e-12
@@ -113,8 +113,7 @@ class IFS:
         for k, m in enumerate(maps):
             if m.dim != box.dim:
                 raise InputError(f"map {k} has dimension {m.dim}, domain has {box.dim}")
-            if not m.contractivity < 1.0:
-                raise InputError(f"map {k} is not a contraction (factor {m.contractivity})")
+        _require_contraction(max(m.contractivity for m in maps))
         _require_inside(np.array([m.A for m in maps]), np.array([m.b for m in maps]), box)
         object.__setattr__(self, "maps", maps)
 

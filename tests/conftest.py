@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from ifsseq import IFS, AffineMap, Box
+from ifsseq.maps import _project
 
 
 @pytest.fixture
@@ -105,3 +108,15 @@ def random_contraction(rng, box, smax=0.7):
 
 def random_ifs(rng, box, n, smax=0.7):
     return IFS(box, tuple(random_contraction(rng, box, smax) for _ in range(n)))
+
+
+def project_one(A, b, box, s_max):
+    """The stacked projection of one map, as (A, b), NaN where it fails."""
+    A, b = _project(np.asarray(A, dtype=float)[None], np.asarray(b, dtype=float)[None], box, s_max)
+    return A[0], b[0]
+
+
+def exact_hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
+    """h between two small arrays of points, unsnapped."""
+    sq = ((P[:, None, :] - Q[None, :, :]) ** 2).sum(axis=-1)
+    return math.sqrt(max(sq.min(axis=1).max(), sq.min(axis=0).max()))

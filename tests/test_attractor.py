@@ -31,7 +31,7 @@ from ifsseq import (
 from ifsseq import attractor
 from ifsseq.attractor import _directed_sq, _min_sq_brute, _snap
 
-from conftest import cantor_ifs, cantor_term, constant_map, random_ifs
+from conftest import cantor_ifs, cantor_term, constant_map, exact_hausdorff, random_ifs
 
 DELTA = 1e-4
 
@@ -454,12 +454,6 @@ class TestConvergenceReport:
             piece2 = PointSet(term.maps[1].transform(render.points), DELTA)
             gap = piece2.points[:, 0].min() - piece1.points[:, 0].max()
             assert gap > 0.0
-
-
-def exact_hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
-    """h between two small arrays of points, unsnapped."""
-    sq = ((P[:, None, :] - Q[None, :, :]) ** 2).sum(axis=-1)
-    return math.sqrt(max(sq.min(axis=1).max(), sq.min(axis=0).max()))
 
 
 class TestAttractorContinuity:

@@ -738,7 +738,7 @@ class TestRejectedArguments:
         def no_work(*args, **kwargs):
             raise AssertionError("the work must not start")
 
-        for name in ("ifsseq.collage.fit_ifs", "ifsseq.collage.extrapolate", "ifsseq.cli.attractor_points",
+        for name in ("ifsseq.collage.fit_ifs", "ifsseq.cli.extrapolate", "ifsseq.cli.attractor_points",
                      "ifsseq.cli.analyze_sequence"):
             monkeypatch.setattr(name, no_work)
         outdir = tmp_path / "outdir"
@@ -768,14 +768,20 @@ class TestRejectedArguments:
             (["predict", "{frames}", "--model", "last", "--horizon", "1", "--n", "1", "--iters", "1",
               "--out-prefix", "{out}", "--image", "{frames}/f1.pgm"],
              "cannot write {frames}/f1.pgm: it names the same file as input {frames}/f1.pgm"),
+            (["predict", "{frames}", "--model", "last", "--horizon", "1", "--n", "1", "--iters", "1",
+              "--out-prefix", "{frames}/p"],
+             "cannot write {frames}/p.points.csv: a later run would read it as a frame of {frames}"),
+            (["predict", "{frames}", "--model", "last", "--horizon", "1", "--n", "1", "--iters", "1",
+              "--out-prefix", "{out}", "--image", "{frames}/p.PGM"],
+             "cannot write {frames}/p.PGM: a later run would read it as a frame of {frames}"),
             (["collage-fit", "{img}", "--n", "1", "--iters", "1", "--out", "{img}"],
              "cannot write {img}: it names the same file as input {img}"),
             (["analyze", "{seq}", "--eps", "0.5", "--limit-out", "{seq}"],
              "cannot write {seq}: it names the same file as input {seq}"),
         ],
         ids=["attractor-out-image", "attractor-image-manifest", "attractor-out-input", "attractor-image-input",
-             "predict-image-csv", "predict-image-seq", "predict-image-frame", "collage-fit-out-input",
-             "analyze-limit-input"],
+             "predict-image-csv", "predict-image-seq", "predict-image-frame", "predict-csv-in-frames",
+             "predict-image-in-frames", "collage-fit-out-input", "analyze-limit-input"],
     )
     def test_clashing_paths_are_refused_before_any_work(self, files, tmp_path, capsys, argv, err):
         # each of these once exited 0, one write replacing another file

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -13,9 +13,7 @@ from ifsseq import (
     IFS,
     AffineMap,
     Box,
-    IFSSequence,
     InputError,
-    Permutation,
     PointSet,
     PreconditionError,
     ResourceLimitError,
@@ -23,6 +21,8 @@ from ifsseq import (
     attractor_points,
     big_d,
     box_seed,
+    chaos_game,
+    default_resolution,
     hausdorff,
     hausdorff_brute,
     hutchinson,
@@ -31,18 +31,17 @@ from ifsseq import (
 )
 from ifsseq import attractor, collage
 from ifsseq.collage import (
-    ExtrapolationModel,
     FitConfig,
     FitResult,
     collage_bound,
     collage_distance,
-    extrapolate,
     fit_ifs,
     fit_sequence,
 )
 from ifsseq.formats import raster_to_points, render_raster
+from ifsseq.maps import _project, _project_maps
 
-from conftest import cantor_ifs, cantor_term, random_ifs
+from conftest import cantor_ifs, cantor_term, exact_hausdorff, project_one, random_ifs
 
 DELTA = 1e-4
 
@@ -150,12 +149,6 @@ def project_reference(A, b, box, s_max):
         if b.tobytes() in seen:
             return A, b
         seen.add(b.tobytes())
-
-
-def project_one(A, b, box, s_max):
-    """The stacked projection of one map, as (A, b), NaN where it fails."""
-    A, b = collage._project(np.asarray(A, dtype=float)[None], np.asarray(b, dtype=float)[None], box, s_max)
-    return A[0], b[0]
 
 
 class RoundingTree(cKDTree):
@@ -277,7 +270,7 @@ class TestPerMapKernel:
             if rng.random() < 0.5:  # fix a corner of the box, so the images reach its edge
                 corner = (box.lo, box.hi)[rng.integers(2)]
                 b = corner - A @ corner
-            return collage._project_maps(A[None], b[None], box, 0.9)[0]
+            return _project_maps(A[None], b[None], box, 0.9)[0]
 
         def brute(maps):
             return hausdorff_brute(target, hutchinson(IFS(box, tuple(maps)), target))
@@ -506,7 +499,7 @@ class TestPerMapKernel:
         cfg = FitConfig(n=3 if case == "sierpinski" else 2, max_iters=12, s_max=0.9, seed=0)
         if start == "warm":
             maps0 = tuple(
-                collage._project_maps(*(np.array([x + rng.normal(0.0, 0.05, x.shape)]) for x in (m.A, m.b)), box, 0.9)[0]
+                _project_maps(*(np.array([x + rng.normal(0.0, 0.05, x.shape)]) for x in (m.A, m.b)), box, 0.9)[0]
                 for m in truth.maps
             )
         elif start == "tiles":
@@ -725,7 +718,7 @@ class TestSweepArrays:
                 np.full((rows, d), math.inf),
             ],
         )
-        stack_A, stack_b = collage._project(A, b, box, s_max)
+        stack_A, stack_b = _project(A, b, box, s_max)
         for k in range(rows):
             if not np.isfinite(A[k]).all():
                 # the per-map loop may not return: LAPACK's SVD of some 3x3
@@ -790,7 +783,7 @@ class TestSweepArrays:
         blocks = trials.reshape(len(trials), n, -1)
         moved = (trials.view(np.int64) != params.view(np.int64)).reshape(blocks.shape).any(axis=2)
         ci, bi = np.nonzero(moved)
-        A, b = collage._project(blocks[ci, bi, : d * d].reshape(-1, d, d), blocks[ci, bi, d * d :], box, 0.9)
+        A, b = _project(blocks[ci, bi, : d * d].reshape(-1, d, d), blocks[ci, bi, d * d :], box, 0.9)
         blocks[ci, bi] = np.concatenate([A.reshape(len(A), -1), b], axis=1)
         if unprojectable:
             nan = rng.random(len(ci)) < 0.1
@@ -859,7 +852,7 @@ class TestSweepArrays:
             with pytest.raises(PreconditionError) as reference, np.errstate(invalid="ignore"):
                 project_reference(A, b, box, 0.9)
             feasible = (0.5 * np.eye(box.dim), np.full(box.dim, 0.2e-8))
-            stack_A, stack_b = collage._project(
+            stack_A, stack_b = _project(
                 np.array([feasible[0], A, feasible[0]]), np.array([feasible[1], b, feasible[1]]), box, 0.9
             )
             assert np.isnan(stack_A[1]).all() and np.isnan(stack_b[1]).all()
@@ -867,7 +860,7 @@ class TestSweepArrays:
             for k in (0, 2):
                 assert stack_A[k].tobytes() == alone[0].tobytes() and stack_b[k].tobytes() == alone[1].tobytes()
             with pytest.raises(PreconditionError) as public:
-                collage._project_maps(A[None], b[None], box, 0.9)
+                _project_maps(A[None], b[None], box, 0.9)
             assert str(public.value) == str(reference.value) == "cannot project the map into the domain"
 
 
@@ -895,87 +888,45 @@ class TestCollageBound:
                 render = attractor_points(system, 25, box_seed(box, delta))
                 assert hausdorff(target, render) <= bound + 4 * delta
 
-
-class TestProjectMap:
-    def test_clamps_singular_values(self, unit_box):
-        (m,) = collage._project_maps(np.array([[[1.7]]]), np.array([[0.0]]), unit_box, 0.9)
-        assert m.contractivity <= 0.9 + 1e-12
-
-    def test_pulls_translation_inside(self, unit_box):
-        (m,) = collage._project_maps(np.array([[[0.5]]]), np.array([[5.0]]), unit_box, 0.9)
-        assert m.maps_into(unit_box)
-
-    def test_feasible_map_unchanged(self, unit_box):
-        (m,) = collage._project_maps(np.array([[[0.5]]]), np.array([[0.25]]), unit_box, 0.9)
-        assert m.A.tolist() == [[0.5]] and m.b.tolist() == [0.25]
-
-    @settings(max_examples=1000, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
+        dim=st.integers(1, 3),
+        n=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
-        dim=st.sampled_from([1, 2, 3]),
-        axes=st.lists(st.sampled_from(["wide", "flat", "thin"]), min_size=3, max_size=3),
-        kind=st.sampled_from(["orthogonal", "random", "tight"]),
-        ulps=st.integers(-1, 1),
+        smax=st.sampled_from([0.3, 0.6, 0.9]),
+        mix=st.sampled_from([None, 0.0, 0.05, 0.3]),
+        pitch=st.sampled_from([1e-4, 1e-3, 1e-2]),
     )
-    def test_projection_is_idempotent(self, seed, dim, axes, kind, ulps):
-        # the descent keeps a projected candidate as it is, so projecting it
-        # again must give the same bits
+    def test_collage_inequality_holds_for_random_systems(self, dim, n, seed, smax, mix, pitch):
+        """h(L, A) <= collage_bound(h(L, W(L)), t) for any compact L.  The
+        bound is taken from collage_distance, whose W(L) is snapped at L's
+        pitch, within pitch sqrt(d)/2 of the exact image, a slack the bound
+        divides by 1 - t.  A is rendered at depth k and pitch delta, within
+        t^k/(1 - t) h(seed, W(seed)) + delta sqrt(d)/(2(1 - t)) of A.  L is
+        uniform in the box (mix None) or a chaos-game orbit of S mixed with
+        another system by the weight `mix`."""
         rng = np.random.default_rng(seed)
-        lo = rng.uniform(-2.0, 2.0, dim) * 10.0 ** rng.integers(-2, 3)
-        widths = {"wide": rng.uniform(0.1, 3.0), "flat": 0.0, "thin": 10.0 ** rng.uniform(-8.0, -2.0)}
-        box = Box(lo, lo + np.array([widths[axis] for axis in axes[:dim]]))
-        extent = box.hi - box.lo
-        s_max = rng.uniform(0.05, 0.99)
-        if kind == "orthogonal":  # LAPACK's norm lands ulps either side of s_max
-            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-            A = q * (np.nextafter(s_max, 0.0), s_max, np.nextafter(s_max, 1.0))[ulps + 1]
-        elif kind == "random":
-            A = rng.standard_normal((dim, dim)) * rng.uniform(0.0, 3.0)
-        else:  # the image spans the thinnest axis exactly, up to an ulp
-            A = np.diag(rng.uniform(-0.5, 0.5, dim))
-            r, c = int(np.argmin(np.where(extent > 0, extent, np.inf))), int(np.argmax(extent))
-            if r != c:
-                A[r, r] = 0.0
-                A[r, c] = rng.choice([-1.0, 1.0]) * extent[r] / extent[c] * (1.0 + ulps * 2.0**-52)
-        reach = 3.0 * max(extent.max(), 1.0)  # translations outside the box
-        b = rng.uniform(lo - reach, box.hi + reach)
-        A1, b1 = project_one(A, b, box, s_max)
-        assume(not np.isnan(b1).any())  # A too large to shrink onto a thin axis
-        assert np.linalg.svd(A1)[1][0] <= s_max
-        A2, b2 = project_one(A1, b1, box, s_max)
-        assert A2.tobytes() == A1.tobytes() and b2.tobytes() == b1.tobytes()
-
-    def test_map_that_walked_an_ulp_per_projection(self):
-        # met in the collage-fit-descent recording: LAPACK puts this map's
-        # norm three ulps above s_max, and clamping it again lowered A[0, 1]
-        # by one ulp at every projection
-        A = np.array([[0.0, float.fromhex("0x1.40b5485c9748dp-9")], [0.0, float.fromhex("0x1.e665fcab96fe9p-1")]])
-        b = np.array([0.0625, 0.0031251969369636076])
-        box = Box([0.0625, 0.0625], [0.9375, 0.9375])
-        A1, b1 = project_one(A, b, box, 0.95)
-        assert np.linalg.svd(A1)[1][0] <= 0.95
-        A2, b2 = project_one(A1, b1, box, 0.95)
-        assert A2.tobytes() == A1.tobytes() and b2.tobytes() == b1.tobytes()
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        dim=st.sampled_from([1, 2, 3]),
-        flat=st.lists(st.booleans(), min_size=3, max_size=3),
-    )
-    def test_output_passes_ifs_validation(self, seed, dim, flat):
-        # the fit scores projected candidates without building a system, so
-        # every projection must be one that IFS would accept
-        rng = np.random.default_rng(seed)
-        lo = rng.uniform(-2.0, 2.0, dim)
-        box = Box(lo, lo + np.where(flat[:dim], 0.0, rng.uniform(0.1, 3.0, dim)))
-        A = rng.standard_normal((dim, dim))
-        A *= rng.uniform(0.0, 10.0) / spectral_norm(A)
-        b = rng.uniform(lo - 20.0, lo + 20.0)
-        s_max = rng.uniform(0.05, 0.99)
-        (m,) = collage._project_maps(A[None], b[None], box, s_max)
-        assert m.contractivity <= s_max + 1e-12
-        IFS(box, (m,))  # contraction sending the box into itself
+        lo = rng.uniform(-1.0, 1.0, dim)
+        box = Box(lo, lo + rng.uniform(0.5, 2.0, dim))
+        S, other = random_ifs(rng, box, n, smax), random_ifs(rng, box, n, smax)
+        if mix is None:
+            target = PointSet(rng.uniform(box.lo, box.hi, (int(rng.integers(1, 60)), dim)), pitch)
+        else:
+            T = IFS(box, tuple(
+                AffineMap((1 - mix) * f.A + mix * g.A, (1 - mix) * f.b + mix * g.b) for f, g in zip(S.maps, other.maps)
+            ))
+            target = chaos_game(T, 200, seed=int(rng.integers(2**32)), resolution=pitch)
+        t = S.contractivity
+        bound = collage_bound(collage_distance(S, target), t)
+        # n^depth * 2^d images near 1e5 at the last step, before deduplication
+        depth = 64 if n == 1 else int(math.log(1e5 / 2**dim) / math.log(n))
+        delta = default_resolution(dim)
+        start = box_seed(box, delta)
+        images = np.vstack([f.transform(start.points) for f in S.maps])
+        slack = pitch * math.sqrt(dim) / (2.0 * (1.0 - t))
+        slack += t**depth / (1.0 - t) * exact_hausdorff(start.points, images)
+        slack += delta * math.sqrt(dim) / (2.0 * (1.0 - t))
+        assert hausdorff(target, attractor_points(S, depth, start)) <= bound + slack + 1e-12
 
 
 class TestFitIFS:
@@ -1107,79 +1058,6 @@ class TestFitSequence:
             assert big_d(a, b) <= 0.01
 
 
-class TestExtrapolate:
-    def geometric_series_sequence(self, unit_box, count=6):
-        # coefficients b_j = 0.2 + 0.3 * 0.5^j decay geometrically
-        terms = []
-        for j in range(1, count + 1):
-            b = 0.2 + 0.3 * 0.5**j
-            terms.append(IFS(unit_box, (AffineMap([[0.25]], [b]), AffineMap([[0.25]], [0.0]))))
-        return IFSSequence(tuple(terms))
-
-    def test_hold_last(self, unit_box):
-        seq = self.geometric_series_sequence(unit_box)
-        out = extrapolate(seq, ExtrapolationModel("hold-last", horizon=40))
-        assert out == seq.terms[-1]
-
-    def test_horizon_zero_is_identity_for_all_models(self, unit_box):
-        seq = self.geometric_series_sequence(unit_box)
-        for kind in ("hold-last", "linear", "geometric"):
-            out = extrapolate(seq, ExtrapolationModel(kind, horizon=0))
-            assert out == seq.terms[-1]
-
-    def test_linear_exact_series(self, unit_box):
-        # a_j = 0.5 - 0.05 j; two steps past j=4 gives 0.2 exactly
-        terms = tuple(
-            IFS(unit_box, (AffineMap([[0.5 - 0.05 * j]], [0.0]), AffineMap([[0.1]], [0.9])))
-            for j in range(1, 5)
-        )
-        out = extrapolate(IFSSequence(terms), ExtrapolationModel("linear", horizon=2))
-        assert out.maps[0].A[0, 0] == pytest.approx(0.2, abs=1e-12)
-
-    def test_geometric_exact_series(self, unit_box):
-        seq = self.geometric_series_sequence(unit_box)
-        out = extrapolate(seq, ExtrapolationModel("geometric", horizon=200))
-        assert out.maps[0].b[0] == pytest.approx(0.2, abs=1e-9)
-
-    def test_geometric_on_harmonic_cantor_terms(self, unit_box):
-        # translation coefficients 1/(3j) decay harmonically; the limit
-        # extraction must still land essentially on the middle-thirds system
-        seq = IFSSequence(tuple(cantor_term(j, unit_box) for j in range(1, 6)))
-        out = extrapolate(seq, ExtrapolationModel("geometric", horizon=100))
-        assert big_d(out, cantor_ifs(unit_box)) <= 0.01
-
-    def test_growing_steps_fall_back_to_linear(self, unit_box):
-        # step ratio above one: 0.1, 0.2, 0.4, 0.8 increments
-        values = [0.05, 0.06, 0.08, 0.12, 0.2]
-        terms = tuple(
-            IFS(unit_box, (AffineMap([[0.3]], [v]), AffineMap([[0.3]], [0.7])))
-            for v in values
-        )
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            out = extrapolate(IFSSequence(terms), ExtrapolationModel("geometric", horizon=1))
-        assert out is not None
-
-    @pytest.mark.parametrize("kind", ["linear", "geometric"])
-    def test_aligns_the_chain(self, unit_box, kind):
-        seq = IFSSequence(tuple(cantor_term(j, unit_box) for j in range(1, 6)))
-        swapped = IFSSequence(seq.terms[:1] + tuple(t.reordered(Permutation((1, 0))) for t in seq.terms[1:]))
-        model = ExtrapolationModel(kind, horizon=3)
-        assert extrapolate(swapped, model) == extrapolate(seq, model)
-
-    def test_needs_enough_terms(self, unit_box, ifs_s):
-        seq = IFSSequence((ifs_s, ifs_s))
-        with pytest.raises(PreconditionError):
-            extrapolate(seq, ExtrapolationModel("geometric", horizon=1))
-        with pytest.raises(PreconditionError):
-            extrapolate(IFSSequence((ifs_s,)), ExtrapolationModel("linear", horizon=1))
-
-    def test_result_respects_cap(self, unit_box):
-        seq = self.geometric_series_sequence(unit_box)
-        out = extrapolate(seq, ExtrapolationModel("geometric", horizon=50, s_max=0.3))
-        for m in out.maps:
-            assert m.contractivity <= 0.3 + 1e-12
-
-
 class TestConfigValidation:
     def test_fit_config(self):
         with pytest.raises(InputError):
@@ -1190,15 +1068,3 @@ class TestConfigValidation:
             FitConfig(n=1, s_max=1.0)
         with pytest.raises(InputError, match="seed must be nonnegative"):
             FitConfig(n=1, seed=-1)
-
-    def test_model(self):
-        with pytest.raises(InputError):
-            ExtrapolationModel("cubic", horizon=1)
-        with pytest.raises(InputError):
-            ExtrapolationModel("linear", horizon=-1)
-        # a horizon is refused only where float() of it overflows
-        ExtrapolationModel("linear", horizon=2**1024 - 2**970 - 1)  # rounds to the largest float
-        for kind in ("linear", "geometric"):
-            with pytest.raises(InputError, match="horizon must not exceed the largest float"):
-                ExtrapolationModel(kind, horizon=2**1024 - 2**970)
-        ExtrapolationModel("hold-last", horizon=10**400)  # never read

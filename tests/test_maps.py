@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ifsseq import (
+    IFS,
     AffineMap,
     Box,
     ContractionError,
@@ -15,6 +18,9 @@ from ifsseq import (
     spectral_norm,
     sup_distance,
 )
+from ifsseq.maps import _project_maps
+
+from conftest import project_one
 
 EXACT = 1e-12
 
@@ -279,3 +285,85 @@ class TestIncompletenessWitness:
         for c in (0.9, 0.99):
             assert any(f > c for f in factors)
         assert factors == sorted(factors)
+
+
+class TestProjectMap:
+    def test_clamps_singular_values(self, unit_box):
+        (m,) = _project_maps(np.array([[[1.7]]]), np.array([[0.0]]), unit_box, 0.9)
+        assert m.contractivity <= 0.9 + 1e-12
+
+    def test_pulls_translation_inside(self, unit_box):
+        (m,) = _project_maps(np.array([[[0.5]]]), np.array([[5.0]]), unit_box, 0.9)
+        assert m.maps_into(unit_box)
+
+    def test_feasible_map_unchanged(self, unit_box):
+        (m,) = _project_maps(np.array([[[0.5]]]), np.array([[0.25]]), unit_box, 0.9)
+        assert m.A.tolist() == [[0.5]] and m.b.tolist() == [0.25]
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 2, 3]),
+        axes=st.lists(st.sampled_from(["wide", "flat", "thin"]), min_size=3, max_size=3),
+        kind=st.sampled_from(["orthogonal", "random", "tight"]),
+        ulps=st.integers(-1, 1),
+    )
+    def test_projection_is_idempotent(self, seed, dim, axes, kind, ulps):
+        # the descent keeps a projected candidate as it is, so projecting it
+        # again must give the same bits
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-2.0, 2.0, dim) * 10.0 ** rng.integers(-2, 3)
+        widths = {"wide": rng.uniform(0.1, 3.0), "flat": 0.0, "thin": 10.0 ** rng.uniform(-8.0, -2.0)}
+        box = Box(lo, lo + np.array([widths[axis] for axis in axes[:dim]]))
+        extent = box.hi - box.lo
+        s_max = rng.uniform(0.05, 0.99)
+        if kind == "orthogonal":  # LAPACK's norm lands ulps either side of s_max
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            A = q * (np.nextafter(s_max, 0.0), s_max, np.nextafter(s_max, 1.0))[ulps + 1]
+        elif kind == "random":
+            A = rng.standard_normal((dim, dim)) * rng.uniform(0.0, 3.0)
+        else:  # the image spans the thinnest axis exactly, up to an ulp
+            A = np.diag(rng.uniform(-0.5, 0.5, dim))
+            r, c = int(np.argmin(np.where(extent > 0, extent, np.inf))), int(np.argmax(extent))
+            if r != c:
+                A[r, r] = 0.0
+                A[r, c] = rng.choice([-1.0, 1.0]) * extent[r] / extent[c] * (1.0 + ulps * 2.0**-52)
+        reach = 3.0 * max(extent.max(), 1.0)  # translations outside the box
+        b = rng.uniform(lo - reach, box.hi + reach)
+        A1, b1 = project_one(A, b, box, s_max)
+        assume(not np.isnan(b1).any())  # A too large to shrink onto a thin axis
+        assert np.linalg.svd(A1)[1][0] <= s_max
+        A2, b2 = project_one(A1, b1, box, s_max)
+        assert A2.tobytes() == A1.tobytes() and b2.tobytes() == b1.tobytes()
+
+    def test_map_that_walked_an_ulp_per_projection(self):
+        # met in the collage-fit-descent recording: LAPACK puts this map's
+        # norm three ulps above s_max, and clamping it again lowered A[0, 1]
+        # by one ulp at every projection
+        A = np.array([[0.0, float.fromhex("0x1.40b5485c9748dp-9")], [0.0, float.fromhex("0x1.e665fcab96fe9p-1")]])
+        b = np.array([0.0625, 0.0031251969369636076])
+        box = Box([0.0625, 0.0625], [0.9375, 0.9375])
+        A1, b1 = project_one(A, b, box, 0.95)
+        assert np.linalg.svd(A1)[1][0] <= 0.95
+        A2, b2 = project_one(A1, b1, box, 0.95)
+        assert A2.tobytes() == A1.tobytes() and b2.tobytes() == b1.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 2, 3]),
+        flat=st.lists(st.booleans(), min_size=3, max_size=3),
+    )
+    def test_output_passes_ifs_validation(self, seed, dim, flat):
+        # the fit scores projected candidates without building a system, so
+        # every projection must be one that IFS would accept
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-2.0, 2.0, dim)
+        box = Box(lo, lo + np.where(flat[:dim], 0.0, rng.uniform(0.1, 3.0, dim)))
+        A = rng.standard_normal((dim, dim))
+        A *= rng.uniform(0.0, 10.0) / spectral_norm(A)
+        b = rng.uniform(lo - 20.0, lo + 20.0)
+        s_max = rng.uniform(0.05, 0.99)
+        (m,) = _project_maps(A[None], b[None], box, s_max)
+        assert m.contractivity <= s_max + 1e-12
+        IFS(box, (m,))  # contraction sending the box into itself

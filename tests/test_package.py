@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -25,6 +26,55 @@ def loaded_after(snippet: str, cwd) -> list[str]:
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+# The package's layers, lowest first: a module imports, at module level, only
+# modules of a lower layer.  collage and formats share a layer.
+LAYER = {"errors": 0, "maps": 1, "systems": 2, "sequences": 3, "attractor": 4, "collage": 5, "formats": 5, "cli": 6}
+
+
+def ifsseq_imports(node, deferred=False):
+    """(module, deferred) for each ifsseq module that the code under `node`
+    imports, deferred when the import sits in a function body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ImportFrom) and child.level == 1:
+            names = [child.module] if child.module else [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom) and (child.module or "").startswith("ifsseq."):
+            names = [child.module]
+        elif isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names if alias.name.startswith("ifsseq.")]
+        else:
+            names = []
+        for name in names:
+            yield name.removeprefix("ifsseq.").split(".")[0], deferred
+        yield from ifsseq_imports(child, deferred or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+class TestLayering:
+    """collage and the CLI sit on top: the sequence layer, which the tail fit
+    belongs to, and the map layer, which the feasible set belongs to, never
+    reach up into the fit."""
+
+    SRC = Path(ifsseq.__file__).parent
+
+    def imports(self, module):
+        return list(ifsseq_imports(ast.parse((self.SRC / f"{module}.py").read_text())))
+
+    def test_every_module_has_a_layer(self):
+        assert sorted(p.stem for p in self.SRC.glob("*.py")) == sorted([*LAYER, "__init__"])
+
+    def test_module_level_imports_go_down_the_layers(self):
+        upward = [
+            (module, name)
+            for module, layer in LAYER.items()
+            for name, deferred in self.imports(module)
+            if not deferred and name in LAYER and LAYER[name] >= layer
+        ]
+        assert upward == []
+
+    def test_only_cli_imports_collage(self):
+        importers = sorted({m for m in [*LAYER, "__init__"] for name, _ in self.imports(m) if name == "collage"})
+        assert importers == ["cli"]
 
 
 def test_every_exported_name_resolves_once():
@@ -62,6 +112,15 @@ class TestColdStart:
                 "--iters", "10", "--threshold", "100", "--domain-lo", "0", "--domain-hi", "1", "--out-prefix", "pred"]
         snippet = f"from ifsseq.cli import main\nassert main({argv!r}) == 0"
         assert loaded_after(snippet, tmp_path) == ["ifsseq.collage"]
+        assert (tmp_path / "pred.ifs.json").exists()
+
+    def test_sequence_predict_loads_none(self, tmp_path):
+        # extrapolation and its projection sit below the collage module, and a
+        # sequence file is extrapolated without a fit
+        seqfile = FIXTURES / "analyze" / "converging2d.seq.json"
+        argv = ["predict", str(seqfile), "--model", "geometric", "--horizon", "2", "--depth", "4", "--out-prefix", "pred"]
+        snippet = f"from ifsseq.cli import main\nassert main({argv!r}) == 0"
+        assert loaded_after(snippet, tmp_path) == []
         assert (tmp_path / "pred.ifs.json").exists()
 
     def test_analyze_loads_no_optimize(self, tmp_path):

@@ -19,12 +19,14 @@ from ifsseq import (
     optimal_matching,
 )
 from ifsseq.sequences import (
+    ExtrapolationModel,
     IFSSequence,
     align_chain,
     analyze_sequence,
     cauchy_index,
     converges_to,
     eventually_decreasing_at,
+    extrapolate,
     is_decreasing,
     limit_of_contractions,
     pairwise_distances,
@@ -509,3 +511,88 @@ class TestAnalyzeSequence:
     def test_already_aligned_chain_is_not_realigned(self, cantor_seq):
         aligned = align_chain(cantor_seq)
         assert analyze_sequence(aligned, 0.2).alignment == (Permutation.identity(2),) * len(aligned)
+
+
+class TestExtrapolate:
+    def geometric_series_sequence(self, unit_box, count=6):
+        # coefficients b_j = 0.2 + 0.3 * 0.5^j decay geometrically
+        terms = []
+        for j in range(1, count + 1):
+            b = 0.2 + 0.3 * 0.5**j
+            terms.append(IFS(unit_box, (AffineMap([[0.25]], [b]), AffineMap([[0.25]], [0.0]))))
+        return IFSSequence(tuple(terms))
+
+    def test_hold_last(self, unit_box):
+        seq = self.geometric_series_sequence(unit_box)
+        out = extrapolate(seq, ExtrapolationModel("hold-last", horizon=40))
+        assert out == seq.terms[-1]
+
+    def test_horizon_zero_is_identity_for_all_models(self, unit_box):
+        seq = self.geometric_series_sequence(unit_box)
+        for kind in ("hold-last", "linear", "geometric"):
+            out = extrapolate(seq, ExtrapolationModel(kind, horizon=0))
+            assert out == seq.terms[-1]
+
+    def test_linear_exact_series(self, unit_box):
+        # a_j = 0.5 - 0.05 j; two steps past j=4 gives 0.2 exactly
+        terms = tuple(
+            IFS(unit_box, (AffineMap([[0.5 - 0.05 * j]], [0.0]), AffineMap([[0.1]], [0.9])))
+            for j in range(1, 5)
+        )
+        out = extrapolate(IFSSequence(terms), ExtrapolationModel("linear", horizon=2))
+        assert out.maps[0].A[0, 0] == pytest.approx(0.2, abs=1e-12)
+
+    def test_geometric_exact_series(self, unit_box):
+        seq = self.geometric_series_sequence(unit_box)
+        out = extrapolate(seq, ExtrapolationModel("geometric", horizon=200))
+        assert out.maps[0].b[0] == pytest.approx(0.2, abs=1e-9)
+
+    def test_geometric_on_harmonic_cantor_terms(self, unit_box):
+        # translation coefficients 1/(3j) decay harmonically; the limit
+        # extraction must still land essentially on the middle-thirds system
+        seq = IFSSequence(tuple(cantor_term(j, unit_box) for j in range(1, 6)))
+        out = extrapolate(seq, ExtrapolationModel("geometric", horizon=100))
+        assert big_d(out, cantor_ifs(unit_box)) <= 0.01
+
+    def test_growing_steps_fall_back_to_linear(self, unit_box):
+        # step ratio above one: 0.1, 0.2, 0.4, 0.8 increments
+        values = [0.05, 0.06, 0.08, 0.12, 0.2]
+        terms = tuple(
+            IFS(unit_box, (AffineMap([[0.3]], [v]), AffineMap([[0.3]], [0.7])))
+            for v in values
+        )
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            out = extrapolate(IFSSequence(terms), ExtrapolationModel("geometric", horizon=1))
+        assert out is not None
+
+    @pytest.mark.parametrize("kind", ["linear", "geometric"])
+    def test_aligns_the_chain(self, unit_box, kind):
+        seq = IFSSequence(tuple(cantor_term(j, unit_box) for j in range(1, 6)))
+        swapped = IFSSequence(seq.terms[:1] + tuple(t.reordered(Permutation((1, 0))) for t in seq.terms[1:]))
+        model = ExtrapolationModel(kind, horizon=3)
+        assert extrapolate(swapped, model) == extrapolate(seq, model)
+
+    def test_needs_enough_terms(self, unit_box, ifs_s):
+        seq = IFSSequence((ifs_s, ifs_s))
+        with pytest.raises(PreconditionError):
+            extrapolate(seq, ExtrapolationModel("geometric", horizon=1))
+        with pytest.raises(PreconditionError):
+            extrapolate(IFSSequence((ifs_s,)), ExtrapolationModel("linear", horizon=1))
+
+    def test_result_respects_cap(self, unit_box):
+        seq = self.geometric_series_sequence(unit_box)
+        out = extrapolate(seq, ExtrapolationModel("geometric", horizon=50, s_max=0.3))
+        for m in out.maps:
+            assert m.contractivity <= 0.3 + 1e-12
+
+    def test_model(self):
+        with pytest.raises(InputError):
+            ExtrapolationModel("cubic", horizon=1)
+        with pytest.raises(InputError):
+            ExtrapolationModel("linear", horizon=-1)
+        # a horizon is refused only where float() of it overflows
+        ExtrapolationModel("linear", horizon=2**1024 - 2**970 - 1)  # rounds to the largest float
+        for kind in ("linear", "geometric"):
+            with pytest.raises(InputError, match="horizon must not exceed the largest float"):
+                ExtrapolationModel(kind, horizon=2**1024 - 2**970)
+        ExtrapolationModel("hold-last", horizon=10**400)  # never read

@@ -11,6 +11,7 @@ from ifsseq import (
     IFS,
     AffineMap,
     Box,
+    ContractionError,
     InputError,
     Permutation,
     ResourceLimitError,
@@ -97,6 +98,13 @@ class TestIFSConstruction:
         # contraction toward a point outside the box
         with pytest.raises(InputError):
             IFS(unit_box, (AffineMap([[0.5]], [2.0]),))
+
+    def test_rejects_unchecked_non_contraction_as_a_map_does(self, unit_box):
+        # a map built with check=False meets the same check, and message, as
+        # AffineMap's own
+        identity = AffineMap([[1.0]], [0.0], check=False)
+        with pytest.raises(ContractionError, match=r"^spectral norm 1\.0 is not below 1; not a contraction$"):
+            IFS(unit_box, (AffineMap([[0.5]], [0.0]), identity))
 
     def test_rejects_empty(self, unit_box):
         with pytest.raises(InputError):
