@@ -204,10 +204,13 @@ def attractor_points(
     """depth applications of the Hutchinson operator from the seed.
 
     The result sits within t^depth/(1-t) * h(seed, W(seed)) of the true
-    attractor, plus snapping slack.
+    attractor, plus snapping slack.  It lies on the seed's lattice, so a
+    resolution given with a seed must be the seed's.
     """
     if depth < 0:
         raise InputError("depth must be nonnegative")
+    if seed is not None and resolution is not None and resolution != seed.resolution:
+        raise InputError(f"resolution {resolution} contradicts the seed's pitch {seed.resolution}")
     if seed is None:
         seed = box_seed(S.domain, default_resolution(S.dim) if resolution is None else resolution)
     current = seed

@@ -36,9 +36,10 @@ candidate moves (see _descend).  A sweep's candidates are one array
 (_project, one stacked projection, which marks a map it cannot project with
 NaN).  Two masks over L, which only grow in a descent, hold points where a
 lower bound of h rejects a candidate before its shares are complete:
-- witness, the top of every share built (its farthest image's point):
-  _survivors bounds each moved map's out_sq there for the whole sweep, and
-  a candidate whose bound reaches the incumbent's value gets no share;
+- witness, the top of every share built (its farthest image's point): on
+  the line _survivors bounds each moved map's out_sq there for the whole
+  sweep, and a candidate whose bound reaches the incumbent's value gets no
+  share;
 - reach, the argmax of every near taken: _score bounds the in side there
   from each share's exact values, and such a candidate takes no near.
 The walk goes in order through the survivors, _Share, which takes each of
@@ -128,11 +129,11 @@ class _Share:
     (_tick_field), or by the sorted scan for a target too sparse for one;
     above, by the target's tree and the brute expression.  top is the index
     of the target point whose image lies farthest out, a witness point of
-    the descent (_survivors).  near, per point of L the distance to those
-    images (the exact square on the line, the tree's distance above, with
-    the tree kept in `tree`), is taken at first use, and reach_sq's exact
-    squares at given points of L as asked: _score takes near only where
-    out_sq and reach_sq do not reject."""
+    the descent (_survivors reads them on the line).  near, per point of L
+    the distance to those images (the exact square on the line, the tree's
+    distance above, with the tree kept in `tree`), is taken at first use,
+    and reach_sq's exact squares at given points of L as asked: _score
+    takes near only where out_sq and reach_sq do not reject."""
 
     __slots__ = ("target", "images", "out_sq", "top", "tree", "_near", "_reach")
 
@@ -371,33 +372,24 @@ def _candidate_moves(params: np.ndarray, n: int, d: int, box: Box, step: float) 
 def _survivors(
     target: PointSet, field, blocks: np.ndarray, moved: np.ndarray, shares, best: float, witness: np.ndarray
 ) -> np.ndarray:
-    """The candidates of a projected sweep that a screen at the witness
-    points does not reject, as an ascending index array.
+    """The candidates of a projected sweep that a screen does not reject, as
+    an ascending index array.
 
-    blocks is the sweep's (C, n, d*d + d) array of projected coefficients,
-    moved its (C, n) mask of moved maps and witness a mask over the
-    target's points, which the screen only reads.  A moved map's values at
-    those points bound its out_sq from below (on the line the exact field
-    or scan values; above the target tree's distances shrunk by the 1e-9
-    margin of _screened_max_sq), so a candidate whose bound, with the
-    incumbent's shares of the maps it keeps, reaches best is rejected, as
-    _score's out_sq would reject it.  The survivors include every candidate
-    that out_sq does not reject.  A candidate with a NaN block, one
-    _project could not project, passes unscreened: the walk raises there."""
-    d = target.dim
+    blocks is the sweep's (C, n, d*d + d) array of projected coefficients
+    and moved its (C, n) mask of moved maps.  A candidate whose incumbent
+    shares of the maps it keeps reach best is rejected, as _score's out_sq
+    would reject it; on the line so is one whose moved maps' exact field or
+    scan values at the points of the mask `witness`, which the screen only
+    reads, reach it.  Above the line a tree query there would reject only a
+    few per cent more, at about the cost of the shares it saves.  A
+    candidate with a NaN block, one _project could not project, passes
+    unscreened: the walk raises there."""
     ci, bi = np.nonzero(moved)  # moved maps in candidate order
     rows = blocks[ci, bi]
     ok, at = rows[:, -1] == rows[:, -1], np.flatnonzero(witness)
-    A, b = rows[ok, : d * d].reshape(-1, d, d), rows[ok, d * d :]
     bound = np.where(ok, 0.0, np.nan)
-    if at.size and d == 1:  # the field reads each tick row's ends, which an empty row lacks
-        bound[ok] = _line_sq(target, _line_ticks(target, A[:, 0, 0], b[:, 0], at), field).max(axis=1)
-    elif at.size:
-        # one row would take numpy's matrix-vector product, whose bits can
-        # differ from a row of the matrix product that _Share takes over L
-        points = target.points[at if at.size > 1 or len(target) == 1 else np.repeat(at, 2)]
-        dist, _ = target.tree.query(_snap(points @ A.swapaxes(1, 2) + b[:, None], target.resolution))
-        bound[ok] = (dist.max(axis=1) * (1.0 - 1e-9)) ** 2
+    if target.dim == 1 and at.size:  # the field reads each tick row's ends, which an empty row lacks
+        bound[ok] = _line_sq(target, _line_ticks(target, rows[ok, 0], rows[ok, 1], at), field).max(axis=1)
     sq = np.tile([share.out_sq for share in shares], (len(blocks), 1))
     sq[ci, bi] = bound
     return np.flatnonzero(~(np.sqrt(sq.max(axis=1)) >= best))
@@ -415,10 +407,10 @@ def _descend(target, box, cfg, maps0, field):
     # projects the blocks its candidates move, all at once, and a candidate
     # scores only those; the max/min combination of the shares is exact.  It
     # is scored against the incumbent's value, which rejects most candidates
-    # on a lower bound: at the witness points, on out_sq or at the reach points.
+    # on a lower bound: at the witness points (on the line), on out_sq or at the reach points.
     params = np.concatenate([np.concatenate([m.A.ravel(), m.b]) for m in maps0])
     shares = [_Share(target, m.A, m.b, field) for m in maps0]
-    witness = np.zeros(len(target), bool)  # every share's top: _survivors's points
+    witness = np.zeros(len(target), bool)  # every share's top: _survivors's points on the line
     witness[[share.top for share in shares]] = True
     reach = np.zeros(len(target), bool)  # every near's argmax: _score's points
     best = _score(target, shares, math.inf, reach)

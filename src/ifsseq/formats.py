@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -35,22 +34,17 @@ MAX_PIXELS = 1 << 24
 _MAX_DIGITS = 18
 
 
-def _umask() -> int:
-    # The umask can only be read by setting it; it is restored at once.
-    mask = os.umask(0o022)
-    os.umask(mask)
-    return mask
-
-
 def _atomic_write(path, data: bytes):
     """Write through a temp file beside `path` and a rename; an OSError on
-    the way is an InputError, and the temp file is removed."""
+    the way is an InputError, and the temp file is removed.  The temp file
+    is created 0o666 under the process umask, as open() creates a file."""
     path, tmp = Path(path), None
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+        name = path.parent / f"{path.name}.{os.urandom(8).hex()}"
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name  # only a file this call created is removed
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
-        os.chmod(tmp, 0o666 & ~_umask())  # mkstemp creates the file 0600
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:

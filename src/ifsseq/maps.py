@@ -124,7 +124,7 @@ class Box:
         return self.lo.tolist() == other.lo.tolist() and self.hi.tolist() == other.hi.tolist()
 
     def __hash__(self):
-        return hash((self.lo.tobytes(), self.hi.tobytes()))
+        return hash(((self.lo + 0.0).tobytes(), (self.hi + 0.0).tobytes()))  # -0.0 + 0.0 is 0.0, as == has it
 
     def __repr__(self):
         return f"Box(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
@@ -199,7 +199,7 @@ class AffineMap:
         return np.array_equal(self.A, other.A) and np.array_equal(self.b, other.b)
 
     def __hash__(self):
-        return hash((self.A.tobytes(), self.b.tobytes()))
+        return hash(((self.A + 0.0).tobytes(), (self.b + 0.0).tobytes()))  # -0.0 + 0.0 is 0.0, as == has it
 
     def __repr__(self):
         return f"AffineMap(A={self.A.tolist()}, b={self.b.tolist()})"

@@ -130,7 +130,8 @@ def _link_flags(seq: IFSSequence) -> np.ndarray:
 
 
 def pairwise_distances(seq: IFSSequence) -> np.ndarray:
-    """Symmetric matrix of D between all pairs of terms."""
+    """Symmetric matrix of D between all pairs of terms, as given: within
+    MATCH_TOL of analyze_sequence's `pairwise`, not always bit for bit."""
     return _distances(cost_tensor(seq.terms))
 
 
@@ -226,7 +227,10 @@ def analyze_sequence(seq: IFSSequence, eps: float) -> SequenceReport:
     The alignment P comes from the blocks T[j, j + 1] of the cost tensor T
     of the terms; block [j, k] of the aligned tensor is T[j, k][P[j]][:, P[k]].
     The aligned tensor gives D between the aligned terms, one matching per
-    pair j < k; minimal-ordering transitivity, the Cauchy index at eps, each
+    pair j < k, summing its costs in another order than pairwise_distances:
+    the two agree within MATCH_TOL, not always bit for bit, so cauchy_at
+    differs from cauchy_index only where a D lies that close to eps.
+    Minimal-ordering transitivity, the Cauchy index at eps, each
     slot's dbar matrix and the residual D(last term, limit) are read from D
     and the tensor.  The decrease flags and each slot's decreasing tail come
     from the aligned factor traces.  The limit candidate is the final aligned term (no
@@ -237,8 +241,8 @@ def analyze_sequence(seq: IFSSequence, eps: float) -> SequenceReport:
     T = cost_tensor(seq.terms)
     alignment = _alignment(np.diagonal(T, 1).transpose(2, 0, 1))
     P = np.array([p.image for p in alignment])
-    T = np.take_along_axis(T, P[:, None, :, None], axis=2)
-    T = np.take_along_axis(T, P[None, :, None, :], axis=3)
+    J = np.arange(len(P))
+    T = T[J[:, None, None, None], J[None, :, None, None], P[:, None, :, None], P[None, :, None, :]]  # one copy
     dist = _distances(T)
     traces = _traces(seq, alignment)
     decreases = _decreases(traces)

@@ -275,6 +275,14 @@ class TestAttractorPoints:
         with pytest.raises(ResourceLimitError):
             attractor_points(system, 9, PointSet([[0.0], [1.0]], 1e-9))
 
+    def test_resolution_must_agree_with_the_seed(self, unit_box):
+        # the render lies on the seed's lattice, so a resolution given with
+        # a seed is refused unless it is the seed's pitch
+        system, seed = cantor_ifs(unit_box), box_seed(unit_box, 1e-3)
+        with pytest.raises(InputError, match="^resolution 0.0001 contradicts the seed's pitch 0.001$"):
+            attractor_points(system, 3, seed=seed, resolution=1e-4)
+        assert attractor_points(system, 3, seed=seed, resolution=1e-3) == attractor_points(system, 3, seed)
+
 
 class TestChaosGame:
     def test_deterministic_per_seed(self, unit_box):

@@ -753,21 +753,19 @@ class TestSweepArrays:
     def test_survivors_cover_the_per_candidate_screen(
         self, seed, d, n, step, source, best, unprojectable, witness, pitch, rounding
     ):
-        # the screen at the witness points keeps, in order, every candidate
-        # whose out_sq, taken share by share, does not reach best, and every
-        # candidate with a block the projection marked NaN; at all of L it
-        # keeps exactly those on the line, and above at most the candidates
-        # the tree's 1e-9 margin adds, whose out_sq lies that close to best
-        # (lattice targets make such ties).  It only reads the mask, and an
-        # empty mask takes no images.  A tight best lies one ulp above some
-        # candidate's out_sq, where a screen with any slack rejects a
-        # survivor.  On the line out_sq comes from the fit's tick field or
-        # the sorted scan; above, the witness images are the bits of the
-        # moved maps' _Share images at those points, one point or many, for
-        # the whole stack.  The target lies on a dyadic lattice or on one
-        # whose pitch is not a power of two; with `rounding` its tree's
-        # distances come back a few ulps high (RoundingTree), which the
-        # screen's margin absorbs
+        # the screen keeps, in order, every candidate whose out_sq, taken
+        # share by share, does not reach best, and every candidate with a
+        # block the projection marked NaN.  On the line it screens at the
+        # witness points, and at all of L it keeps exactly those; an empty
+        # mask takes no images.  Above the line it takes no images and keeps
+        # exactly the candidates with a NaN block and those whose kept
+        # incumbent shares stay below best.  It only reads the mask.  A
+        # tight best lies one ulp above some candidate's out_sq, where a
+        # screen with any slack rejects a survivor.  On the line out_sq comes
+        # from the fit's tick field or the sorted scan.  The target lies on a
+        # dyadic lattice or on one whose pitch is not a power of two; with
+        # `rounding` its tree's distances come back a few ulps high
+        # (RoundingTree), which _Share's out_sq absorbs
         rng = np.random.default_rng(seed)
         box = Box(np.zeros(d), np.ones(d))
         ticks = round(1 / pitch)
@@ -821,20 +819,14 @@ class TestSweepArrays:
 
         with mock.patch.object(collage, "_line_ticks", ticks), mock.patch.object(collage, "_snap", snapped):
             survivors = collage._survivors(target, field, blocks, moved, shares, best, mask)
-            assert len(images) == (1 if mask.any() else 0)
-            if d > 1 and mask.any():  # each stacked map's witness images, before the snap, are its share's
-                at = np.flatnonzero(mask)
-                rows = [(c, i) for c, i in zip(ci, bi) if not np.isnan(blocks[c, i]).any()]
-                assert len(images[0]) == len(rows)
-                for taken, (c, i) in zip(images[0], rows):
-                    collage._Share(target, blocks[c, i, : d * d].reshape(d, d), blocks[c, i, d * d :], field)
-                    own = images[-1][at]
-                    assert taken.tobytes() == np.resize(own, taken.shape).tobytes()
+            assert len(images) == (1 if d == 1 and mask.any() else 0)
         assert survivors.dtype.kind == "i" and (np.diff(survivors) > 0).all()
         assert set(expected) <= set(survivors.tolist())
-        if mask.all():
-            extra = set(survivors.tolist()) - set(expected)
-            assert not extra if d == 1 else all(math.sqrt(out_sq[c]) * (1.0 - 2e-9) < best for c in extra)
+        if d == 1 and mask.all():
+            assert not set(survivors.tolist()) - set(expected)
+        if d > 1:
+            kept = [max([shares[i].out_sq for i in range(n) if not moved[c, i]], default=0.0) for c in out_sq]
+            assert survivors.tolist() == sorted(unscreened + [c for c, sq in zip(out_sq, kept) if math.sqrt(sq) < best])
         assert (mask == before).all()
 
     def test_unprojectable_rows_come_back_nan(self):
@@ -1022,6 +1014,24 @@ class TestFitIFS:
             digest.update(m.A.tobytes() + m.b.tobytes())
         digest.update(np.array([result.distance, *result.history]).tobytes())
         assert digest.hexdigest() == "d4c162fc8a7c77bd5696886376a90f481bc20fea1a43e317b74fcb413c23c547"
+
+    def test_default_budget_dust_fit_is_recorded(self):
+        # a whole default-budget 2D fit on a 16x16 raster of three maps of
+        # scale 0.3, 34 points: the sha256 of every coefficient, the distance
+        # and the history, as recorded while the plane's sweeps still bounded
+        # each moved map's out_sq at the witness points, a bound that
+        # rejected about 5.6% of this fit's candidates
+        box = Box([0.0, 0.0], [1.0, 1.0])
+        system = IFS(box, tuple(AffineMap(0.3 * np.eye(2), b) for b in ([0.0, 0.0], [0.7, 0.0], [0.35, 0.7])))
+        render = attractor_points(system, 10, box_seed(box, 1e-3))
+        target = raster_to_points(render_raster(render, box, 16), 1 / 16)
+        assert len(target) == 34
+        result = fit_ifs(target, FitConfig(n=3))
+        digest = hashlib.sha256()
+        for m in result.ifs.maps:
+            digest.update(m.A.tobytes() + m.b.tobytes())
+        digest.update(np.array([result.distance, *result.history]).tobytes())
+        assert digest.hexdigest() == "8d3c3215bebc8202beb784948eb96080cf7849bf5faf78afa78ee53c2cf2ea58"
 
     def test_point_cap_is_checked_before_any_descent(self, monkeypatch, cantor_render):
         monkeypatch.setattr(attractor, "POINT_CAP", 2 * len(cantor_render) - 1)

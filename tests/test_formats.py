@@ -228,6 +228,16 @@ class TestAtomicWrite:
                     write_ifs(tmp_path / "s.json", system)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir"] and not any(outdir.iterdir())
 
+    def test_a_write_leaves_the_umask_alone(self, tmp_path, monkeypatch):
+        # the umask can only be read by setting it, and another thread's file
+        # created in between would take the set value: a write reads none
+        def umask(*args):
+            raise AssertionError("the umask was touched")
+
+        monkeypatch.setattr(os, "umask", umask)
+        write_ifs(tmp_path / "s.json", cantor_ifs())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
 
 class TestPointsCSV:
     def test_round_trip_within_format_precision(self, tmp_path):

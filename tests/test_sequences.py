@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsseq import (
     IFS,
@@ -473,6 +475,26 @@ class TestAnalyzeSequence:
             for i, j, k in itertools.product(range(length), repeat=3)
         )
         assert is_mo_set(seq.terms) == transitive
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["random", "tie-heavy", "settling"]),
+        length=st.integers(1, 12),
+    )
+    def test_pairwise_agrees_with_pairwise_distances(self, seed, kind, length):
+        # the report's D between the aligned terms and pairwise_distances's D
+        # between the terms as given sum the same costs in another order:
+        # their bits can differ, by no more than MATCH_TOL
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            box, n = (LINE, SQUARE)[rng.integers(2)], int(rng.integers(1, 5))
+            seq = IFSSequence(tuple(random_ifs(rng, box, n) for _ in range(length)))
+        else:
+            seq = dyadic_sequence(rng, SQUARE, length, settle=kind == "settling")
+        report, plain = analyze_sequence(seq, 0.1), pairwise_distances(seq)
+        assert report.pairwise.shape == plain.shape == (length, length)
+        assert np.abs(report.pairwise - plain).max() <= MATCH_TOL
 
     def test_plane_triple_is_not_mo_set(self, plane_s, plane_t, plane_u):
         assert self.check(IFSSequence((plane_s, plane_t, plane_u)), 1.9).mo_set is False

@@ -110,6 +110,19 @@ class TestIFSConstruction:
         with pytest.raises(InputError):
             IFS(unit_box, ())
 
+    def test_signed_zeros_hash_as_they_compare(self):
+        # values that differ only in a zero's sign compare equal, so they
+        # hash alike and a set keeps one of them; spec files can carry -0.0
+        pairs = [
+            (Box([-0.0], [1.0]), Box([0.0], [1.0])),
+            (AffineMap([[-0.0]], [0.5]), AffineMap([[0.0]], [0.5])),
+            (AffineMap([[0.5, -0.0], [0.0, 0.5]], [-0.0, 0.1]), AffineMap([[0.5, 0.0], [-0.0, 0.5]], [0.0, 0.1])),
+        ]
+        lo, hi = Box([-0.0, 0.0], [1.0, 1.0]), Box([0.0, -0.0], [1.0, 1.0])
+        pairs.append((IFS(lo, (pairs[2][0],)), IFS(hi, (pairs[2][1],))))
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
     def test_contractivity_examples(self, ifs_t, ifs_u, plane_s):
         assert ifs_t.contractivity == pytest.approx(1.0 / 3.0, abs=EXACT)
         assert ifs_u.contractivity == pytest.approx(0.75, abs=EXACT)
