@@ -4,11 +4,11 @@ Hausdorff distance, code-space addressing.
 Compact sets are represented as finite point sets snapped to a grid of pitch
 delta, which buys a provable 2*delta slack in every Hausdorff statement.
 PointSet deduplicates on one float64 lattice key per point, the mixed-radix
-number of its ticks round(x/delta).  The key is exact while every |tick| is
-below 2^51 and the column spans multiply to less than 2^53, and then
-fl(tick*delta) lies within delta/4 of tick*delta, so the stored rows equal
-the sorted unique snapped values bit for bit.  Beyond those limits PointSet
-takes np.unique of the snapped values themselves.
+number of its ticks round(x/delta), and decodes the unique keys as int64.
+Both are exact while every |tick| is below 2^51 and the column spans multiply
+to less than 2^53, and fl(tick*delta) then lies within delta/4 of tick*delta,
+so the stored rows equal the sorted unique snapped values bit for bit.
+Beyond those limits PointSet takes np.unique of the snapped values themselves.
 
 The Hausdorff distance ships in two variants that must agree bit for bit: a
 plain O(|A||B|) reference and an accelerated path (sorted scan in one
@@ -62,13 +62,13 @@ class PointSet:
     The rows are found on the lattice, one float64 key per point: the
     mixed-radix number whose digits are the ticks k_j = round(x_j/delta)
     less their column's lowest tick.  The keys are sorted, one of each run
-    of equal keys is kept, and its digits are decoded and multiplied back by
-    delta.  That is exact while every |k_j| < 2^51 and the product of the
-    column spans (highest tick - lowest tick + 1) is below 2^53: each key is
-    then an exact float64 integer, and fl(k*delta) lies within delta/4 of
-    k*delta (a subnormal product is exact), so distinct ticks give distinct
-    values in the same order.  Beyond those limits the rows are found by
-    np.unique on the snapped values themselves.
+    of equal keys is kept, and its digits are decoded in int64 and multiplied
+    back by delta.  That is exact while every |k_j| < 2^51 and the product of
+    the column spans (highest tick - lowest tick + 1) is below 2^53: each key
+    is then an exact integer in float64 and int64, and fl(k*delta) lies
+    within delta/4 of k*delta (a subnormal product is exact), so distinct
+    ticks give distinct values in the same order.  Beyond those limits the
+    rows are found by np.unique on the snapped values themselves.
     """
 
     __slots__ = ("points", "resolution", "_tree")
@@ -137,7 +137,7 @@ def _lattice_rows(pts: np.ndarray, resolution: float, lo, hi) -> np.ndarray:
     """PointSet's rows by the lattice key, given each column's lowest and
     highest tick inside the limits PointSet states.  Beside the input it holds
     one key column and one work column, never an (N, d) grid."""
-    spans = [h - l + 1.0 for l, h in zip(lo, hi)]
+    spans = [int(h - l) + 1 for l, h in zip(lo, hi)]
     key = np.empty(pts.shape[0])
     work = np.empty_like(key)
     for j, column in enumerate(pts.T):
@@ -152,12 +152,13 @@ def _lattice_rows(pts: np.ndarray, resolution: float, lo, hi) -> np.ndarray:
     key.sort()
     fresh = np.ones(key.size, dtype=bool)
     np.not_equal(key[1:], key[:-1], out=fresh[1:])
-    key = key[fresh]
+    key = key[fresh]  # the full key is freed before the int64 copy is made
+    key = key.astype(np.int64)  # exact: the keys are integers below 2^53
     rows = np.empty((key.size, pts.shape[1]))
     for j in range(pts.shape[1] - 1, 0, -1):
         np.divmod(key, spans[j], out=(key, rows[:, j]))
-    rows[:, 0] = key
-    rows += lo  # a digit plus its lowest tick is never -0.0
+        rows[:, j] += lo[j]  # a digit plus its lowest tick is never -0.0
+    np.add(key, lo[0], out=rows[:, 0])
     with np.errstate(over="ignore"):
         rows *= resolution
     return rows
@@ -192,7 +193,10 @@ def _check_images(B: PointSet, domain: Box, n: int):
 def hutchinson(S: IFS, B: PointSet) -> PointSet:
     """Union of the images of B under every map, snapped and deduplicated."""
     _check_images(B, S.domain, S.n)
-    return PointSet(np.vstack([m.transform(B.points) for m in S.maps]), B.resolution)
+    images = np.empty((S.n, len(B), S.dim))
+    for m, block in zip(S.maps, images):
+        m.transform(B.points, out=block)
+    return PointSet(images.reshape(-1, S.dim), B.resolution)
 
 
 def attractor_points(

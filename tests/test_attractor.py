@@ -36,6 +36,22 @@ from conftest import cantor_ifs, cantor_term, constant_map, exact_hausdorff, ran
 DELTA = 1e-4
 
 
+def hutchinson_reference(S, B):
+    """The Hutchinson step as one stack of each map's images: hutchinson
+    must store the same rows bit for bit."""
+    return PointSet(np.vstack([m.transform(B.points) for m in S.maps]), B.resolution)
+
+
+def lattice_path_rows(points, pitch):
+    """_lattice_rows on points, given each column's extreme ticks as PointSet
+    takes them, after checking that the ticks lie inside the key's limits."""
+    lo = [np.rint(column.min() / pitch) for column in points.T]
+    hi = [np.rint(column.max() / pitch) for column in points.T]
+    assert max(map(abs, lo + hi)) < attractor._TICK_LIMIT
+    assert math.prod(int(h - l) + 1 for l, h in zip(lo, hi)) < attractor._KEY_LIMIT
+    return attractor._lattice_rows(points, pitch, lo, hi)
+
+
 def cantor_distance(x, depth=45):
     """Exact distance from a real to the middle-thirds Cantor set, via the
     self-similar split; both endpoint thirds belong to the set."""
@@ -185,6 +201,47 @@ class TestPointSet:
             tracemalloc.stop()
         assert peak <= 1.25 * images.nbytes
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=st.sampled_from(["span", "negative", "zero", "line"]),
+        dim=st.sampled_from([2, 3]),
+        pitch=st.sampled_from([1.0, 1e-3, 1.0 / 17.0, 2.0**-30]),
+        data=st.data(),
+    )
+    def test_integer_decode_at_the_key_limits(self, case, dim, pitch, data):
+        # the int64 decode against the value sort on the lattice path's edge:
+        # "span": column spans multiplying to just below 2^53 (the last one
+        # 1-3 below its limit), "negative": the same sets shifted to negative
+        # ticks, "zero": ticks 0..1 where every column's lowest tick rounds
+        # to -0.0, "line": d = 1, where no digit is peeled off
+        if case == "line":
+            dim = 1
+        n = data.draw(st.integers(3, 30))
+        if case in ("span", "negative"):
+            short = data.draw(st.integers(1, 3))
+            spans = np.array([2.0**26, 2.0**27 - short] if dim == 2 else [6361.0, 69431.0, 20394401.0 - short])
+            assert math.prod(spans) < attractor._KEY_LIMIT
+            draws = st.lists(st.integers(0, 2**62), min_size=n * dim, max_size=n * dim)
+            ticks = np.reshape(data.draw(draws), (n, dim)) % (spans - 2.0) + 1.0
+            ticks[0], ticks[1] = 0.0, spans - 1.0
+            if case == "negative":
+                ticks -= data.draw(st.integers(1, 2**40)) + spans
+        else:
+            low, high = (-(2**50), 2**50) if case == "line" else (0, 1)
+            draws = st.lists(st.integers(low, high), min_size=n * dim, max_size=n * dim)
+            ticks = np.reshape(data.draw(draws), (n, dim)).astype(float)
+        # rows 0 and 1 stay on the lattice, so they fix the spans
+        jitter = np.zeros((n, dim))
+        jitter[2:] = np.reshape(
+            data.draw(st.lists(st.floats(-0.45, 0.45), min_size=(n - 2) * dim, max_size=(n - 2) * dim)),
+            (n - 2, dim),
+        )
+        if case == "zero":
+            ticks[2], jitter[2] = 0.0, -0.3
+        points = (ticks + jitter) * pitch
+        oracle = np.unique(_snap(points, pitch) + 0.0, axis=0)
+        assert lattice_path_rows(points, pitch).tobytes() == oracle.tobytes()
+
     def test_zero_is_stored_positive(self):
         # -1e-5 rounds to -0.0 and 1e-5 to 0.0 at pitch 1e-3: input order
         # must not pick the stored sign
@@ -241,6 +298,46 @@ class TestHutchinson:
                 lhs = hausdorff(hutchinson(system, A), hutchinson(system, B))
                 rhs = system.contractivity * hausdorff(A, B) + 2 * delta
                 assert lhs <= rhs + 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        n=st.integers(1, 4),
+        size=st.sampled_from([1, 1, 2, 7]),
+        pitch=st.sampled_from([1e-3, 0.05, 2.0**-10]),
+        data=st.data(),
+    )
+    def test_equals_the_stacked_reference(self, dim, n, size, pitch, data):
+        # each map's images written into its block of one array, against the
+        # stack of `P @ A.T + b` per map: the images bit for bit, then the
+        # stored rows.  Two faster forms are not bit for bit with it:
+        # P @ np.ascontiguousarray(A.T), 4x faster, differs from P @ A.T on
+        # single-row inputs (2 of 600 random cases in one count; 567 of 3,000
+        # cases of 1-3 rows in another, every one single-row, d = 2, 3), and
+        # the column sums x0*a00 + x1*a01 differ from BLAS (168 of 300 cases;
+        # 300 of 300 sets of 500 rows), as OpenBLAS uses FMA.  So the product
+        # stays on the A.T view, and |B| = 1 is drawn half the time.
+        # Entries of A up to 0.3 keep each map a contraction of [-4, 4]^d.
+        entry = st.one_of(st.sampled_from([0.0, -0.0, -0.25]), st.floats(-0.3, 0.3))
+        shift = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.4, 0.4))
+        maps = tuple(
+            AffineMap(
+                np.reshape(data.draw(st.lists(entry, min_size=dim * dim, max_size=dim * dim)), (dim, dim)),
+                data.draw(st.lists(shift, min_size=dim, max_size=dim)),
+            )
+            for _ in range(n)
+        )
+        system = IFS(Box(np.full(dim, -4.0), np.full(dim, 4.0)), maps)
+        coordinate = st.floats(-4.0, 4.0)
+        B = PointSet(
+            np.reshape(data.draw(st.lists(coordinate, min_size=size * dim, max_size=size * dim)), (size, dim)),
+            pitch,
+        )
+        images = np.empty((n, len(B), dim))
+        for m, block in zip(maps, images):
+            assert m.transform(B.points, out=block) is block
+        assert images.tobytes() == np.vstack([B.points @ m.A.T + m.b for m in maps]).tobytes()
+        assert hutchinson(system, B).points.tobytes() == hutchinson_reference(system, B).points.tobytes()
 
 
 class TestAttractorPoints:

@@ -87,6 +87,36 @@ class TestBox:
         assert b.diameter == 0.0
         assert b.contains([[0.5]])
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        tol=st.sampled_from([0.0, 1e-12, 1e-9, 0.25]),
+        rows=st.integers(0, 5),
+        data=st.data(),
+    )
+    def test_contains_agrees_with_the_row_comparison(self, dim, tol, rows, data):
+        # the oracle compares the (N, d) points with the widened bounds as
+        # rows; entries sit on the widened faces, one ulp outside them,
+        # inside, or at NaN.  A (0, d) array is inside, where a bare column
+        # min() raises ValueError.
+        lo = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)))
+        box = Box(lo, lo + np.array(data.draw(st.lists(st.floats(0.0, 3.0), min_size=dim, max_size=dim))))
+        low, high = box.lo - tol, box.hi + tol
+        picks = {
+            "low": low,
+            "high": high,
+            "below": np.nextafter(low, -np.inf),
+            "above": np.nextafter(high, np.inf),
+            "center": box.center,
+            "nan": np.full(dim, np.nan),
+        }
+        names = st.lists(st.sampled_from(sorted(picks)), min_size=dim, max_size=dim)
+        chosen = data.draw(st.lists(names, min_size=rows, max_size=rows))
+        pts = np.array([[picks[name][j] for j, name in enumerate(row)] for row in chosen]).reshape(rows, dim)
+        oracle = bool(np.all(pts >= box.lo - tol) and np.all(pts <= box.hi + tol))
+        assert box.contains(pts, tol=tol) is oracle
+        assert box.contains(np.empty((0, dim)), tol=tol) is True
+
 
 class TestAffineMap:
     def test_eval_direct(self):
