@@ -9,8 +9,8 @@ and `predict` share the render flags (--depth, --image, --px).  `attractor`,
 `collage-fit` and `predict` also write a manifest beside their outputs,
 recording inputs (with digests), flags, seeds, and versions, so any such run
 can be reproduced byte for byte; `analyze --limit-out` writes the limit spec
-alone.  An output (a manifest included) naming a file twice, a directory, an
-input or a file that predict would read as a frame is refused before any work.
+alone.  Bad flag values, and outputs (manifests too) naming a file twice, a
+directory, an input or a file predict reads as a frame, are refused first.
 IFSSEQ_SEED overrides the default seed when --seed is not given.
 Negative --domain-lo/--domain-hi bounds take the `=` form, as in
 --domain-lo=-1,-1: after a space argparse reads "-1,-1" as an option.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import warnings
@@ -34,6 +35,7 @@ from . import __version__
 from .attractor import PointSet, attractor_points, default_resolution
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .formats import (
+    _check_width,
     _write_json,
     foreground_mask,
     read_ifs,
@@ -145,9 +147,25 @@ def _load_frame(path, pitch: float | None, threshold: int | None) -> PointSet:
     if path.suffix.lower() == ".csv":
         return read_points_csv(path, 1e-3 if pitch is None else pitch)
     arr, maxval = read_raster(path)
-    mask = foreground_mask(arr, maxval, threshold)
-    width = arr.shape[1]
-    return raster_to_points(mask, 1.0 / width if pitch is None else pitch)
+    try:  # a blank raster, as every other reader error, names its file
+        return raster_to_points(foreground_mask(arr, maxval, threshold), 1.0 / arr.shape[1] if pitch is None else pitch)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _check_flags(args):
+    """Refuse, before any input is read, the flags that PointSet, attractor_points,
+    render_raster and the Cauchy index would refuse, with their messages; --delta
+    is a frame or a render pitch, and --image an output only beside --px."""
+    flags = vars(args)
+    if any(flags.get(p) is not None and not 0.0 < flags[p] < math.inf for p in ("delta", "render_delta")):
+        raise InputError("resolution must be a positive real")
+    if flags.get("depth", 0) < 0:
+        raise InputError("depth must be nonnegative")
+    if "px" in flags and args.image:
+        _check_width(args.px)
+    if not flags.get("eps", 1.0) > 0.0:
+        raise InputError("eps must be positive")
 
 
 def _fit_setup(args):
@@ -220,10 +238,9 @@ def cmd_analyze(args) -> int:
         print("consecutive D:", " ".join(f"{v:.6g}" for v in consecutive))
     if not report.mo_set:
         print("note: minimal ordering is not transitive over these terms")
-    if report.failure is not None:
-        if isinstance(report.failure, PreconditionError):
-            print(f"limit extraction failed: {report.failure}")
-            print(f"cauchy index at eps={args.eps}: {report.cauchy_at}")
+    if report.failure is not None:  # a PreconditionError: main refuses a bad eps
+        print(f"limit extraction failed: {report.failure}")
+        print(f"cauchy index at eps={args.eps}: {report.cauchy_at}")
         raise report.failure
     print(f"decreasing: {report.decreasing}")
     print(f"eventually decreasing at: {report.eventually_decreasing_at}")
@@ -239,8 +256,8 @@ def cmd_collage_fit(args) -> int:
     from .collage import collage_bound, fit_ifs
     manifest = str(args.out) + ".manifest.json"
     _require_outputs([args.image], args.out, manifest)
-    target = _load_frame(args.image, args.delta, args.threshold)
     cfg, domain, fit_flags = _fit_setup(args)
+    target = _load_frame(args.image, args.delta, args.threshold)
     result = fit_ifs(target, cfg, domain=domain)
     bound = collage_bound(result.distance, result.ifs.contractivity)
     write_ifs(args.out, result.ifs)
@@ -282,10 +299,10 @@ def cmd_predict(args) -> int:
     model = ExtrapolationModel(MODEL_NAMES[args.model], horizon=args.horizon, **overrides)
     if source.is_dir():
         from .collage import fit_sequence
+        cfg, domain, fit_flags = _fit_setup(args)
         frames = [_load_frame(p, args.delta, args.threshold) for p in inputs]
         if len(frames) < 2:
             raise PreconditionError("prediction needs at least 2 frames")
-        cfg, domain, fit_flags = _fit_setup(args)
         fit = fit_sequence(frames, cfg, domain=domain)
         sequence = fit.sequence
         print("per-frame collage distances:", " ".join(f"{v:.6g}" for v in fit.distances))
@@ -398,6 +415,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,10 +36,10 @@ candidate moves (see _descend).  A sweep's candidates are one array
 (_project, one stacked projection, which marks a map it cannot project with
 NaN).  Two masks over L, which only grow in a descent, hold points where a
 lower bound of h rejects a candidate before its shares are complete:
-- witness, the top of every share built (its farthest image's point): on
-  the line _survivors bounds each moved map's out_sq there for the whole
-  sweep, and a candidate whose bound reaches the incumbent's value gets no
-  share;
+- witness, on the line only, the point of L whose image lies farthest out
+  in every share built: _survivors bounds each moved map's out_sq there for
+  the whole sweep, and a candidate whose bound reaches the incumbent's
+  value gets no share;
 - reach, the argmax of every near taken: _score bounds the in side there
   from each share's exact values, and such a candidate takes no near.
 The walk goes in order through the survivors, _Share, which takes each of
@@ -65,6 +65,7 @@ from .attractor import (
     _TICK_LIMIT,
     PointSet,
     _check_images,
+    _directed_sq,
     _min_sq_brute,
     _min_sq_sorted_1d,
     _screened_max_sq,
@@ -126,31 +127,29 @@ class _Share:
 
     out_sq, the max squared distance from the map's snapped images into L,
     is taken at once: on the line by _line_sq, from the fit's tick field
-    (_tick_field), or by the sorted scan for a target too sparse for one;
-    above, by the target's tree and the brute expression.  top is the index
-    of the target point whose image lies farthest out, a witness point of
-    the descent (_survivors reads them on the line).  near, per point of L
-    the distance to those images (the exact square on the line, the tree's
-    distance above, with the tree kept in `tree`), is taken at first use,
-    and reach_sq's exact squares at given points of L as asked: _score
-    takes near only where out_sq and reach_sq do not reject."""
+    (_tick_field), or by the sorted scan for a target too sparse for one,
+    and the point of L whose image lies farthest out joins the descent's
+    `witness` mask (_survivors reads it); above, by hausdorff's directed
+    kernel, attractor._directed_sq.  near, per point of L the distance to
+    those images (the exact square on the line, the tree's distance above,
+    with the tree kept in `tree`), is taken at first use, and reach_sq's
+    exact squares at given points of L as asked: _score takes near only
+    where out_sq and reach_sq do not reject."""
 
-    __slots__ = ("target", "images", "out_sq", "top", "tree", "_near", "_reach")
+    __slots__ = ("target", "images", "out_sq", "tree", "_near", "_reach")
 
-    def __init__(self, target: PointSet, A: np.ndarray, b: np.ndarray, field):
+    def __init__(self, target: PointSet, A: np.ndarray, b: np.ndarray, field, witness: np.ndarray):
         # images as AffineMap.transform takes them, snapped, not deduplicated
         if target.dim == 1:
             ticks = _line_ticks(target, A[0], b)
             values = _line_sq(target, ticks, field)[0]
+            top = int(values.argmax())
+            self.out_sq, witness[top] = float(values[top]), True
             # ascending, as near's scan needs, or descending when a < 0
             images = ((ticks[0, ::-1] if A[0, 0] < 0.0 else ticks[0]) * target.resolution)[:, None]
         else:
             images = _snap(target.points @ A.T + b, target.resolution)
-            values, _ = target.tree.query(images)
-        self.top = int(values.argmax())
-        self.out_sq = float(values[self.top])
-        if target.dim > 1:  # the tree's distances only screen; the brute expression decides
-            self.out_sq = _screened_max_sq(images, values, [(target.points, target.tree)])
+            self.out_sq = _directed_sq(images, target.points, target.tree)
         self.target, self.images, self.tree, self._near, self._reach = target, images, None, None, None
 
     @property
@@ -409,9 +408,8 @@ def _descend(target, box, cfg, maps0, field):
     # is scored against the incumbent's value, which rejects most candidates
     # on a lower bound: at the witness points (on the line), on out_sq or at the reach points.
     params = np.concatenate([np.concatenate([m.A.ravel(), m.b]) for m in maps0])
-    shares = [_Share(target, m.A, m.b, field) for m in maps0]
-    witness = np.zeros(len(target), bool)  # every share's top: _survivors's points on the line
-    witness[[share.top for share in shares]] = True
+    witness = np.zeros(len(target), bool)  # on the line, every share's farthest point: _survivors's points
+    shares = [_Share(target, m.A, m.b, field, witness) for m in maps0]
     reach = np.zeros(len(target), bool)  # every near's argmax: _score's points
     best = _score(target, shares, math.inf, reach)
     history = [best]
@@ -430,8 +428,8 @@ def _descend(target, box, cfg, maps0, field):
                 raise PreconditionError("cannot project the map into the domain")
             trial_shares = list(shares)
             for i in np.flatnonzero(moved[c]):
-                trial_shares[i] = _Share(target, blocks[c, i, : d * d].reshape(d, d), blocks[c, i, d * d :], field)
-                witness[trial_shares[i].top] = True
+                block = blocks[c, i]
+                trial_shares[i] = _Share(target, block[: d * d].reshape(d, d), block[d * d :], field, witness)
             value = _score(target, trial_shares, best, reach)
             if value < best:
                 best, params, shares = value, trials[c], trial_shares

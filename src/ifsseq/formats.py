@@ -384,12 +384,16 @@ def raster_to_points(mask: np.ndarray, pitch: float) -> PointSet:
     return PointSet(pts, pitch / 2.0)
 
 
-def render_raster(points: PointSet, box: Box, width: int) -> np.ndarray:
-    """Binary image of a point set over a box, `width` pixels across."""
+def _check_width(width: int):
     if width <= 0:
         raise InputError("width must be positive")
     if width > MAX_PIXELS:  # before width meets a float, which it may overflow
         raise ResourceLimitError(f"a raster {width} pixels wide exceeds the {MAX_PIXELS}-pixel cap")
+
+
+def render_raster(points: PointSet, box: Box, width: int) -> np.ndarray:
+    """Binary image of a point set over a box, `width` pixels across."""
+    _check_width(width)
     extent = box.hi - box.lo
     aspect = float(extent[1]) / float(extent[0]) if points.dim > 1 and extent[0] > 0 else 1.0
     height = width * aspect if points.dim > 1 else 1.0

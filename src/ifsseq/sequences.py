@@ -12,10 +12,10 @@ previous term as already reindexed.  The identity, the smallest permutation,
 is then the tie-broken optimal matching of every aligned link, so the
 decrease flags compare the aligned contraction-factor traces slot by slot.
 align_chain takes the matrices from systems.cost_links; analyze_sequence
-takes them from the one cost tensor it builds and reads everything else from
-that tensor and its matrix of D (systems._distances).  extrapolate fits each
-coefficient's tail along align_chain's chain and projects the result onto
-the feasible set (maps._project_maps).
+takes them from the one cost tensor it builds, whose D it reads as given
+and from which it gathers only what depends on the alignment.  extrapolate
+fits each coefficient's tail along align_chain's chain and projects the
+result onto the feasible set (maps._project_maps).
 """
 
 from __future__ import annotations
@@ -77,10 +77,11 @@ class IFSSequence:
 class SequenceReport:
     """Aggregate of the sequence diagnostics produced by analyze_sequence.
 
-    When limit extraction fails, `limit` is None, `residual` is NaN and
-    `failure` holds the error, naming the offending slot.  `mo_set` says
-    whether minimal ordering is transitive over the terms; it is True for a
-    single term.
+    `pairwise` and `cauchy_at` are pairwise_distances's and cauchy_index's;
+    the rest follows the aligned chain.  When limit extraction fails, `limit`
+    is None, `residual` is NaN and `failure` holds the error, naming the
+    offending slot.  `mo_set` says whether minimal ordering is transitive
+    over the terms; it is True for a single term.
     """
 
     pairwise: np.ndarray
@@ -130,8 +131,8 @@ def _link_flags(seq: IFSSequence) -> np.ndarray:
 
 
 def pairwise_distances(seq: IFSSequence) -> np.ndarray:
-    """Symmetric matrix of D between all pairs of terms, as given: within
-    MATCH_TOL of analyze_sequence's `pairwise`, not always bit for bit."""
+    """Symmetric matrix of D between all pairs of terms, as given: the
+    `pairwise` of analyze_sequence."""
     return _distances(cost_tensor(seq.terms))
 
 
@@ -224,26 +225,25 @@ def limit_of_contractions(
 def analyze_sequence(seq: IFSSequence, eps: float) -> SequenceReport:
     """Every diagnostic of the aligned chain from one cost tensor.
 
-    The alignment P comes from the blocks T[j, j + 1] of the cost tensor T
-    of the terms; block [j, k] of the aligned tensor is T[j, k][P[j]][:, P[k]].
-    The aligned tensor gives D between the aligned terms, one matching per
-    pair j < k, summing its costs in another order than pairwise_distances:
-    the two agree within MATCH_TOL, not always bit for bit, so cauchy_at
-    differs from cauchy_index only where a D lies that close to eps.
-    Minimal-ordering transitivity, the Cauchy index at eps, each
-    slot's dbar matrix and the residual D(last term, limit) are read from D
-    and the tensor.  The decrease flags and each slot's decreasing tail come
-    from the aligned factor traces.  The limit candidate is the final aligned term (no
-    extrapolation), so a successful extraction has residual 0.  A failed
-    limit extraction is returned in `failure`, not raised, so the report
-    still carries everything computed before it.
+    The cost tensor T of the terms as given gives their matrix of D
+    (_distances), pairwise_distances's array, so cauchy_at is cauchy_index
+    at every eps.  The alignment P comes from the blocks T[j, j + 1], and
+    one (m, m, n) gather takes slot i's dbar between aligned terms j and k,
+    T[j, k][P[j][i], P[k][i]]: each slot's dbar matrix and, summed over the
+    slots, the aligned traces that with D decide minimal-ordering
+    transitivity.  The decrease flags and each slot's decreasing tail come
+    from the aligned factor traces.  The limit candidate is the final aligned
+    term (no extrapolation), so a successful extraction has residual 0.  A
+    failed limit extraction is returned in `failure`, not raised, so the
+    report still carries everything computed before it.
     """
     T = cost_tensor(seq.terms)
+    dist = _distances(T)
     alignment = _alignment(np.diagonal(T, 1).transpose(2, 0, 1))
     P = np.array([p.image for p in alignment])
     J = np.arange(len(P))
-    T = T[J[:, None, None, None], J[None, :, None, None], P[:, None, :, None], P[None, :, None, :]]  # one copy
-    dist = _distances(T)
+    dbar = T[J[:, None, None], J[None, :, None], P[:, None, :], P[None, :, :]]
+    del T  # the largest array, freed before the traces and the transitivity test
     traces = _traces(seq, alignment)
     decreases = _decreases(traces)
     flags = np.all(decreases, axis=0)
@@ -253,7 +253,7 @@ def analyze_sequence(seq: IFSSequence, eps: float) -> SequenceReport:
     else:
         cauchy_at = _cauchy_from_matrix(dist, eps)
         for i, slot in enumerate(decreases):
-            problem = _slot_problem(_eventually_from_flags(slot), T[:, :, i, i], eps)
+            problem = _slot_problem(_eventually_from_flags(slot), dbar[:, :, i], eps)
             if problem is not None:
                 failure = PreconditionError(f"slot {i + 1}: {problem}")
                 break
@@ -269,7 +269,7 @@ def analyze_sequence(seq: IFSSequence, eps: float) -> SequenceReport:
         alignment=alignment,
         limit=limit,
         residual=residual,
-        mo_set=_mo_transitive(T, dist),
+        mo_set=_mo_transitive(dbar.sum(axis=2), dist),
         failure=failure,
     )
 

@@ -10,8 +10,8 @@ scipy's linear_sum_assignment.
 Every cost matrix comes from maps.dbar_stacks on the shared domain: cost_matrix
 for one pair of systems, cost_links for the consecutive pairs of a list and
 cost_tensor for all of its pairs.  _distances reads the matrix of D from a
-cost tensor, and is_mo_set and the sequence diagnostics read everything else
-from that matrix and the tensor's traces.
+cost tensor; _mo_transitive decides minimal ordering from that matrix and
+the traces, the tensor's or (in analyze_sequence) the aligned terms'.
 
 scipy.optimize loads at the first solve, so only at the first matching of
 more than ENUMERATE_MAX_N maps: it is most of a cold start, and commands that
@@ -40,8 +40,8 @@ ENUMERATE_MAX_N = 6
 # Sums held per _lex_optimal call on upper-triangle pairs in _distances (256 KiB).
 ENUMERATE_CHUNK = 1 << 15
 # Entries m^2 n^2 of a cost tensor, as attractor.POINT_CAP: 40 MB.  At the cap
-# with n = 1, analyze peaks ~160 MB above its start: the tensor is gathered twice
-# to align it, and D and its traces are m x m.
+# analyze peaks 165 MB above its start with n = 1, on four m x m arrays in
+# _mo_transitive, and 53 MB with n = 4, on the tensor and its aligned gather.
 COST_TENSOR_CAP = 5_000_000
 # Row p of _PERMUTATIONS[n] is the p-th permutation of 0..n-1 in
 # itertools.permutations (lexicographic) order, built at import (~0.3 ms).
@@ -50,7 +50,7 @@ _PERMUTATIONS = tuple(
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Permutation:
     """Bijection on {0..n-1}, stored as the image tuple."""
 
@@ -87,19 +87,8 @@ class Permutation:
             return "identity"
         return "(" + " ".join(str(i + 1) for i in self.image) + ")"
 
-    def __eq__(self, other):
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.image == other.image
 
-    def __hash__(self):
-        return hash(self.image)
-
-    def __repr__(self):
-        return f"Permutation({self.image})"
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class IFS:
     """A box domain plus an ordered list of contractions mapping it into itself."""
 
@@ -140,14 +129,6 @@ class IFS:
     def reordered(self, sigma: Permutation) -> "IFS":
         """Same system with maps[i] replaced by maps[sigma(i)]."""
         return IFS(self.domain, tuple(sigma.apply(self.maps)))
-
-    def __eq__(self, other):
-        if not isinstance(other, IFS):
-            return NotImplemented
-        return self.domain == other.domain and self.maps == other.maps
-
-    def __hash__(self):
-        return hash((self.domain, self.maps))
 
     def __repr__(self):
         return f"IFS(domain={self.domain!r}, n={self.n})"
@@ -381,16 +362,15 @@ def is_mo_set(systems) -> bool:
     Symmetry also means one matching per unordered pair decides it.
     """
     T = cost_tensor(systems)
-    return _mo_transitive(T, _distances(T))
+    return _mo_transitive(np.trace(T, axis1=2, axis2=3), _distances(T))
 
 
-def _mo_transitive(T: np.ndarray, D: np.ndarray) -> bool:
-    """Transitivity of minimal ordering over the systems behind a cost tensor.
-
-    D is their matrix of the metric D (_distances).  Term j is minimally
-    ordered with respect to term i when the identity matching of T[i, j]
-    attains D[i, j]; the diagonal always holds, as T[i, i] has a zero trace.
-    """
-    rel = np.trace(T, axis1=2, axis2=3) <= D + MATCH_TOL
+def _mo_transitive(traces: np.ndarray, D: np.ndarray) -> bool:
+    """Transitivity of minimal ordering over m systems, from traces[i, j],
+    the trace of cost_matrix(system i, system j), and their matrix of D
+    (_distances).  System j is minimally ordered with respect to system i
+    when the identity matching attains D[i, j]; the diagonal always holds,
+    as its traces are zero."""
+    rel = traces <= D + MATCH_TOL
     # (rel @ rel)[i, k] holds when rel[i, j] and rel[j, k] for some j
     return not np.any(rel @ rel & ~rel)

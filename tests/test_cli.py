@@ -200,6 +200,16 @@ class TestAnalyze:
         assert main(["analyze", str(seqfile), "--eps", "nan"]) == 2
         assert capsys.readouterr().err == "error: eps must be positive\n"
 
+    @pytest.mark.parametrize("eps", ["-1", "0", "nan"])
+    def test_bad_eps_is_refused_before_the_file_is_read(self, monkeypatch, capsys, eps):
+        def no_read(*args, **kwargs):
+            raise AssertionError("the sequence must not be read")
+
+        monkeypatch.setattr("ifsseq.cli.read_sequence", no_read)
+        seqfile = Path(__file__).parent / "fixtures" / "analyze" / "converging2d.seq.json"
+        assert main(["analyze", str(seqfile), "--eps", eps]) == 2
+        assert capsys.readouterr() == ("", "error: eps must be positive\n")
+
     def test_reads_every_figure_from_one_cost_tensor(self, tmp_path, monkeypatch):
         # the recorded alignment of this fixture permutes 7 of its 10 terms
         seqfile = Path(__file__).parent / "fixtures" / "analyze" / "converging2d.seq.json"
@@ -983,6 +993,21 @@ class TestMalformedInputs:
         )
         assert err == "error: frame 2: dimension 2 differs from frame 1's 1\n"
 
+    def test_blank_frame_is_named(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        mask = np.zeros((2, 4), dtype=bool)
+        write_pgm(frames / "f2.pgm", mask)
+        mask[0, 1] = True
+        for name in ("f1.pgm", "f3.pgm"):
+            write_pgm(frames / name, mask)
+        blank = frames / "f2.pgm"
+        for argv in (
+            ["collage-fit", str(blank), "--n", "1", "--out", str(tmp_path / "fit.json")],
+            ["predict", str(frames), "--model", "last", "--horizon", "1", "--out-prefix", str(tmp_path / "p")],
+        ):
+            assert self.run(capsys, argv) == f"error: {blank}: raster has no foreground pixels\n"
+
 
 class TestOutputFiles:
     @pytest.fixture
@@ -1012,6 +1037,49 @@ class TestOutputFiles:
         argv = ["predict", seqfile, "--model", "last", "--horizon", "1", "--out-prefix", out]
         assert main(argv + [f.format(out=out) for f in flags]) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["seq.json"]
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["predict", "{frames}", "--image", "{out}.pgm", "--px", "0"], "error: width must be positive"),
+            (["predict", "{frames}", "--image", "{out}.pgm", "--px", str(1 << 25)],
+             f"resource limit: a raster {1 << 25} pixels wide exceeds the {1 << 24}-pixel cap"),
+            (["predict", "{frames}", "--depth", "-1"], "error: depth must be nonnegative"),
+            (["predict", "{frames}", "--render-delta", "0"], "error: resolution must be a positive real"),
+            (["predict", "{frames}", "--delta", "nan"], "error: resolution must be a positive real"),
+            (["predict", "{frames}", "--restarts", "0"], "error: restarts must be at least 1"),
+            (["predict", "{frames}", "--domain-lo", "0,0"], "error: --domain-lo and --domain-hi must be given together"),
+            (["collage-fit", "{frames}/f1.pgm", "--n", "0"], "error: n must be at least 1"),
+            (["collage-fit", "{frames}/f1.pgm", "--n", "1", "--iters", "0"], "error: max_iters must be at least 1"),
+            (["collage-fit", "{frames}/f1.pgm", "--n", "1", "--delta", "-1"], "error: resolution must be a positive real"),
+            (["attractor", "{spec}", "--depth", "-1"], "error: depth must be nonnegative"),
+            (["attractor", "{spec}", "--image", "{out}.pgm", "--px", "-3"], "error: width must be positive"),
+        ],
+        ids=["predict-px", "predict-px-over-cap", "predict-depth", "predict-render-delta", "predict-delta",
+             "predict-restarts", "predict-domain", "fit-n", "fit-iters", "fit-delta", "attractor-depth",
+             "attractor-px"],
+    )
+    def test_flags_are_refused_before_any_input_is_read(self, tmp_path, monkeypatch, capsys, argv, err):
+        def no_work(*args, **kwargs):
+            raise AssertionError("no input may be read or fitted")
+
+        for name in ("ifsseq.collage.fit_ifs", "ifsseq.collage.fit_sequence", "ifsseq.cli.read_raster",
+                     "ifsseq.cli.read_ifs"):
+            monkeypatch.setattr(name, no_work)
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        mask = np.zeros((2, 4), dtype=bool)
+        mask[0, 1] = True
+        for j in (1, 2):
+            write_pgm(frames / f"f{j}.pgm", mask)
+        write_ifs(tmp_path / "s.json", cantor_term(1))
+        out = tmp_path / "out"
+        tail = {"predict": ["--model", "last", "--horizon", "1", "--out-prefix", str(out)],
+                "collage-fit": ["--out", f"{out}.json"], "attractor": []}[argv[0]]
+        argv = [arg.format(frames=frames, out=out, spec=tmp_path / "s.json") for arg in argv] + tail
+        assert main(argv) == (3 if err.startswith("resource limit") else 2)
+        assert capsys.readouterr() == ("", err + "\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["frames", "s.json"]
 
     def test_missing_directory_is_refused_before_the_fit(self, tmp_path, monkeypatch, capsys):
         def no_fit(*args, **kwargs):

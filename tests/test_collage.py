@@ -82,7 +82,7 @@ class TestCollageDistance:
         # the descent's scorer over the system's shares, from the fit's tick
         # field (None above the line or on a sparse target) and from the scan
         for field in (collage._tick_field(target, box), None):
-            shares = [collage._Share(target, m.A, m.b, field) for m in system.maps]
+            shares = [collage._Share(target, m.A, m.b, field, np.zeros(len(target), bool)) for m in system.maps]
             assert collage._score(target, shares, math.inf, np.zeros(len(target), bool)) == brute
 
 
@@ -276,7 +276,8 @@ class TestPerMapKernel:
             return hausdorff_brute(target, hutchinson(IFS(box, tuple(maps)), target))
 
         maps = [draw(rng.standard_normal((dim, dim)), rng.uniform(0.0, 1.0, dim) * extent) for _ in range(n)]
-        shares = [collage._Share(target, m.A, m.b, field) for m in maps]
+        marks = np.zeros(len(target), bool)  # the witness mask each share marks on the line
+        shares = [collage._Share(target, m.A, m.b, field, marks) for m in maps]
         incumbent = brute(maps)
         assert collage._score(target, shares, math.inf, np.zeros(len(target), bool)) == incumbent
         mask = None if reach == "none" else rng.random(len(target)) < {"random": rng.uniform(), "all": 1.0}.get(reach, 0.0)
@@ -285,7 +286,7 @@ class TestPerMapKernel:
         for _ in range(3):
             j = rng.integers(n)
             maps[j] = draw(maps[j].A + rng.normal(0.0, 0.1, (dim, dim)), maps[j].b + rng.normal(0.0, 0.1, dim))
-            shares[j] = collage._Share(target, maps[j].A, maps[j].b, field)
+            shares[j] = collage._Share(target, maps[j].A, maps[j].b, field, marks)
             exact = brute(maps)
             limit = {
                 "incumbent": incumbent,
@@ -384,8 +385,9 @@ class TestPerMapKernel:
         # to the first that scores below the incumbent: the shares it builds
         # are those candidates' moved maps, each once, and each takes the one
         # full set of its map's images (on the line the one full tick gather,
-        # from the fit's tick field).  After each sweep the witness mask holds
-        # at most one point per share built so far, the n start shares included
+        # from the fit's tick field).  On the line, after each sweep the witness
+        # mask holds at most one point per share built so far, the n start
+        # shares included; above it no share marks the mask, which stays empty
         box = Box(np.zeros(dim), np.ones(dim))
         if dim == 1:  # the Cantor maps, and the Sierpinski maps of the square and of the cube
             truth, depth, delta = IFS(box, (AffineMap([[1 / 3]], [0.0]), AffineMap([[1 / 3]], [2 / 3]))), 6, 1e-3
@@ -435,7 +437,8 @@ class TestPerMapKernel:
         assert full == list(range(1, len(built) + 1))  # one full image set per share, taken while it is built
         ends = [sweep[5:] for sweep in sweeps[1:]] + [(len(built), len(scores))]
         for (blocks, moved, kept, _, points, first_share, first_score), (last_share, last_score) in zip(sweeps, ends):
-            assert 0 < points <= first_share  # the witness mask as the sweep before left it
+            # the witness mask as the sweep before left it
+            assert 0 < points <= first_share if dim == 1 else points == 0
             # the walk stops at the first candidate that scores below the bound
             walked, below = kept[: last_score - first_score], scores[first_score:last_score]
             assert not any(below[:-1]) and (len(walked) == len(kept) or below[-1])
@@ -445,7 +448,7 @@ class TestPerMapKernel:
                 for i in np.flatnonzero(moved[c])
             ]
             assert built[first_share:last_share] == expected
-        assert 0 < int(sweeps[-1][3].sum()) <= len(built)
+        assert 0 < int(sweeps[-1][3].sum()) <= len(built) if dim == 1 else not sweeps[-1][3].any()
 
     @pytest.mark.parametrize(
         "case, start, source",
@@ -603,18 +606,19 @@ class TestTickField:
             image, end = pinned if a >= 0.0 else pinned[::-1]
             b = image - a * end
         A, b = project_one([[a]], [b], box, s_max)
-        share = collage._Share(target, A, b, (k0, sq))
-        assert share.out_sq == collage._Share(target, A, b, None).out_sq
+        marks = np.zeros(len(target), bool)  # the witness mask each share marks
+        share = collage._Share(target, A, b, (k0, sq), marks)
+        assert share.out_sq == collage._Share(target, A, b, None, marks).out_sq
         images = np.rint((target.points[:, 0] * A[0, 0] + b[0]) / pitch)
         low, high = images.min(), images.max()
         assert k0 <= low and high <= k0 + sq.size - 1
         # the tightest field gives the same value; shifted a tick either way it
         # misses the lowest or the highest tick, and raises instead of wrapping
         tight = sq[int(low - k0) : int(high - k0) + 1]
-        assert collage._Share(target, A, b, (low, tight)).out_sq == share.out_sq
+        assert collage._Share(target, A, b, (low, tight), marks).out_sq == share.out_sq
         for k in (low + 1.0, low - 1.0):
             with pytest.raises(IndexError):
-                collage._Share(target, A, b, (k, tight))
+                collage._Share(target, A, b, (k, tight), marks)
         # a sweep's gather checks every row: stacked with a constant map whose
         # tick lies in the shifted field, in either order, it raises as well
         for k, inside in ((low + 1.0, high), (low - 1.0, low)):
@@ -775,7 +779,8 @@ class TestSweepArrays:
         with mock.patch.object(collage, "FIELD_TICKS_PER_POINT", math.inf):
             field = collage._tick_field(target, box) if source == "field" else None
         maps0 = collage._random_maps(target, box, FitConfig(n=n, s_max=0.9), rng)
-        shares = [collage._Share(target, m.A, m.b, field) for m in maps0]
+        marks = np.zeros(len(target), bool)  # the witness mask each share marks on the line
+        shares = [collage._Share(target, m.A, m.b, field, marks) for m in maps0]
         params = np.concatenate([np.concatenate([m.A.ravel(), m.b]) for m in maps0])
         trials = collage._candidate_moves(params, n, d, box, step)
         blocks = trials.reshape(len(trials), n, -1)
@@ -791,7 +796,9 @@ class TestSweepArrays:
         for c, row in enumerate(blocks):
             if c not in unscreened:
                 trial = [
-                    collage._Share(target, row[i, : d * d].reshape(d, d), row[i, d * d :], field) if moved[c, i] else shares[i]
+                    collage._Share(target, row[i, : d * d].reshape(d, d), row[i, d * d :], field, marks)
+                    if moved[c, i]
+                    else shares[i]
                     for i in range(n)
                 ]
                 out_sq[c] = max(share.out_sq for share in trial)

@@ -332,10 +332,11 @@ def brute_matching(C):
 
 
 def reference_analysis(seq, eps):
-    """The analysis composed from per-pair primitives: each term reordered by
-    brute_matching against the previous reordered term, then big_d per pair,
-    leq per consecutive pair, is_minimally_ordered per ordered pair and
-    dbar_inf per slot pair."""
+    """The analysis composed from per-pair primitives: big_d per pair of the
+    terms as given (pairwise_distances's summation order), then each term
+    reordered by brute_matching against the previous reordered term, and on
+    the reordered terms leq per consecutive pair, is_minimally_ordered per
+    ordered pair and dbar_inf per slot pair."""
     terms, alignment = [seq.terms[0]], [Permutation.identity(seq.n)]
     for term in seq.terms[1:]:
         sigma = brute_matching(cost_matrix(terms[-1], term))
@@ -345,7 +346,7 @@ def reference_analysis(seq, eps):
     dist = np.zeros((m, m))
     for j in range(m):
         for k in range(j + 1, m):
-            dist[j, k] = dist[k, j] = big_d(terms[j], terms[k])
+            dist[j, k] = dist[k, j] = big_d(seq.terms[j], seq.terms[k])
     flags = [leq(terms[j + 1], terms[j]) for j in range(m - 1)]
     rel = [[is_minimally_ordered(terms[j], terms[i]) for j in range(m)] for i in range(m)]
     mo_set = all(
@@ -483,18 +484,34 @@ class TestAnalyzeSequence:
         length=st.integers(1, 12),
     )
     def test_pairwise_agrees_with_pairwise_distances(self, seed, kind, length):
-        # the report's D between the aligned terms and pairwise_distances's D
-        # between the terms as given sum the same costs in another order:
-        # their bits can differ, by no more than MATCH_TOL
+        # the report's D is pairwise_distances's, bit for bit, so its Cauchy
+        # index is cauchy_index's at every eps, one on a D included
         rng = np.random.default_rng(seed)
         if kind == "random":
             box, n = (LINE, SQUARE)[rng.integers(2)], int(rng.integers(1, 5))
             seq = IFSSequence(tuple(random_ifs(rng, box, n) for _ in range(length)))
         else:
             seq = dyadic_sequence(rng, SQUARE, length, settle=kind == "settling")
-        report, plain = analyze_sequence(seq, 0.1), pairwise_distances(seq)
+        plain = pairwise_distances(seq)
+        eps = float(rng.choice(plain.ravel())) or 0.1  # on a D, where two sums of it could part
+        report = analyze_sequence(seq, eps)
         assert report.pairwise.shape == plain.shape == (length, length)
-        assert np.abs(report.pairwise - plain).max() <= MATCH_TOL
+        assert np.array_equal(report.pairwise, plain)
+        assert report.cauchy_at == cauchy_index(seq, eps)
+
+    @pytest.mark.parametrize(
+        "seed, eps, expected",
+        [(2, "0x1.63ec7e38255fdp+0", 4), (4, "0x1.621e7154a260ap+0", None)],
+    )
+    def test_cauchy_at_on_a_distance(self, seed, eps, expected):
+        # eps lies on a D of the terms as given (seed 4) or one ulp above it
+        # (seed 2); D summed over the aligned terms reaches eps on these
+        # seeds, and a Cauchy index read from it is 5 and 4
+        rng = np.random.default_rng(seed)
+        seq = IFSSequence(tuple(random_ifs(rng, SQUARE, 4) for _ in range(6)))
+        eps = float.fromhex(eps)
+        assert np.abs(pairwise_distances(seq) - eps).min() <= np.spacing(eps)
+        assert analyze_sequence(seq, eps).cauchy_at == cauchy_index(seq, eps) == expected
 
     def test_plane_triple_is_not_mo_set(self, plane_s, plane_t, plane_u):
         assert self.check(IFSSequence((plane_s, plane_t, plane_u)), 1.9).mo_set is False
