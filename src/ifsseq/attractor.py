@@ -5,9 +5,11 @@ Compact sets are represented as finite point sets snapped to a grid of pitch
 delta, which buys a provable 2*delta slack in every Hausdorff statement.
 PointSet deduplicates on one float64 lattice key per point, the mixed-radix
 number of its ticks round(x/delta), and decodes the unique keys as int64.
-Both are exact while every |tick| is below 2^51 and the column spans multiply
-to less than 2^53, and fl(tick*delta) then lies within delta/4 of tick*delta,
-so the stored rows equal the sorted unique snapped values bit for bit.
+It finds them in an occupancy table where the key has few cells per point,
+and by a sort elsewhere.  Key and decode are exact while every |tick| < 2^51
+and the column spans multiply to less than 2^53, and fl(tick*delta) then
+lies within delta/4 of tick*delta, so the stored rows equal the sorted
+unique snapped values bit for bit.
 Beyond those limits PointSet takes np.unique of the snapped values themselves.
 
 The Hausdorff distance ships in two variants that must agree bit for bit: a
@@ -41,6 +43,9 @@ POINT_CAP = 5_000_000
 # the product of the column spans below _KEY_LIMIT
 _TICK_LIMIT = 2.0**51
 _KEY_LIMIT = 2**53
+# PointSet marks the keys in an occupancy table, in place of sorting them,
+# when the key has at most this many cells per row
+_DENSE_CELLS_PER_ROW = 4
 
 Address = Sequence[int]
 
@@ -61,9 +66,13 @@ class PointSet:
 
     The rows are found on the lattice, one float64 key per point: the
     mixed-radix number whose digits are the ticks k_j = round(x_j/delta)
-    less their column's lowest tick.  The keys are sorted, one of each run
-    of equal keys is kept, and its digits are decoded in int64 and multiplied
-    back by delta.  That is exact while every |k_j| < 2^51 and the product of
+    less their column's lowest tick.  When the key's cells, the product of
+    the column spans (highest tick - lowest tick + 1), number at most
+    _DENSE_CELLS_PER_ROW per point, each key marks its cell in a table of one
+    byte per cell, and the marked cells are the distinct keys in order;
+    otherwise the keys are sorted and one of each run of equal keys is kept.
+    The distinct keys' digits are decoded in int64 and multiplied back by
+    delta.  That is exact while every |k_j| < 2^51 and the product of
     the column spans (highest tick - lowest tick + 1) is below 2^53: each key
     is then an exact integer in float64 and int64, and fl(k*delta) lies
     within delta/4 of k*delta (a subnormal product is exact), so distinct
@@ -81,18 +90,8 @@ class PointSet:
             raise InputError("a point set needs at least one point")
         if not np.all(np.isfinite(pts)):
             raise InputError("points must be finite")
-        # rounding is monotone, so a column's extremes give its tick range;
-        # one column at a time, as an axis-0 reduction of an (N, 2) array is
-        # slow.  np.rint is the half-even rounding np.round does, minus the
-        # wrapper's cost on a scalar.
-        with np.errstate(over="ignore"):
-            lo = [np.rint(column.min() / resolution) for column in pts.T]
-            hi = [np.rint(column.max() / resolution) for column in pts.T]
-        if max(map(abs, lo + hi)) < _TICK_LIMIT and math.prod(
-            int(h - l) + 1 for l, h in zip(lo, hi)
-        ) < _KEY_LIMIT:
-            canonical = _lattice_rows(pts, resolution, lo, hi)
-        else:
+        canonical = _lattice_rows(pts, resolution)
+        if canonical is None:
             canonical = _value_rows(pts, resolution)
         if not np.all(np.isfinite(canonical)):
             raise InputError(f"points overflow when snapped to the grid of pitch {resolution!r}")
@@ -133,27 +132,47 @@ def _snap(points: np.ndarray, resolution: float) -> np.ndarray:
     return np.round(points / resolution) * resolution
 
 
-def _lattice_rows(pts: np.ndarray, resolution: float, lo, hi) -> np.ndarray:
-    """PointSet's rows by the lattice key, given each column's lowest and
-    highest tick inside the limits PointSet states.  Beside the input it holds
-    one key column and one work column, never an (N, d) grid."""
-    spans = [int(h - l) + 1 for l, h in zip(lo, hi)]
+def _lattice_rows(pts: np.ndarray, resolution: float) -> np.ndarray | None:
+    """PointSet's rows by the lattice key, or None when a tick or the key
+    leaves the limits PointSet states, checked column by column on the
+    extremes of its ticks.  Beside the input it holds one key column and one
+    work column, never an (N, d) grid.  The dense path then swaps the key for
+    its int64 copy and, beside that, the occupancy table of at most
+    _DENSE_CELLS_PER_ROW bytes per row; the sort path sorts the key in
+    place."""
     key = np.empty(pts.shape[0])
     work = np.empty_like(key)
+    lo, spans = [], []
     for j, column in enumerate(pts.T):
         ticks = work if j else key
-        np.divide(column, resolution, out=ticks)
+        with np.errstate(over="ignore"):
+            np.divide(column, resolution, out=ticks)
         np.rint(ticks, out=ticks)
-        ticks -= lo[j]
+        # rounding is monotone, so these are the ticks of the column's extremes
+        low, high = ticks.min(), ticks.max()
+        if not max(-low, high) < _TICK_LIMIT:  # an overflow reads inf here
+            return None
+        spans.append(int(high - low) + 1)
+        if math.prod(spans) >= _KEY_LIMIT:
+            return None
+        lo.append(low)
+        ticks -= low
         if j:
             key *= spans[j]
             key += work
     del work, ticks
-    key.sort()
-    fresh = np.ones(key.size, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=fresh[1:])
-    key = key[fresh]  # the full key is freed before the int64 copy is made
-    key = key.astype(np.int64)  # exact: the keys are integers below 2^53
+    cells = math.prod(spans)
+    if cells <= _DENSE_CELLS_PER_ROW * key.size:
+        index = key.astype(np.intp)  # exact: the keys are integers below 2^53
+        del key  # freed before the table is made
+        key = _occupied_cells(index, cells)
+        del index
+    else:
+        key.sort()
+        fresh = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        key = key[fresh]  # the full key is freed before the int64 copy is made
+        key = key.astype(np.int64)  # exact, as above
     rows = np.empty((key.size, pts.shape[1]))
     for j in range(pts.shape[1] - 1, 0, -1):
         np.divmod(key, spans[j], out=(key, rows[:, j]))
@@ -162,6 +181,14 @@ def _lattice_rows(pts: np.ndarray, resolution: float, lo, hi) -> np.ndarray:
     with np.errstate(over="ignore"):
         rows *= resolution
     return rows
+
+
+def _occupied_cells(index: np.ndarray, cells: int) -> np.ndarray:
+    """The distinct values of index, ascending, marked in a table of `cells`
+    flags: distribution counting (Knuth, TAOCP vol. 3, 5.2), no sort."""
+    occupied = np.zeros(cells, dtype=bool)
+    occupied[index] = True
+    return np.flatnonzero(occupied)
 
 
 def _value_rows(pts: np.ndarray, resolution: float) -> np.ndarray:

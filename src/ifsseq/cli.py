@@ -300,9 +300,9 @@ def cmd_predict(args) -> int:
     if source.is_dir():
         from .collage import fit_sequence
         cfg, domain, fit_flags = _fit_setup(args)
-        frames = [_load_frame(p, args.delta, args.threshold) for p in inputs]
-        if len(frames) < 2:
+        if len(inputs) < 2:
             raise PreconditionError("prediction needs at least 2 frames")
+        frames = [_load_frame(p, args.delta, args.threshold) for p in inputs]
         fit = fit_sequence(frames, cfg, domain=domain)
         sequence = fit.sequence
         print("per-frame collage distances:", " ".join(f"{v:.6g}" for v in fit.distances))

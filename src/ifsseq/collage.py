@@ -126,31 +126,37 @@ class _Share:
     """One map's part of the collage objective h(L, W(L)) on a target L.
 
     out_sq, the max squared distance from the map's snapped images into L,
-    is taken at once: on the line by _line_sq, from the fit's tick field
+    is taken on the line at once, by _line_sq, from the fit's tick field
     (_tick_field), or by the sorted scan for a target too sparse for one,
     and the point of L whose image lies farthest out joins the descent's
-    `witness` mask (_survivors reads it); above, by hausdorff's directed
-    kernel, attractor._directed_sq.  near, per point of L the distance to
-    those images (the exact square on the line, the tree's distance above,
-    with the tree kept in `tree`), is taken at first use, and reach_sq's
-    exact squares at given points of L as asked: _score takes near only
-    where out_sq and reach_sq do not reject."""
+    `witness` mask (_survivors reads it); above, at first read, by
+    hausdorff's directed kernel, attractor._directed_sq.  near, per point of
+    L the distance to those images (the exact square on the line, the tree's
+    distance above, with the tree kept in `tree`), is taken at first use,
+    and reach_sq's exact squares at given points of L as asked: _score takes
+    near only where out_sq and reach_sq do not reject."""
 
-    __slots__ = ("target", "images", "out_sq", "tree", "_near", "_reach")
+    __slots__ = ("target", "images", "tree", "_out_sq", "_near", "_reach")
 
     def __init__(self, target: PointSet, A: np.ndarray, b: np.ndarray, field, witness: np.ndarray):
         # images as AffineMap.transform takes them, snapped, not deduplicated
+        self._out_sq = None
         if target.dim == 1:
             ticks = _line_ticks(target, A[0], b)
             values = _line_sq(target, ticks, field)[0]
             top = int(values.argmax())
-            self.out_sq, witness[top] = float(values[top]), True
+            self._out_sq, witness[top] = float(values[top]), True
             # ascending, as near's scan needs, or descending when a < 0
             images = ((ticks[0, ::-1] if A[0, 0] < 0.0 else ticks[0]) * target.resolution)[:, None]
         else:
             images = _snap(target.points @ A.T + b, target.resolution)
-            self.out_sq = _directed_sq(images, target.points, target.tree)
         self.target, self.images, self.tree, self._near, self._reach = target, images, None, None, None
+
+    @property
+    def out_sq(self) -> float:
+        if self._out_sq is None:
+            self._out_sq = _directed_sq(self.images, self.target.points, self.target.tree)
+        return self._out_sq
 
     @property
     def near(self) -> np.ndarray:
@@ -231,14 +237,20 @@ def _tick_field(target: PointSet, box: Box):
 def _score(target: PointSet, shares, bound: float, reach: np.ndarray) -> float:
     """h(L, union of the shares' images), bit for bit the brute value: max
     and min over the maps combine the per-map values exactly.  Lower bounds
-    come first, the images' directed value and then the in side at the
-    points of the mask `reach` (_Share.reach_sq): one that reaches `bound`
-    lies in [bound, h] and stands in for h.  Else near's argmax joins reach."""
-    sq = max(share.out_sq for share in shares)
-    if math.sqrt(sq) < bound and (at := np.flatnonzero(reach)).size:
-        sq = max(sq, float(reduce(np.minimum, [share.reach_sq(at) for share in shares]).max()))
-    if math.sqrt(sq) >= bound:
-        return math.sqrt(sq)
+    come first, the images' directed value and the in side at the points of
+    the mask `reach` (_Share.reach_sq), the latter first above the line, where
+    out_sq costs a kernel: one that reaches `bound` lies in [bound, h] and
+    stands in for h.  Else near's argmax joins reach."""
+    at = np.flatnonzero(reach)
+    sides = (
+        lambda: max(share.out_sq for share in shares),
+        lambda: float(reduce(np.minimum, [share.reach_sq(at) for share in shares]).max()) if at.size else 0.0,
+    )
+    sq = 0.0
+    for side in sides if target.dim == 1 else sides[::-1]:
+        sq = max(sq, side())
+        if math.sqrt(sq) >= bound:
+            return math.sqrt(sq)
     near = reduce(np.minimum, [share.near for share in shares])
     reach[near.argmax()] = True
     if target.dim == 1:

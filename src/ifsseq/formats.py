@@ -11,6 +11,8 @@ partial file.  The point CSV and the PGM are each built as one byte buffer:
 write_points_csv formats each distinct value of a column once and lays the
 rows out in a NUL-padded byte grid, write_pgm marks foreground cells with a
 byte no other cell holds; neither makes a Python object per row or pixel.
+A column's distinct values come from its runs or a table over its lattice
+ticks where it allows, from a sort elsewhere.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attractor import PointSet
+from .attractor import _TICK_LIMIT, PointSet
 from .errors import InputError, ResourceLimitError
 from .maps import AffineMap, Box, _require_contraction, _require_finite, spectral_norm
 from .sequences import IFSSequence
@@ -212,18 +214,53 @@ def write_points_csv(path, points: PointSet):
     of b"%.12g" % x.  A render's column holds few distinct values, so each is
     formatted once, with its separator, into a table of fixed-width cells
     padded with NULs.  Each column gathers its cells through the inverse
-    index, and the columns side by side are one byte grid, a row per line.
-    No number's text holds a NUL, so the grid without its NULs is the file;
-    no Python object is made per row."""
+    index, which _column_table finds by runs, by a tick table or by
+    np.unique, and the columns side by side are one byte grid, a row per
+    line.  No number's text holds a NUL, so the grid without its NULs is the
+    file; no Python object is made per row."""
     columns = []
     for k, column in enumerate(points.points.T):
-        values, index = np.unique(column, return_inverse=True)
+        values, index = _column_table(column, points.resolution, ascending=k == 0)
         fmt = b"%.12g\n" if k == points.dim - 1 else b"%.12g,"
         # 20 bytes hold the widest text, -1.23456789012e-308, and a separator
         cells = np.fromiter(map(fmt.__mod__, memoryview(values)), dtype="S20", count=values.size)
         cells = cells.astype(f"S{np.char.str_len(cells).max()}")[index]
         columns.append(cells.view(np.uint8).reshape(len(points), -1))
     _atomic_write(path, np.hstack(columns).tobytes().replace(b"\0", b""))
+
+
+def _column_table(column: np.ndarray, resolution: float, ascending: bool):
+    """np.unique(column, return_inverse=True) of a PointSet's column: by its
+    runs when it ascends, as a PointSet's first column does; by _tick_table
+    when its ticks rint(x/delta) lie below _TICK_LIMIT in size and span at
+    most one tick per row; else by np.unique, which sorts it."""
+    if ascending:  # the run heads are the distinct values
+        heads = np.empty(column.size, dtype=bool)
+        heads[0] = True
+        np.not_equal(column[1:], column[:-1], out=heads[1:])
+        index = np.cumsum(heads)
+        index -= 1
+        return column[heads], index
+    with np.errstate(over="ignore"):
+        ticks = np.rint(column / resolution)
+    low, high = ticks.min(), ticks.max()
+    if max(-low, high) < _TICK_LIMIT and high - low < column.size:
+        return _tick_table(column, ticks, low, high)
+    return np.unique(column, return_inverse=True)
+
+
+def _tick_table(column: np.ndarray, ticks: np.ndarray, low: float, high: float):
+    """_column_table over the ticks from low to high.  A value is fl(k*delta)
+    of its tick k, which below _TICK_LIMIT rounds back to k, so the ticks
+    present, the value at each and their ranks by cumulative count are the
+    table.  It holds an int64 tick per row and three arrays of the span."""
+    ticks = ticks.astype(np.intp)
+    ticks -= int(low)
+    present = np.zeros(int(high - low) + 1, dtype=bool)
+    present[ticks] = True
+    table = np.empty(present.size)
+    table[ticks] = column
+    return table[present], (np.cumsum(present) - 1)[ticks]
 
 
 def read_points_csv(path, resolution: float) -> PointSet:

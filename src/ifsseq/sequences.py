@@ -155,8 +155,7 @@ def eventually_decreasing_at(seq: IFSSequence) -> int | None:
 
 
 def _cauchy_from_matrix(dist: np.ndarray, eps: float) -> int | None:
-    if not eps > 0.0:
-        raise InputError("eps must be positive")
+    """cauchy_index on a matrix of D, for an eps its caller checked."""
     m = dist.shape[0]
     if m == 1:
         return 1
@@ -169,6 +168,8 @@ def _cauchy_from_matrix(dist: np.ndarray, eps: float) -> int | None:
 
 def cauchy_index(seq: IFSSequence, eps: float) -> int | None:
     """Smallest N with D(term_j, term_k) < eps for all j, k >= N."""
+    if not eps > 0.0:
+        raise InputError("eps must be positive")
     return _cauchy_from_matrix(pairwise_distances(seq), eps)
 
 

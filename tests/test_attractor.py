@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,13 +44,15 @@ def hutchinson_reference(S, B):
 
 
 def lattice_path_rows(points, pitch):
-    """_lattice_rows on points, given each column's extreme ticks as PointSet
-    takes them, after checking that the ticks lie inside the key's limits."""
+    """_lattice_rows on points, after checking that each column's extreme
+    ticks lie inside the key's limits, so that it takes the lattice path."""
     lo = [np.rint(column.min() / pitch) for column in points.T]
     hi = [np.rint(column.max() / pitch) for column in points.T]
     assert max(map(abs, lo + hi)) < attractor._TICK_LIMIT
     assert math.prod(int(h - l) + 1 for l, h in zip(lo, hi)) < attractor._KEY_LIMIT
-    return attractor._lattice_rows(points, pitch, lo, hi)
+    rows = attractor._lattice_rows(points, pitch)
+    assert rows is not None
+    return rows
 
 
 def cantor_distance(x, depth=45):
@@ -180,6 +183,71 @@ class TestPointSet:
         monkeypatch.setattr(attractor, "_value_rows", lambda *args: calls.append(1) or value_rows(*args))
         stored = PointSet(points, 1.0).points
         assert calls == ([] if lattice else [1])
+        assert stored.tobytes() == np.unique(np.asarray(points) + 0.0, axis=0).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2, 3]),
+        pitch=st.sampled_from([1e-3, 1.0 / 17.0, 1.0, 2.0**-30]),
+        side=st.sampled_from(["dense", "boundary", "over", "sparse"]),
+        data=st.data(),
+    )
+    def test_equals_unique_of_snap_on_both_sides_of_the_density_rule(self, dim, pitch, side, data):
+        # the key has exactly `cells` cells: rows 0 and 1 fix each column's
+        # lowest and highest tick, at most _DENSE_CELLS_PER_ROW per row
+        # ("dense"), exactly that many ("boundary"), one more ("over") or
+        # far more ("sparse"); ticks reach below zero, and a zero tick is
+        # drawn as a point that rounds to -0.0
+        n = data.draw(st.integers(2, 60))
+        limit = attractor._DENSE_CELLS_PER_ROW * n
+        cells = {
+            "dense": data.draw(st.integers(1, limit)),
+            "boundary": limit,
+            "over": limit + 1,
+            "sparse": data.draw(st.integers(limit + 2, 10**9)),
+        }[side]
+        spans = []
+        for _ in range(dim - 1):  # each span divides what the columns before it leave
+            rest = cells // math.prod(spans)
+            spans.append(data.draw(st.sampled_from([k for k in range(1, min(rest, 10**4) + 1) if rest % k == 0])))
+        spans.append(cells // math.prod(spans))
+        spans = np.array(spans)
+        low = np.array(data.draw(st.lists(st.integers(-40, 3), min_size=dim, max_size=dim)))
+        draws = st.lists(st.integers(0, 2**62), min_size=n * dim, max_size=n * dim)
+        ticks = low + np.reshape(data.draw(draws), (n, dim)) % spans
+        ticks[0], ticks[1] = low, low + spans - 1
+        jitter = np.reshape(data.draw(st.lists(st.floats(-0.45, 0.45), min_size=n * dim, max_size=n * dim)), (n, dim))
+        jitter[:2] = 0.0
+        jitter[ticks == 0] = -0.3
+        points = (ticks + jitter) * pitch
+        assert math.prod(int(k) for k in np.ptp(np.rint(points / pitch), axis=0) + 1) == cells
+        oracle = np.unique(_snap(points, pitch) + 0.0, axis=0)
+        with mock.patch.object(attractor, "_occupied_cells", wraps=attractor._occupied_cells) as dense:
+            stored = PointSet(points, pitch).points
+        assert dense.called == (side in ("dense", "boundary"))
+        assert stored.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize(
+        "points, dense",
+        [
+            # cells against _DENSE_CELLS_PER_ROW times the rows: 8 of 8, then 9
+            ([[-7.0], [0.0]], True),
+            ([[-8.0], [0.0]], False),
+            # spans 3 * 4 = 12 of 12, then 3 * 5 = 15
+            ([[0.0, 0.0], [2.0, 3.0], [1.0, 1.0]], True),
+            ([[0.0, 0.0], [2.0, 4.0], [1.0, 1.0]], False),
+            # spans 2 * 2 * 2 = 8 of 8, then 2 * 2 * 3 = 12
+            ([[0.0, 0.0, 0.0], [1.0, -1.0, 1.0]], True),
+            ([[0.0, 0.0, 0.0], [1.0, -1.0, 2.0]], False),
+        ],
+    )
+    def test_density_rule_picks_the_path(self, monkeypatch, points, dense):
+        calls = []
+        occupied_cells = attractor._occupied_cells
+        monkeypatch.setattr(attractor, "_occupied_cells", lambda *args: calls.append(1) or occupied_cells(*args))
+        monkeypatch.setattr(attractor, "_value_rows", lambda *args: pytest.fail("the value sort ran"))
+        stored = PointSet(points, 1.0).points
+        assert calls == ([1] if dense else [])
         assert stored.tobytes() == np.unique(np.asarray(points) + 0.0, axis=0).tobytes()
 
     def test_peak_memory_stays_near_the_input(self):

@@ -1100,3 +1100,18 @@ class TestOutputFiles:
         ):
             assert main(argv) == 2
             assert capsys.readouterr().err.startswith(f"error: cannot write {missing}/")
+
+    def test_one_frame_directory_is_refused_before_any_frame_is_read(self, tmp_path, monkeypatch, capsys):
+        def no_read(*args, **kwargs):
+            raise AssertionError("no frame may be read")
+
+        monkeypatch.setattr("ifsseq.cli._load_frame", no_read)
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        mask = np.zeros((2, 4), dtype=bool)
+        mask[0, 1] = True
+        write_pgm(frames / "f1.pgm", mask)
+        out = tmp_path / "out"
+        assert main(["predict", str(frames), "--model", "last", "--horizon", "1", "--out-prefix", str(out)]) == 4
+        assert capsys.readouterr() == ("", "precondition failed: prediction needs at least 2 frames\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["frames"]

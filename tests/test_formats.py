@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ifsseq import IFS, AffineMap, Box, IFSSequence, InputError, PointSet, attractor_points
+from ifsseq import formats
 from ifsseq.cli import main
 from ifsseq.formats import (
     foreground_mask,
@@ -330,6 +331,30 @@ class TestWritersMatchPerElementOracles:
             assert len(ps) == 9000
         path = tmp_path / "points.csv"
         write_points_csv(path, ps)
+        assert path.read_bytes() == csv_per_element(ps)
+
+    @pytest.mark.parametrize(
+        "ticks, pitch, tables",
+        [
+            # column 1 spans as many ticks as there are rows, from below zero
+            (lambda n: np.column_stack([np.zeros(n), np.arange(n) - 5.0]), 1e-3, 1),
+            # one tick more than the rows: np.unique
+            (lambda n: np.column_stack([np.zeros(n), np.r_[np.arange(n - 1), n]]), 1e-3, 0),
+            # a short span at ticks of 2^51 and above: np.unique
+            (lambda n: np.column_stack([np.zeros(n), 2.0**51 + np.arange(n)]), 1.0, 0),
+            # columns 1 and 2 of a lattice, one table each
+            (lambda n: np.random.default_rng(5).integers(-9, 9, (n, 3)).astype(float), 1.0 / 17.0, 2),
+        ],
+        ids=["span-at-rows", "span-over-rows", "tick-limit", "lattice-3d"],
+    )
+    def test_points_csv_tick_table_and_unique(self, tmp_path, monkeypatch, ticks, pitch, tables):
+        ps = PointSet(ticks(40) * pitch, pitch)
+        calls = []
+        tick_table = formats._tick_table
+        monkeypatch.setattr(formats, "_tick_table", lambda *args: calls.append(1) or tick_table(*args))
+        path = tmp_path / "points.csv"
+        write_points_csv(path, ps)
+        assert len(calls) == tables
         assert path.read_bytes() == csv_per_element(ps)
 
     def test_points_csv_render_sized(self, tmp_path, render_2d):

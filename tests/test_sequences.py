@@ -19,6 +19,7 @@ from ifsseq import (
     is_mo_set,
     leq,
     optimal_matching,
+    sequences,
 )
 from ifsseq.sequences import (
     ExtrapolationModel,
@@ -546,6 +547,15 @@ class TestAnalyzeSequence:
         ):
             with pytest.raises(InputError, match="eps must be positive"):
                 call()
+
+    @pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0])
+    def test_cauchy_index_checks_eps_before_the_cost_tensor(self, monkeypatch, cantor_seq, eps):
+        def no_tensor(*args, **kwargs):
+            raise AssertionError("no cost tensor may be built")
+
+        monkeypatch.setattr(sequences, "cost_tensor", no_tensor)
+        with pytest.raises(InputError, match="eps must be positive"):
+            cauchy_index(cantor_seq, eps)
 
     def test_already_aligned_chain_is_not_realigned(self, cantor_seq):
         aligned = align_chain(cantor_seq)
