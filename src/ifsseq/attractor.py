@@ -16,7 +16,8 @@ The Hausdorff distance ships in two variants that must agree bit for bit: a
 plain O(|A||B|) reference and an accelerated path (sorted scan in one
 dimension; above, a KD-tree screen whose survivors the brute expression
 decides).  Both reduce squared distances built from the same expressions, so
-the agreement is exact, not approximate.
+the agreement is exact, not approximate.  The accelerated path's one directed
+kernel, _directed_sq, also takes both sides of a plane collage objective.
 
 scipy.spatial loads where the first tree is built, not at import: it is most
 of a cold start, and a render never builds a tree.
@@ -54,6 +55,16 @@ def default_resolution(dim: int) -> float:
     return 1e-4 if dim == 1 else 1e-3
 
 
+def _check_resolution(resolution: float):
+    if not 0.0 < resolution < math.inf:
+        raise InputError("resolution must be a positive real")
+
+
+def _check_depth(depth: int):
+    if depth < 0:
+        raise InputError("depth must be nonnegative")
+
+
 class PointSet:
     """Finite set of d-dimensional points at a stated resolution.
 
@@ -83,8 +94,7 @@ class PointSet:
     __slots__ = ("points", "resolution", "_tree")
 
     def __init__(self, points, resolution: float):
-        if resolution <= 0.0 or not math.isfinite(resolution):
-            raise InputError("resolution must be a positive real")
+        _check_resolution(resolution)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.ndim != 2 or pts.size == 0:
             raise InputError("a point set needs at least one point")
@@ -238,8 +248,7 @@ def attractor_points(
     attractor, plus snapping slack.  It lies on the seed's lattice, so a
     resolution given with a seed must be the seed's.
     """
-    if depth < 0:
-        raise InputError("depth must be nonnegative")
+    _check_depth(depth)
     if seed is not None and resolution is not None and resolution != seed.resolution:
         raise InputError(f"resolution {resolution} contradicts the seed's pitch {seed.resolution}")
     if seed is None:
@@ -297,51 +306,38 @@ def _min_sq_sorted_1d(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.minimum(d_left, d_right)
 
 
-def _directed_sq(queries: np.ndarray, points: np.ndarray, tree: cKDTree | None) -> float:
-    """max of the nearest squared distances from the queries into the points,
-    bit for bit _min_sq_brute(queries, points).max().
+def _directed_sq(queries: np.ndarray, points: np.ndarray, tree: cKDTree | None) -> tuple[float, int]:
+    """(sq, far): sq the max of the nearest squared distances from the
+    queries into the points, bit for bit _min_sq_brute(queries, points).max(),
+    and far the argmax over the queries of the scan's or the tree's distance.
 
     On the line the points must be sorted and the scan is exact.  Above, the
-    tree over the points screens and the brute expression decides
-    (_screened_max_sq)."""
-    if points.shape[1] == 1:
-        return float(_min_sq_sorted_1d(queries, points).max())
-    dist, _ = tree.query(queries)
-    return _screened_max_sq(queries, dist, [(points, tree)])
-
-
-def _screened_max_sq(queries: np.ndarray, dist: np.ndarray, parts) -> float:
-    """max over the queries of the brute nearest squared distance into the
-    union of the parts' points, given each query's tree distance `dist` to
-    that union (the min over the parts' trees).
-
-    Tree distances are off by a few ulps, far inside the 1e-9 margins, so a
-    query attaining the brute maximum survives the `top * (1 - 1e-9)` screen
-    and its brute nearest point lies in its `dist * (1 + 1e-9)` ball of some
-    part's tree.  Min-then-max over the ball pairs, scored by the brute
-    expression, is the brute value, lattice ties included."""
-    top = dist.max()
-    if top == 0.0:
-        return 0.0
+    tree over the points screens and the brute expression decides.  Tree
+    distances are off by a few ulps, far inside the 1e-9 margins, so a query
+    attaining the brute maximum survives the `top * (1 - 1e-9)` screen and
+    its brute nearest point lies in its `dist * (1 + 1e-9)` ball.
+    Min-then-max over the ball pairs, scored by the brute expression, is the
+    brute value, lattice ties included."""
+    line = points.shape[1] == 1
+    dist = _min_sq_sorted_1d(queries, points) if line else tree.query(queries)[0]
+    far = int(dist.argmax())
+    top = dist[far]
+    if line or top == 0.0:
+        return float(top), far
     keep = np.flatnonzero(dist >= top * (1.0 - 1e-9))
     survivors = queries[keep]
-    radii = dist[keep] * (1.0 + 1e-9)
+    balls = tree.query_ball_point(survivors, dist[keep] * (1.0 + 1e-9), return_sorted=False)
+    owner = np.repeat(np.arange(keep.size), [len(ball) for ball in balls])
+    near = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=owner.size)
     mins = np.full(keep.size, np.inf)
-    for points, tree in parts:
-        balls = tree.query_ball_point(survivors, radii, return_sorted=False)
-        owner = np.repeat(np.arange(keep.size), [len(ball) for ball in balls])
-        near = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=owner.size)
-        sq = ((survivors[owner] - points[near]) ** 2).sum(axis=1)
-        np.minimum.at(mins, owner, sq)
-    return float(mins.max())
+    np.minimum.at(mins, owner, ((survivors[owner] - points[near]) ** 2).sum(axis=1))
+    return float(mins.max()), far
 
 
 def hausdorff(A: PointSet, B: PointSet) -> float:
     """Hausdorff distance between two nonempty point sets (accelerated path)."""
     _check_dims(A, B)
-    return math.sqrt(
-        max(_directed_sq(A.points, B.points, B.tree), _directed_sq(B.points, A.points, A.tree))
-    )
+    return math.sqrt(max(_directed_sq(A.points, B.points, B.tree)[0], _directed_sq(B.points, A.points, A.tree)[0]))
 
 
 def hausdorff_brute(A: PointSet, B: PointSet) -> float:
@@ -360,7 +356,7 @@ def _check_dims(A: PointSet, B: PointSet):
 def directed_distance(A: PointSet, B: PointSet) -> float:
     """One-sided sup of nearest distances from A into B (not symmetric)."""
     _check_dims(A, B)
-    return math.sqrt(_directed_sq(A.points, B.points, B.tree))
+    return math.sqrt(_directed_sq(A.points, B.points, B.tree)[0])
 
 
 def code_point(S: IFS, address: Address, x) -> np.ndarray:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import sys
 import warnings
@@ -32,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attractor import PointSet, attractor_points, default_resolution
+from .attractor import PointSet, _check_depth, _check_resolution, attractor_points, default_resolution
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .formats import (
     _check_width,
@@ -48,8 +47,8 @@ from .formats import (
     write_pgm,
     write_points_csv,
 )
-from .maps import Box
-from .sequences import ExtrapolationModel, analyze_sequence, extrapolate
+from .maps import Box, _check_s_max
+from .sequences import ExtrapolationModel, _check_eps, analyze_sequence, extrapolate
 from .systems import cost_matrix, optimal_matching
 
 MODEL_NAMES = {"last": "hold-last", "linear": "linear", "geometric": "geometric"}
@@ -155,17 +154,16 @@ def _load_frame(path, pitch: float | None, threshold: int | None) -> PointSet:
 
 def _check_flags(args):
     """Refuse, before any input is read, the flags that PointSet, attractor_points,
-    render_raster and the Cauchy index would refuse, with their messages; --delta
-    is a frame or a render pitch, and --image an output only beside --px."""
+    render_raster, the Cauchy index and s_max's bound would refuse, by their own
+    checks; --delta is a frame or a render pitch, and --image an output only beside --px."""
     flags = vars(args)
-    if any(flags.get(p) is not None and not 0.0 < flags[p] < math.inf for p in ("delta", "render_delta")):
-        raise InputError("resolution must be a positive real")
-    if flags.get("depth", 0) < 0:
-        raise InputError("depth must be nonnegative")
+    for check, flag in ((_check_resolution, "delta"), (_check_resolution, "render_delta"), (_check_s_max, "s_max")):
+        if flags.get(flag) is not None:
+            check(flags[flag])
+    _check_depth(flags.get("depth", 0))
     if "px" in flags and args.image:
         _check_width(args.px)
-    if not flags.get("eps", 1.0) > 0.0:
-        raise InputError("eps must be positive")
+    _check_eps(flags.get("eps", 1.0))
 
 
 def _fit_setup(args):

@@ -7,13 +7,13 @@ flat axes zeroed, translation pulled inside the domain).  The projection is
 bitwise idempotent: a feasible map projects to itself, so the descent projects each
 candidate once and keeps the projected coefficients.
 
-The objective is scored per map.  A map's share is the directed max from
-its snapped images into L and, per point of L, the distance to those
-images.  h(L, W(L)) is the max of the directed maxima and the max over L of
-the min over maps, and max and min are exact, so the combined shares give
-the brute value bit for bit: on the line the per-point values are exact
-squared distances; above they are tree distances that only screen, and the
-brute expression decides over every map's ball (attractor._screened_max_sq).
+The objective is scored per map.  A map's share holds its snapped images
+and the directed max from them into L.  h(L, W(L)) is the max of those and
+of the in side, the directed max from L into the union of the images, and
+max and min are exact, so the shares combine to the brute value bit for
+bit.  The in side is on the line the max over L of the min over the shares'
+exact squares (_Share.near), and above hausdorff's directed kernel
+(attractor._directed_sq) over the concatenated images, with one tree.
 On the line the images of the ascending target under x -> ax + b are
 ascending (a >= 0) or descending (a < 0), so they need no sort.
 
@@ -40,8 +40,9 @@ lower bound of h rejects a candidate before its shares are complete:
   in every share built: _survivors bounds each moved map's out_sq there for
   the whole sweep, and a candidate whose bound reaches the incumbent's
   value gets no share;
-- reach, the argmax of every near taken: _score bounds the in side there
-  from each share's exact values, and such a candidate takes no near.
+- reach, the point of L farthest from the images in every in side taken:
+  _score bounds the in side there from each share's exact values, and
+  such a candidate takes no full in side.
 The walk goes in order through the survivors, _Share, which takes each of
 their moved maps' one full set of images, and _score: the first candidate
 that scores below the incumbent wins, as in a walk over every candidate, and
@@ -68,13 +69,12 @@ from .attractor import (
     _directed_sq,
     _min_sq_brute,
     _min_sq_sorted_1d,
-    _screened_max_sq,
     _snap,
     hausdorff,
     hutchinson,
 )
 from .errors import InputError, PreconditionError
-from .maps import S_MAX, AffineMap, Box, _project, _project_maps, spectral_norm
+from .maps import S_MAX, AffineMap, Box, _check_s_max, _project, _project_maps, spectral_norm
 from .sequences import IFSSequence
 from .systems import IFS
 
@@ -102,8 +102,7 @@ class FitConfig:
             raise InputError(f"restarts must not exceed {sys.maxsize}")
         if self.max_iters < 1:
             raise InputError("max_iters must be at least 1")
-        if not 0.0 < self.s_max < 1.0:
-            raise InputError("s_max must lie in (0, 1)")
+        _check_s_max(self.s_max)
         if self.seed < 0:
             raise InputError("seed must be nonnegative")
 
@@ -130,44 +129,37 @@ class _Share:
     (_tick_field), or by the sorted scan for a target too sparse for one,
     and the point of L whose image lies farthest out joins the descent's
     `witness` mask (_survivors reads it); above, at first read, by
-    hausdorff's directed kernel, attractor._directed_sq.  near, per point of
-    L the distance to those images (the exact square on the line, the tree's
-    distance above, with the tree kept in `tree`), is taken at first use,
-    and reach_sq's exact squares at given points of L as asked: _score takes
-    near only where out_sq and reach_sq do not reject."""
+    hausdorff's directed kernel, attractor._directed_sq.  near, on the line
+    only, per point of L the exact squared distance to those images, is
+    taken at first use, and reach_sq's exact squares at given points of L as
+    asked: _score takes the in side only where out_sq and reach_sq do not
+    reject."""
 
-    __slots__ = ("target", "images", "tree", "_out_sq", "_near", "_reach")
+    __slots__ = ("target", "images", "_out_sq", "_near", "_reach")
 
     def __init__(self, target: PointSet, A: np.ndarray, b: np.ndarray, field, witness: np.ndarray):
         # images as AffineMap.transform takes them, snapped, not deduplicated
-        self._out_sq = None
+        self.target, self._out_sq, self._near, self._reach = target, None, None, None
         if target.dim == 1:
             ticks = _line_ticks(target, A[0], b)
             values = _line_sq(target, ticks, field)[0]
             top = int(values.argmax())
             self._out_sq, witness[top] = float(values[top]), True
             # ascending, as near's scan needs, or descending when a < 0
-            images = ((ticks[0, ::-1] if A[0, 0] < 0.0 else ticks[0]) * target.resolution)[:, None]
+            self.images = ((ticks[0, ::-1] if A[0, 0] < 0.0 else ticks[0]) * target.resolution)[:, None]
         else:
-            images = _snap(target.points @ A.T + b, target.resolution)
-        self.target, self.images, self.tree, self._near, self._reach = target, images, None, None, None
+            self.images = _snap(target.points @ A.T + b, target.resolution)
 
     @property
     def out_sq(self) -> float:
         if self._out_sq is None:
-            self._out_sq = _directed_sq(self.images, self.target.points, self.target.tree)
+            self._out_sq = _directed_sq(self.images, self.target.points, self.target.tree)[0]
         return self._out_sq
 
     @property
     def near(self) -> np.ndarray:
         if self._near is None:
-            if self.target.dim == 1:
-                self._near = _min_sq_sorted_1d(self.target.points, self.images)
-            else:
-                from scipy.spatial import cKDTree
-
-                self.tree = cKDTree(self.images)
-                self._near, _ = self.tree.query(self.target.points)
+            self._near = _min_sq_sorted_1d(self.target.points, self.images)
         return self._near
 
     def reach_sq(self, at: np.ndarray) -> np.ndarray:
@@ -240,7 +232,8 @@ def _score(target: PointSet, shares, bound: float, reach: np.ndarray) -> float:
     come first, the images' directed value and the in side at the points of
     the mask `reach` (_Share.reach_sq), the latter first above the line, where
     out_sq costs a kernel: one that reaches `bound` lies in [bound, h] and
-    stands in for h.  Else near's argmax joins reach."""
+    stands in for h.  Else the in side is taken in full, and its argmax
+    point of L joins reach."""
     at = np.flatnonzero(reach)
     sides = (
         lambda: max(share.out_sq for share in shares),
@@ -251,12 +244,15 @@ def _score(target: PointSet, shares, bound: float, reach: np.ndarray) -> float:
         sq = max(sq, side())
         if math.sqrt(sq) >= bound:
             return math.sqrt(sq)
-    near = reduce(np.minimum, [share.near for share in shares])
-    reach[near.argmax()] = True
     if target.dim == 1:
-        in_sq = float(near.max())
+        near = reduce(np.minimum, [share.near for share in shares])
+        in_sq, far = float(near.max()), int(near.argmax())
     else:
-        in_sq = _screened_max_sq(target.points, near, [(s.images, s.tree) for s in shares])
+        from scipy.spatial import cKDTree
+
+        images = np.concatenate([share.images for share in shares])
+        in_sq, far = _directed_sq(target.points, images, cKDTree(images))
+    reach[far] = True
     return math.sqrt(max(in_sq, sq))
 
 
@@ -422,7 +418,7 @@ def _descend(target, box, cfg, maps0, field):
     params = np.concatenate([np.concatenate([m.A.ravel(), m.b]) for m in maps0])
     witness = np.zeros(len(target), bool)  # on the line, every share's farthest point: _survivors's points
     shares = [_Share(target, m.A, m.b, field, witness) for m in maps0]
-    reach = np.zeros(len(target), bool)  # every near's argmax: _score's points
+    reach = np.zeros(len(target), bool)  # every full in side's farthest point: _score's points
     best = _score(target, shares, math.inf, reach)
     history = [best]
     step = step0

@@ -24,6 +24,11 @@ MAX_VERTEX_DIM = 20
 S_MAX = 0.95  # the default bound of the feasible set: a projected map's largest singular value
 
 
+def _check_s_max(s_max: float):
+    if not 0.0 < s_max < 1.0:
+        raise InputError("s_max must lie in (0, 1)")
+
+
 def _require_finite(A: np.ndarray, b: np.ndarray):
     """The finite check of one map's coefficients or a stack's."""
     if not (np.isfinite(A).all() and np.isfinite(b).all()):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .maps import S_MAX, AffineMap, Box, _project_maps, dbar_stacks
+from .maps import S_MAX, AffineMap, Box, _check_s_max, _project_maps, dbar_stacks
 from .systems import (
     FACTOR_TOL,
     IFS,
@@ -154,6 +154,11 @@ def eventually_decreasing_at(seq: IFSSequence) -> int | None:
     return _eventually_from_flags(_link_flags(seq))
 
 
+def _check_eps(eps: float):
+    if not eps > 0.0:
+        raise InputError("eps must be positive")
+
+
 def _cauchy_from_matrix(dist: np.ndarray, eps: float) -> int | None:
     """cauchy_index on a matrix of D, for an eps its caller checked."""
     m = dist.shape[0]
@@ -168,15 +173,13 @@ def _cauchy_from_matrix(dist: np.ndarray, eps: float) -> int | None:
 
 def cauchy_index(seq: IFSSequence, eps: float) -> int | None:
     """Smallest N with D(term_j, term_k) < eps for all j, k >= N."""
-    if not eps > 0.0:
-        raise InputError("eps must be positive")
+    _check_eps(eps)
     return _cauchy_from_matrix(pairwise_distances(seq), eps)
 
 
 def converges_to(seq: IFSSequence, target: IFS, eps: float) -> int | None:
     """Smallest N with D(term_j, target) < eps for every j >= N."""
-    if not eps > 0.0:
-        raise InputError("eps must be positive")
+    _check_eps(eps)
     dists = [big_d(term, target) for term in seq.terms]
     if dists[-1] >= eps:
         return None
@@ -208,8 +211,7 @@ def limit_of_contractions(
     maps = list(maps)
     if not maps:
         raise InputError("need at least one map")
-    if not eps > 0.0:
-        raise InputError("eps must be positive")
+    _check_eps(eps)
     if any(f.dim != domain.dim for f in maps):
         raise InputError(f"dimension mismatch: maps on a {domain.dim}-box")
     factors = np.array([f.contractivity for f in maps])
@@ -249,8 +251,10 @@ def analyze_sequence(seq: IFSSequence, eps: float) -> SequenceReport:
     decreases = _decreases(traces)
     flags = np.all(decreases, axis=0)
     limit, residual, cauchy_at, failure = None, math.nan, None, None
-    if not eps > 0.0:
-        failure = InputError("eps must be positive")
+    try:
+        _check_eps(eps)
+    except InputError as exc:
+        failure = exc
     else:
         cauchy_at = _cauchy_from_matrix(dist, eps)
         for i, slot in enumerate(decreases):
@@ -301,8 +305,7 @@ class ExtrapolationModel:
                 float(self.horizon)  # as linear and geometric take it
             except OverflowError:
                 raise InputError(f"horizon must not exceed the largest float, {sys.float_info.max:g}") from None
-        if not 0.0 < self.s_max < 1.0:
-            raise InputError("s_max must lie in (0, 1)")
+        _check_s_max(self.s_max)
 
 
 def _limit_and_ratio(y: np.ndarray):

@@ -128,7 +128,7 @@ class IFS:
 
     def reordered(self, sigma: Permutation) -> "IFS":
         """Same system with maps[i] replaced by maps[sigma(i)]."""
-        return IFS(self.domain, tuple(sigma.apply(self.maps)))
+        return IFS._checked(self.domain, tuple(sigma.apply(self.maps)))
 
     def __repr__(self):
         return f"IFS(domain={self.domain!r}, n={self.n})"

@@ -528,7 +528,7 @@ class TestHausdorff:
         b = PointSet((np.array(data.draw(cells), dtype=float) + shift) * pitch, pitch / 2)
         assert hausdorff(a, b) == hausdorff_brute(a, b)
         # the square root can hide a last-place difference; compare squares
-        assert _directed_sq(a.points, b.points, b.tree) == _min_sq_brute(a.points, b.points).max()
+        assert _directed_sq(a.points, b.points, b.tree)[0] == _min_sq_brute(a.points, b.points).max()
 
     def test_half_shifted_lattice_pair(self):
         # 2025 lattice points, each at the centre of a cell of 4489 shifted
@@ -543,7 +543,7 @@ class TestHausdorff:
         assert (len(a), len(b)) == (2025, 4489)
         assert hausdorff(a, b) == hausdorff_brute(a, b)
         for q, p in ((a, b), (b, a)):
-            assert _directed_sq(q.points, p.points, p.tree) == _min_sq_brute(q.points, p.points).max()
+            assert _directed_sq(q.points, p.points, p.tree)[0] == _min_sq_brute(q.points, p.points).max()
 
     def test_far_apart_clusters(self):
         a = PointSet([[0.0, 0.0]], 1e-3)

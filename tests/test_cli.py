@@ -517,6 +517,35 @@ class TestCollageFit:
             "delta": None, "threshold": None,
         }
 
+    def test_search_that_never_beats_the_baseline_falls_back(self, tmp_path, monkeypatch, capsys):
+        # every descent ends above the constant-map baseline's collage
+        # distance, so the fit returns the baseline and says so once
+        fit_ifs, results = collage.fit_ifs, []
+        monkeypatch.setattr(collage, "_descend", lambda target, box, cfg, maps0, field: (maps0, 1e3, [1e3]))
+
+        def recorded_fit(*args, **kwargs):
+            results.append(fit_ifs(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(collage, "fit_ifs", recorded_fit)
+        img = self.cantor_pgm(tmp_path, width=243, depth=5)
+        out = tmp_path / "fit.json"
+        assert main(["collage-fit", str(img), "--n", "2", "--out", str(out), "--restarts", "2"]) == 0
+        (result,) = results
+        assert result.baseline_fallback and result.history == (result.distance,) and result.distance < 1e3
+        assert read_ifs(out) == result.ifs and all(not m.A.any() for m in result.ifs.maps)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines.count("warning: search never beat the constant-map baseline") == 1
+        assert sum(line.startswith("warning:") for line in lines) == 1
+
+    def test_target_outside_the_declared_domain_exits_2(self, tmp_path, capsys):
+        img = self.cantor_pgm(tmp_path, width=243, depth=5)
+        out = tmp_path / "fit.json"
+        argv = ["collage-fit", str(img), "--n", "2", "--out", str(out), "--domain-lo", "0.5", "--domain-hi", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: target points must lie inside the declared domain\n")
+        assert not list(tmp_path.glob("fit.json*"))
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         img = self.cantor_pgm(tmp_path, width=243, depth=5)
         out = tmp_path / "fit.json"
@@ -1080,6 +1109,20 @@ class TestOutputFiles:
         assert main(argv) == (3 if err.startswith("resource limit") else 2)
         assert capsys.readouterr() == ("", err + "\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["frames", "s.json"]
+
+    @pytest.mark.parametrize("s_max", ["0", "1", "nan"])
+    def test_bad_s_max_is_refused_before_outputs_and_inputs(self, tmp_path, monkeypatch, capsys, s_max):
+        # the output directory is missing and the input does not exist, so
+        # either would be refused if s_max's bound were not checked first
+        for name in ("ifsseq.cli._load_frame", "ifsseq.cli.read_sequence"):
+            monkeypatch.setattr(name, lambda *args: pytest.fail("an input was read"))
+        missing = tmp_path / "missing"
+        for argv in (
+            ["collage-fit", str(tmp_path / "none.pgm"), "--n", "1", "--out", f"{missing}/fit.json"],
+            ["predict", str(tmp_path / "none.json"), "--model", "last", "--horizon", "1", "--out-prefix", f"{missing}/p"],
+        ):
+            assert main(argv + ["--s-max", s_max]) == 2
+            assert capsys.readouterr() == ("", "error: s_max must lie in (0, 1)\n")
 
     def test_missing_directory_is_refused_before_the_fit(self, tmp_path, monkeypatch, capsys):
         def no_fit(*args, **kwargs):

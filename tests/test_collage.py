@@ -244,8 +244,8 @@ class TestPerMapKernel:
         # target reaches half a pitch outside the box on every side.  Each
         # move is scored against a bound (the incumbent's value, a random
         # one, or one ulp either side of the brute value) with a reach mask
-        # that the calls share, as a descent's do: it gains only near's
-        # argmax, and the shares keep the exact values they took there
+        # that the calls share, as a descent's do: it gains only the full in
+        # side's argmax, and the shares keep the exact values they took there
         rng = np.random.default_rng(seed)
         extent = np.ones(dim)
         if flat:
@@ -280,6 +280,7 @@ class TestPerMapKernel:
         shares = [collage._Share(target, m.A, m.b, field, marks) for m in maps]
         incumbent = brute(maps)
         assert collage._score(target, shares, math.inf, np.zeros(len(target), bool)) == incumbent
+        directed = collage._directed_sq
         mask = None if reach == "none" else rng.random(len(target)) < {"random": rng.uniform(), "all": 1.0}.get(reach, 0.0)
         if reach == "one":
             mask[rng.integers(len(target))] = True
@@ -294,14 +295,25 @@ class TestPerMapKernel:
                 "tight": np.nextafter(exact, rng.choice([-math.inf, math.inf])),
             }[bound]
             before = None if mask is None else mask.copy()  # "none" takes a fresh mask per call
-            value = collage._score(target, shares, limit, np.zeros(len(target), bool) if mask is None else mask)
+            in_sides = []  # per _directed_sq call, whether it took the full in side (queries L)
+
+            def spied(queries, points, tree):
+                in_sides.append(queries is target.points)
+                return directed(queries, points, tree)
+
+            with mock.patch.object(collage, "_directed_sq", spied):
+                value = collage._score(target, shares, limit, np.zeros(len(target), bool) if mask is None else mask)
             # exact below the bound, and at or above it a stand-in that
             # rejects all the same
             assert value == exact if exact < limit else limit <= value <= exact
             if mask is not None:
-                taken = shares[j]._near is not None  # the moved share's near is fresh
-                near = reduce(np.minimum, [share.near for share in shares])
-                before[near.argmax()] |= taken
+                if dim == 1:
+                    taken = shares[j]._near is not None  # the moved share's near is fresh
+                    far = reduce(np.minimum, [share.near for share in shares]).argmax()
+                else:
+                    taken = any(in_sides)
+                    far = cKDTree(np.concatenate([s.images for s in shares])).query(target.points)[0].argmax()
+                before[far] |= taken
                 assert (mask == before).all()
                 for share in (s for s in shares if s._reach is not None):
                     at = np.flatnonzero(share._reach == share._reach)

@@ -596,6 +596,19 @@ class TestExtrapolate:
         out = extrapolate(seq, ExtrapolationModel("geometric", horizon=200))
         assert out.maps[0].b[0] == pytest.approx(0.2, abs=1e-9)
 
+    @pytest.mark.parametrize("horizon", [1, 2, 7])
+    def test_geometric_three_point_tail(self, unit_box, horizon):
+        # three terms give two steps and one ratio, the classic three-point
+        # fit: b_j = c + beta * rho^j with c = beta = 1/4 and rho = 1/2 is
+        # dyadic, so the limit c and c + (b_3 - c) * rho^h come out exact
+        terms = tuple(
+            IFS(unit_box, (AffineMap([[0.25]], [0.25 + 0.25 * 0.5**j]), AffineMap([[0.25]], [0.0])))
+            for j in (1, 2, 3)
+        )
+        out = extrapolate(IFSSequence(terms), ExtrapolationModel("geometric", horizon=horizon))
+        assert out.maps[0].b[0] == 0.25 + (terms[-1].maps[0].b[0] - 0.25) * 0.5**horizon
+        assert out.maps[0].A[0, 0] == 0.25 and out.maps[1] == terms[-1].maps[1]
+
     def test_geometric_on_harmonic_cantor_terms(self, unit_box):
         # translation coefficients 1/(3j) decay harmonically; the limit
         # extraction must still land essentially on the middle-thirds system

@@ -370,6 +370,15 @@ class TestBigD:
         swapped = ifs_s.reordered(Permutation((1, 0)))
         assert big_d(ifs_s, swapped) == 0.0
 
+    def test_reordering_checks_no_map_again(self, monkeypatch, ifs_s):
+        # a permutation holds the checked system's own maps
+        for check in ("_require_contraction", "_require_inside"):
+            monkeypatch.setattr(systems, check, lambda *args, check=check: pytest.fail(f"{check} ran"))
+        swapped = ifs_s.reordered(Permutation((1, 0)))
+        assert swapped.domain == ifs_s.domain and swapped.maps == ifs_s.maps[::-1]
+        with pytest.raises(InputError, match="permutation size"):
+            ifs_s.reordered(Permutation((0, 1, 2)))
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n=st.integers(1, 4), d=st.integers(1, 3))
     def test_metric_axioms_on_random_systems(self, data, n, d):
