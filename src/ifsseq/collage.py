@@ -31,11 +31,24 @@ the scans it saves; there the same stack is one sorted scan.  The shares
 serve the descent alone: collage_distance is hausdorff(L, W(L)).
 
 The descent keeps the incumbent's shares and scores only the maps that a
-candidate moves (see _descend).  A sweep's candidates are one array
-(_candidate_moves), and the descent projects all the maps they move at once
-(_project, one stacked projection, which marks a map it cannot project with
-NaN).  Two masks over L, which only grow in a descent, hold points where a
-lower bound of h rejects a candidate before its shares are complete:
+candidate moves (see _descend).  It is a compass search (Kolda, Lewis &
+Torczon, SIAM Review 45, 2003): a sweep that improves nothing changes only
+the step, so the sweeps an unchanged incumbent will run are known in
+advance.  A ladder stacks them, at steps step, step*STEP_DECAY, ..., within
+the budget, none below the stop step, and as many as fit in LADDER_PAIRS
+candidate-map pairs (n*C for a sweep of C candidates): nine levels for two
+maps on the line, where most sweeps improve nothing, and one for three in
+the plane, where more levels are projections an improving sweep discards.
+Its candidates are one array (_candidate_moves), and the descent projects
+all the maps they move at once (_project, one stacked projection, row by
+row, which marks a map it cannot project with NaN).  The walk takes the
+levels in order, and the first candidate that scores below the incumbent
+ends the ladder.  This is exact: each level's rows and projections are its
+sweep's bit for bit, each level is screened with the masks below as the
+walk left them, and a level the walk never reaches is only projected, so
+its NaN raises nothing.  Two masks over L, which only grow in a descent,
+hold points where a lower bound of h rejects a candidate before its shares
+are complete:
 - witness, on the line only, the point of L whose image lies farthest out
   in every share built: _survivors bounds each moved map's out_sq there for
   the whole sweep, and a candidate whose bound reaches the incumbent's
@@ -81,6 +94,7 @@ from .systems import IFS
 INITIAL_STEP = 0.1  # first descent step, as a fraction of the domain diameter
 STEP_DECAY = 0.7  # step shrink after a sweep with no improving move
 FIELD_TICKS_PER_POINT = 8  # largest line field a fit builds, in ticks per target point
+LADDER_PAIRS = 256  # candidate-map pairs a descent ladder holds: the sweeps it stacks
 
 
 @dataclass(frozen=True)
@@ -346,9 +360,11 @@ def _move_index(n: int, d: int):
     return row, col, i, c
 
 
-def _candidate_moves(params: np.ndarray, n: int, d: int, box: Box, step: float) -> np.ndarray:
+def _candidate_moves(params: np.ndarray, n: int, d: int, box: Box, steps) -> np.ndarray:
     """Trial parameter vectors around the current point, one per row of a
-    (C, n*(d*d + d)) array, for the descent to score in row order.
+    (len(steps)*C, n*(d*d + d)) array: a ladder of sweeps, the C candidates
+    of each step stacked in the order of `steps`, for the descent to score in
+    row order.
 
     Three families, each in both signs (all + rows first): single
     coordinates; per-map stretches of A[r, c] with b[r] compensated about
@@ -364,16 +380,15 @@ def _candidate_moves(params: np.ndarray, n: int, d: int, box: Box, step: float) 
     own = np.array([blocks[i, : d * d].reshape(d, d) @ center + blocks[i, d * d :] for i in range(n)])
     row, col, i, c = _move_index(n, d)
     rows = size + stretches + d * d  # per sign
+    delta = np.multiply.outer(steps, [1.0, -1.0])[..., None]  # (level, sign, 1)
+    fill = np.broadcast_to(delta, delta.shape[:2] + (size + stretches,))
     # x + -0.0 is x bit for bit, and x - y is x + -y, so each row is params
     # plus its increments, as adding them to a copy of params gives
-    steps = np.full((2 * rows, size), -0.0)
-    for half, sign in enumerate((1.0, -1.0)):
-        delta = sign * step
-        fill = np.full(size + stretches, delta)
-        steps[half * rows + row, col] = np.concatenate(
-            [fill, -(delta * center[c]), fill[:stretches], -(delta * own[i, c])]
-        )
-    return params + steps
+    moves = np.full(delta.shape[:2] + (rows, size), -0.0)
+    moves[:, :, row, col] = np.concatenate(
+        [fill, -(delta * center[c]), fill[..., :stretches], -(delta * own[i, c])], axis=2
+    )
+    return (params + moves).reshape(-1, size)
 
 
 def _survivors(
@@ -408,41 +423,52 @@ def _descend(target, box, cfg, maps0, field):
     if step0 <= 0.0:
         step0 = 0.1  # degenerate single-point domain
     stop_step = max(step0 * 1e-6, 1e-12)
+    per = d * d + d
+    levels = max(1, LADDER_PAIRS // (n * 2 * (n * per + n * d * d + d * d)))  # sweeps a ladder holds
 
     # The starts are _project_maps outputs and a feasible map projects to
-    # itself, so the incumbent's blocks are their own projections.  A sweep
-    # projects the blocks its candidates move, all at once, and a candidate
-    # scores only those; the max/min combination of the shares is exact.  It
-    # is scored against the incumbent's value, which rejects most candidates
-    # on a lower bound: at the witness points (on the line), on out_sq or at the reach points.
+    # itself, so the incumbent's blocks are their own projections.  Each
+    # incumbent takes a ladder of the sweeps it runs if none improves (see
+    # the module docstring) and projects every block they move at once.  Its
+    # levels are walked in order, each one sweep of the budget, and a
+    # candidate scores only the maps it moves; the max/min combination of
+    # the shares is exact.  It is scored against the incumbent's value,
+    # which rejects most candidates on a lower bound: at the witness points
+    # (on the line), on out_sq or at the reach points.
     params = np.concatenate([np.concatenate([m.A.ravel(), m.b]) for m in maps0])
     witness = np.zeros(len(target), bool)  # on the line, every share's farthest point: _survivors's points
     shares = [_Share(target, m.A, m.b, field, witness) for m in maps0]
     reach = np.zeros(len(target), bool)  # every full in side's farthest point: _score's points
     best = _score(target, shares, math.inf, reach)
     history = [best]
-    step = step0
-    for _ in range(cfg.max_iters):
-        if best == 0.0:
-            break  # no candidate can score below an exact collage
-        trials = _candidate_moves(params, n, d, box, step)
-        blocks = trials.reshape(len(trials), n, -1)
+    step, sweeps = step0, 0
+    while sweeps < cfg.max_iters and best != 0.0:  # no candidate can score below an exact collage
+        steps = [step]
+        while len(steps) < min(levels, cfg.max_iters - sweeps) and steps[-1] * STEP_DECAY >= stop_step:
+            steps.append(steps[-1] * STEP_DECAY)
+        trials = _candidate_moves(params, n, d, box, steps)
+        blocks = trials.reshape(len(trials), n, per)
         moved = (trials.view(np.int64) != params.view(np.int64)).reshape(blocks.shape).any(axis=2)
         ci, bi = np.nonzero(moved)
         A, b = _project(blocks[ci, bi, : d * d].reshape(-1, d, d), blocks[ci, bi, d * d :], box, cfg.s_max)
         blocks[ci, bi] = np.concatenate([A.reshape(len(A), -1), b], axis=1)  # keep the projected coefficients
-        for c in _survivors(target, field, blocks, moved, shares, best, witness):
-            if np.isnan(blocks[c]).any():
-                raise PreconditionError("cannot project the map into the domain")
-            trial_shares = list(shares)
-            for i in np.flatnonzero(moved[c]):
-                block = blocks[c, i]
-                trial_shares[i] = _Share(target, block[: d * d].reshape(d, d), block[d * d :], field, witness)
-            value = _score(target, trial_shares, best, reach)
-            if value < best:
-                best, params, shares = value, trials[c], trial_shares
-                history.append(best)
-                break
+        for step, level, level_moved in zip(steps, np.split(blocks, len(steps)), np.split(moved, len(steps))):
+            sweeps += 1
+            for c in _survivors(target, field, level, level_moved, shares, best, witness):
+                if np.isnan(level[c]).any():
+                    raise PreconditionError("cannot project the map into the domain")
+                trial_shares = list(shares)
+                for i in np.flatnonzero(level_moved[c]):
+                    block = level[c, i]
+                    trial_shares[i] = _Share(target, block[: d * d].reshape(d, d), block[d * d :], field, witness)
+                value = _score(target, trial_shares, best, reach)
+                if value < best:
+                    best, params, shares = value, level[c].ravel(), trial_shares
+                    history.append(best)
+                    break
+            else:
+                continue
+            break  # a new incumbent takes a new ladder at the same step
         else:
             step *= STEP_DECAY
             if step < stop_step:
@@ -473,8 +499,13 @@ def fit_ifs(
     earlier restarts keeping ties.  Deterministic for a fixed cfg.seed.
     """
     box = domain if domain is not None else Box(target.points.min(axis=0), target.points.max(axis=0))
-    if not box.contains(target.points, tol=target.resolution / 2.0 + 1e-9):
-        raise InputError("target points must lie inside the declared domain")
+    tol = target.resolution / 2.0 + 1e-9
+    if not box.contains(target.points, tol=tol):
+        inside = ((target.points >= box.lo - tol) & (target.points <= box.hi + tol)).all(axis=1)
+        point = target.points[int(inside.argmin())].tolist()
+        raise InputError(
+            f"target point {point} lies outside the declared domain lo={box.lo.tolist()}, hi={box.hi.tolist()}"
+        )
     # checks the target, domain and point cap once for every candidate,
     # before any map is built
     _check_images(target, box, cfg.n)

@@ -538,12 +538,18 @@ class TestCollageFit:
         assert lines.count("warning: search never beat the constant-map baseline") == 1
         assert sum(line.startswith("warning:") for line in lines) == 1
 
-    def test_target_outside_the_declared_domain_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "lo, hi, point",
+        [("0.5", "1", 0.5 / 243), ("0", "0.5", 162.5 / 243)],  # the first pixel center of L, of its right third
+    )
+    def test_target_outside_the_declared_domain_exits_2(self, tmp_path, capsys, lo, hi, point):
+        # one line naming the first target point outside the box, and the box
         img = self.cantor_pgm(tmp_path, width=243, depth=5)
         out = tmp_path / "fit.json"
-        argv = ["collage-fit", str(img), "--n", "2", "--out", str(out), "--domain-lo", "0.5", "--domain-hi", "1"]
+        argv = ["collage-fit", str(img), "--n", "2", "--out", str(out), "--domain-lo", lo, "--domain-hi", hi]
         assert main(argv) == 2
-        assert capsys.readouterr() == ("", "error: target points must lie inside the declared domain\n")
+        box = f"lo=[{float(lo)}], hi=[{float(hi)}]"
+        assert capsys.readouterr() == ("", f"error: target point [{point!r}] lies outside the declared domain {box}\n")
         assert not list(tmp_path.glob("fit.json*"))
 
     def test_env_seed_override(self, tmp_path, monkeypatch):

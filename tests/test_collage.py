@@ -528,14 +528,15 @@ class TestPerMapKernel:
             field = collage._tick_field(target, box)
         assert (field is None) == (source in ("sparse", None) or box.dim > 1)
 
-        sweeps, ref_sweeps = [], []  # sweeps started by either side
+        sweeps, ref_sweeps, ladders = [], [], []  # sweeps walked by either side; the descent's ladders
         candidate_moves = collage._candidate_moves
 
-        def moves(params, n, d, box, step):
-            sweeps.append(1)
-            trials = candidate_moves(params, n, d, box, step)
-            if source == "unprojectable":
-                trials[len(trials) // 2, 1] = math.inf  # map 0's offset
+        def moves(params, n, d, box, steps):
+            ladders.append(len(steps))
+            trials = candidate_moves(params, n, d, box, steps)
+            if source == "unprojectable":  # the middle candidate of every level
+                per_level = len(trials) // len(steps)
+                trials[per_level // 2 :: per_level, 1] = math.inf  # map 0's offset
             return trials
 
         def ref_moves(*args):
@@ -546,17 +547,19 @@ class TestPerMapKernel:
             return trials
 
         monkeypatch.setattr(collage, "_candidate_moves", moves)
-        kernel, score, screens = collage._survivors, collage._score, []
+        kernel, score = collage._survivors, collage._score
 
         def survivors(target, field, blocks, moved, shares, best, witness):
-            screens.append(1)
-            return kernel(target, field, blocks, moved, shares, best, np.full(len(witness), source == "exact"))
+            sweeps.append(1)  # one screen per level walked
+            if source in ("unscreened", "exact"):
+                witness = np.full(len(witness), source == "exact")
+            return kernel(target, field, blocks, moved, shares, best, witness)
 
         def fixed_reach(target, shares, bound, reach):
             return score(target, shares, bound, np.full(len(target), source == "exact"))
 
+        monkeypatch.setattr(collage, "_survivors", survivors)
         if source in ("unscreened", "exact"):
-            monkeypatch.setattr(collage, "_survivors", survivors)
             monkeypatch.setattr(collage, "_score", fixed_reach)
 
         def outcome(run):
@@ -569,7 +572,7 @@ class TestPerMapKernel:
         got = outcome(lambda: collage._descend(target, box, cfg, maps0, field))
         expected = outcome(lambda: reference_descend(target, box, cfg, maps0, ref_moves))
         assert len(sweeps) == len(ref_sweeps)
-        assert len(screens) == (len(sweeps) if source in ("unscreened", "exact") else 0)
+        assert 0 < len(ladders) <= len(sweeps) <= sum(ladders)
         if isinstance(got, str):
             assert got == expected == "cannot project the map into the domain"
             assert source == "unprojectable" or case == "thin"
@@ -579,6 +582,69 @@ class TestPerMapKernel:
         for m, ref in zip(maps, ref_maps, strict=True):
             assert m.A.tobytes() == ref.A.tobytes() and m.b.tobytes() == ref.b.tobytes()
         assert len(history) > 1 or value == 0.0  # the search moved
+
+    @pytest.mark.parametrize("case", ["line", "raster"])
+    @pytest.mark.parametrize("max_iters, poison", [(1, False), (3, False), (5, False), (200, False), (200, True)])
+    def test_ladder_walk_matches_the_reference(self, monkeypatch, case, max_iters, poison):
+        # a ladder stacks the sweeps an unchanged incumbent will run, at most
+        # the budget's remaining sweeps and no step below stop_step: budgets
+        # of 1, 3 and 5 sweeps end inside a ladder (the line's holds 9 levels,
+        # the plane's 2), and a budget of 200 ends at the stop_step cut.
+        # With `poison`, a second run cannot project the middle candidate of
+        # every level that the first run's walk never reached: it walks as
+        # the first did, and neither it nor the reference raises
+        rng = np.random.default_rng(6)
+        width = 96 if case == "line" else 10
+        target = raster_to_points(rng.random((1 if case == "line" else width, width)) < 0.3, 1 / width)
+        box = Box(target.points.min(axis=0), target.points.max(axis=0))
+        cfg = FitConfig(n=2, max_iters=max_iters, s_max=0.9, seed=0)
+        maps0 = collage._random_maps(target, box, cfg, rng)
+        field = collage._tick_field(target, box)
+        levels = 9 if case == "line" else 2
+        stop_step = max(collage.INITIAL_STEP * box.diameter * 1e-6, 1e-12)
+        ladders, walked, unwalked = [], [], None  # per ladder: its steps, the levels walked, the first run's walk
+        candidate_moves, kernel = collage._candidate_moves, collage._survivors
+
+        def moves(params, n, d, box, steps):
+            trials = candidate_moves(params, n, d, box, steps)
+            per_level = len(trials) // len(steps)
+            for level in range(len(steps) if unwalked is None else unwalked[len(ladders)], len(steps)):
+                trials[level * per_level + per_level // 2, 1] = math.inf  # a coefficient of map 0
+            ladders.append(list(steps)), walked.append(0)
+            return trials
+
+        def survivors(*args):
+            walked[-1] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(collage, "_candidate_moves", moves)
+        monkeypatch.setattr(collage, "_survivors", survivors)
+        got = collage._descend(target, box, cfg, maps0, field)
+        if poison:
+            first, unwalked = (ladders, walked), walked
+            assert any(k < len(steps) for steps, k in zip(*first))
+            ladders, walked = [], []
+            with np.errstate(invalid="ignore"):
+                again = collage._descend(target, box, cfg, maps0, field)
+            assert (ladders, walked) == first and again[1:] == got[1:]
+            for m, a in zip(got[0], again[0], strict=True):
+                assert m.A.tobytes() == a.A.tobytes() and m.b.tobytes() == a.b.tobytes()
+        maps, value, history = got
+        ref_maps, ref_value, ref_history = reference_descend(target, box, cfg, maps0)
+        assert value == ref_value and history == ref_history and value > 0.0
+        for m, ref in zip(maps, ref_maps, strict=True):
+            assert m.A.tobytes() == ref.A.tobytes() and m.b.tobytes() == ref.b.tobytes()
+        # each ladder holds the level count, or the budget's remaining sweeps,
+        # or ends before the first step below stop_step; each step is the
+        # one before it times STEP_DECAY
+        for k, steps in enumerate(ladders):
+            assert 0 < walked[k] <= len(steps) and all(s >= stop_step for s in steps[1:])
+            assert steps[1:] == [s * collage.STEP_DECAY for s in steps[:-1]]
+            assert len(steps) == min(levels, max_iters - sum(walked[:k])) or steps[-1] * collage.STEP_DECAY < stop_step
+        if max_iters < 200:  # the budget ends the last ladder
+            assert sum(walked) == max_iters
+        else:  # the stop_step cut ends it, short of the level count
+            assert sum(walked) < max_iters and walked[-1] == len(ladders[-1]) < levels
 
 
 class TestTickField:
@@ -650,18 +716,31 @@ class TestSweepArrays:
         n=st.integers(1, 4),
         flat=st.booleans(),
         step=st.sampled_from([0.1, 1e-3, 1e-12, 1e-300, "random"]),
+        levels=st.integers(1, 12),
+        ladder=st.sampled_from(["decay", "mixed"]),
     )
-    def test_candidate_array_matches_the_generator(self, seed, d, n, flat, step):
+    def test_candidate_array_matches_the_generator(self, seed, d, n, flat, step, levels, ladder):
         # zeros of both signs in params, and steps too small to move some
-        # coefficients, must come out as the generator's copies do
+        # coefficients, must come out as the generator's copies do.  A ladder
+        # is each of its steps' sweeps in order: the step decaying from level
+        # to level as the descent's does, or any steps at all
         rng = np.random.default_rng(seed)
         lo = rng.uniform(-2.0, 2.0, d)
         box = Box(lo, lo + np.where(flat & (np.arange(d) == 0), 0.0, rng.uniform(0.1, 3.0, d)))
         params = rng.standard_normal(n * (d * d + d)) * 10.0 ** rng.integers(-3, 4)
         params[rng.random(params.size) < 0.2] = rng.choice([0.0, -0.0])
-        step = rng.uniform(0.0, 1.0) if step == "random" else step
-        expected = np.array(list(candidate_moves_reference(params, n, d, box, step)))
-        trials = collage._candidate_moves(params, n, d, box, step)
+
+        def draw():
+            return rng.uniform(0.0, 1.0) if step == "random" else step
+
+        steps = [draw()]
+        for _ in range(levels - 1):
+            if ladder == "decay":
+                steps.append(steps[-1] * collage.STEP_DECAY)
+            else:  # 1e-300 and 1e-12 move few or no coefficients
+                steps.append((draw(), 0.1, 1e-3, 1e-12, 1e-300)[rng.integers(5)])
+        expected = np.array([trial for s in steps for trial in candidate_moves_reference(params, n, d, box, s)])
+        trials = collage._candidate_moves(params, n, d, box, steps)
         assert trials.shape == expected.shape and trials.tobytes() == expected.tobytes()
 
     @settings(max_examples=500, deadline=None)
@@ -794,7 +873,7 @@ class TestSweepArrays:
         marks = np.zeros(len(target), bool)  # the witness mask each share marks on the line
         shares = [collage._Share(target, m.A, m.b, field, marks) for m in maps0]
         params = np.concatenate([np.concatenate([m.A.ravel(), m.b]) for m in maps0])
-        trials = collage._candidate_moves(params, n, d, box, step)
+        trials = collage._candidate_moves(params, n, d, box, [step])
         blocks = trials.reshape(len(trials), n, -1)
         moved = (trials.view(np.int64) != params.view(np.int64)).reshape(blocks.shape).any(axis=2)
         ci, bi = np.nonzero(moved)
