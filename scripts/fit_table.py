@@ -9,10 +9,12 @@ target's point count N, the fit's CPU seconds (time.process_time, BLAS at
 one thread), its collage distance in pixels, and the sha256 of every fitted
 coefficient, the distance and the history, the digest the recorded-fit
 tests take.  Equal digests on two checkouts mean their fits are
-byte-identical.
+byte-identical.  With --repeat K each target is fitted K times and its row
+gives the median CPU; the script exits 1 if the K digests differ.
 
     python scripts/fit_table.py                     # all eight targets
     python scripts/fit_table.py sierpinski32 rot2   # some of them
+    python scripts/fit_table.py --repeat 5          # median CPU of 5 fits
 """
 
 import os
@@ -20,8 +22,10 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads its BLAS
 
+import argparse
 import hashlib
 import math
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -73,32 +77,50 @@ TARGETS = {  # name: (generator, raster width in px)
 }
 
 
-def fit_row(name: str) -> str:
-    generator, px = TARGETS[name]
-    maps = _generators()[generator]
-    box, depth, pitch = (UNIT_INTERVAL, 14, 1e-5) if maps[0].dim == 1 else (UNIT_SQUARE, 10, 1e-3)
-    render = attractor_points(IFS(box, maps), depth, box_seed(box, pitch))
-    target = raster_to_points(render_raster(render, box, px), 1.0 / px)
+def _fit(target, n: int):
+    """(CPU seconds, result, digest) of one default fit."""
     start = time.process_time()
-    result = fit_ifs(target, FitConfig(n=len(maps)))
+    result = fit_ifs(target, FitConfig(n=n))
     cpu = time.process_time() - start
     digest = hashlib.sha256()
     for m in result.ifs.maps:
         digest.update(m.A.tobytes() + m.b.tobytes())
     digest.update(np.array([result.distance, *result.history]).tobytes())
-    return f"| {name} | {len(target)} | {cpu:.2f} s | {result.distance * px:.2f} px | {digest.hexdigest()} |"
+    return cpu, result, digest.hexdigest()
+
+
+def fit_row(name: str, repeat: int = 1) -> str:
+    """The target's row, its CPU the median of `repeat` fits; exits 1 if
+    their digests differ."""
+    generator, px = TARGETS[name]
+    maps = _generators()[generator]
+    box, depth, pitch = (UNIT_INTERVAL, 14, 1e-5) if maps[0].dim == 1 else (UNIT_SQUARE, 10, 1e-3)
+    render = attractor_points(IFS(box, maps), depth, box_seed(box, pitch))
+    target = raster_to_points(render_raster(render, box, px), 1.0 / px)
+    cpus, results, digests = zip(*(_fit(target, len(maps)) for _ in range(repeat)))
+    if len(set(digests)) > 1:
+        sys.exit(f"{name}: the {repeat} fits' digests differ")
+    cpu = statistics.median(cpus)
+    return f"| {name} | {len(target)} | {cpu:.2f} s | {results[0].distance * px:.2f} px | {digests[0]} |"
 
 
 def main(argv: list[str]) -> int:
-    names = argv or list(TARGETS)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", metavar="target", help="targets to fit (default: all eight)")
+    parser.add_argument("--repeat", type=int, default=1, metavar="K", help="fits per target; the row gives the median CPU")
+    args = parser.parse_args(argv)
+    names = args.names or list(TARGETS)
     unknown = [name for name in names if name not in TARGETS]
     if unknown:
         print(f"unknown target {unknown[0]}; choose from {', '.join(TARGETS)}", file=sys.stderr)
         return 2
+    if args.repeat < 1:
+        print("--repeat must be at least 1", file=sys.stderr)
+        return 2
     print("| target | N | CPU | collage | sha256 |")
     print("|---|---|---|---|---|")
     for name in names:
-        print(fit_row(name), flush=True)
+        print(fit_row(name, args.repeat), flush=True)
     return 0
 
 

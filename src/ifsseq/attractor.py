@@ -16,8 +16,11 @@ The Hausdorff distance ships in two variants that must agree bit for bit: a
 plain O(|A||B|) reference and an accelerated path (sorted scan in one
 dimension; above, a KD-tree screen whose survivors the brute expression
 decides).  Both reduce squared distances built from the same expressions, so
-the agreement is exact, not approximate.  The accelerated path's one directed
-kernel, _directed_sq, also takes both sides of a plane collage objective.
+the agreement is exact, not approximate: every squared distance here is
+summed one coordinate at a time by maps._square_sum, the package's one
+summation order, never by a reduction over the short coordinate axis.  The
+accelerated path's one directed kernel, _directed_sq, also takes both sides
+of a plane collage objective.
 
 scipy.spatial loads where the first tree is built, not at import: it is most
 of a cold start, and a render never builds a tree.
@@ -32,7 +35,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .maps import Box
+from .maps import Box, _square_sum
 from .sequences import IFSSequence
 from .systems import IFS
 
@@ -286,13 +289,13 @@ def chaos_game(
 
 
 def _min_sq_brute(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-    out = np.empty(queries.shape[0])
+    """Nearest squared distance from each query into the points, from
+    (chunk, |points|) tables of differences, one coordinate at a time.  Most
+    calls fit one chunk and pay for no chunk loop."""
     chunk = max(1, 8_000_000 // max(points.shape[0], 1))
-    for start in range(0, queries.shape[0], chunk):
-        q = queries[start : start + chunk]
-        sq = ((q[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-        out[start : start + chunk] = sq.min(axis=1)
-    return out
+    if queries.shape[0] > chunk:
+        return np.concatenate([_min_sq_brute(queries[i : i + chunk], points) for i in range(0, queries.shape[0], chunk)])
+    return _square_sum(np.subtract.outer(qc, pc) for qc, pc in zip(queries.T, points.T)).min(axis=1)
 
 
 def _min_sq_sorted_1d(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -325,12 +328,12 @@ def _directed_sq(queries: np.ndarray, points: np.ndarray, tree: cKDTree | None) 
     if line or top == 0.0:
         return float(top), far
     keep = np.flatnonzero(dist >= top * (1.0 - 1e-9))
-    survivors = queries[keep]
-    balls = tree.query_ball_point(survivors, dist[keep] * (1.0 + 1e-9), return_sorted=False)
+    balls = tree.query_ball_point(queries[keep], dist[keep] * (1.0 + 1e-9), return_sorted=False)
     owner = np.repeat(np.arange(keep.size), [len(ball) for ball in balls])
     near = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=owner.size)
     mins = np.full(keep.size, np.inf)
-    np.minimum.at(mins, owner, ((survivors[owner] - points[near]) ** 2).sum(axis=1))
+    at = keep[owner]
+    np.minimum.at(mins, owner, _square_sum(qc[at] - pc[near] for qc, pc in zip(queries.T, points.T)))
     return float(mins.max()), far
 
 

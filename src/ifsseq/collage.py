@@ -510,7 +510,8 @@ def fit_ifs(
     # before any map is built
     _check_images(target, box, cfg.n)
     baseline = IFS(box, _baseline_maps(target, box, cfg))
-    baseline_value = collage_distance(baseline, target)
+    # W(L) of constant maps is their n translations, not n*|L| copies of them
+    baseline_value = hausdorff(target, PointSet([m.b for m in baseline.maps], target.resolution))
     field = _tick_field(target, box)
     rng = np.random.default_rng(cfg.seed)
 

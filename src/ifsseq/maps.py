@@ -9,6 +9,15 @@ is attained at a vertex; `sup_distance` is therefore exact.
 `dbar_stacks(..., domain)` is the one vectorised dbar kernel: every cost matrix,
 cost tensor and consecutive link in `systems` and `sequences` comes from it.
 `sup_distance` and `dbar_inf` are the scalar reference it equals bit for bit.
+
+Every squared Euclidean distance in the package, here and in `attractor`'s
+Hausdorff and collage kernels, is summed in one order, `_square_sum`'s: the
+coordinates' squares added left to right.  numpy reduces a short last axis
+of (N, d) one point at a time, d-long inner loop and all, several times
+slower than d whole-array adds.  For d <= 7 numpy's own order over that
+axis is left to right too, so the sums equal `(x ** 2).sum(axis=-1)` bit
+for bit; from d = 8 numpy sums pairwise, and they may differ in the last
+bit.  A kernel and the reference it must equal both sum through it.
 """
 
 from __future__ import annotations
@@ -41,6 +50,19 @@ def _require_contraction(norm: float):
         raise ContractionError(f"spectral norm {norm} is not below 1; not a contraction")
 
 
+def _square_sum(parts) -> np.ndarray:
+    """The sum of the squares of same-shape per-coordinate arrays, added
+    left to right: the package's one summation order of a squared distance
+    (see the module docstring).  Every part is squared in place and the
+    first holds the sum, so the caller passes arrays it owns, such as
+    fresh differences."""
+    parts = iter(parts)
+    total = np.square(x := next(parts), out=x)
+    for x in parts:
+        total += np.square(x, out=x)
+    return total
+
+
 def spectral_norm(A: np.ndarray) -> float:
     """Largest singular value; closed form for d <= 2 where finite, else LAPACK."""
     A = np.asarray(A, dtype=float)
@@ -48,13 +70,16 @@ def spectral_norm(A: np.ndarray) -> float:
     if d == 1:
         return abs(float(A[0, 0]))
     if d == 2:
-        # eigenvalues of the 2x2 symmetric matrix A^T A, which overflow
-        # (to inf or nan) once entries pass ~1e76
+        # eigenvalues of the 2x2 symmetric matrix A^T A, in Python floats,
+        # each operation a fraction of a 0-d numpy one's cost.  ** 2 is libm's
+        # pow, as on a numpy scalar; the terms overflow once entries pass
+        # ~1e76, to inf or nan, or as an OverflowError of ** 2
         with np.errstate(over="ignore", invalid="ignore"):
-            g = A.T @ A
-            p, q, r = g[0, 0], g[0, 1], g[1, 1]
-            disc = math.sqrt(((p - r) / 2.0) ** 2 + q * q)
-            lam = (p + r) / 2.0 + disc
+            (p, q), (_, r) = (A.T @ A).tolist()
+        try:
+            lam = (p + r) / 2.0 + math.sqrt(((p - r) / 2.0) ** 2 + q * q)
+        except OverflowError:
+            lam = math.inf
         if math.isfinite(lam):
             return math.sqrt(max(lam, 0.0))
     return float(np.linalg.svd(A, compute_uv=False)[0])
@@ -229,7 +254,9 @@ def sup_distance(f: AffineMap, g: AffineMap, domain: Box) -> float:
     """Exact sup over the box of ||f(x) - g(x)||, from the 2^d vertices."""
     if not (f.dim == g.dim == domain.dim):
         raise InputError(f"dimension mismatch: maps {f.dim}/{g.dim} on a {domain.dim}-box")
-    vals = ((domain.vertices() @ (f.A - g.A).T + (f.b - g.b)) ** 2).sum(axis=1)
+    img = domain.vertices() @ (f.A - g.A).T
+    db = f.b - g.b
+    vals = _square_sum(img[:, j] + db[j] for j in range(domain.dim))
     return float(np.sqrt(vals.max()))
 
 
@@ -252,7 +279,7 @@ def dbar_stacks(Af, bf, Ag, bg, domain: Box) -> np.ndarray:
     is the same vertex expression as sup_distance: the vertex images are one
     2-D product laid out (2^d, ..., p, q, d), where a stacked matmul would
     make one BLAS call per pair, but each coordinate is the same dot product
-    and its squares are summed over the same last axis.
+    and its squares are summed by the same _square_sum.
     """
     Af, bf, Ag, bg = (np.asarray(x, dtype=float) for x in (Af, bf, Ag, bg))
     d = domain.dim
@@ -264,7 +291,7 @@ def dbar_stacks(Af, bf, Ag, bg, domain: Box) -> np.ndarray:
     db = bf[..., :, None, :] - bg[..., None, :, :]
     V = domain.vertices()
     img = (V @ dA.reshape(-1, d).T).reshape(len(V), *dA.shape[:-1])
-    s = np.sqrt(((img + db) ** 2).sum(axis=-1).max(axis=0))
+    s = np.sqrt(_square_sum(img[..., j] + db[..., j] for j in range(d)).max(axis=0))
     return s / (1.0 + s)
 
 

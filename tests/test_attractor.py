@@ -506,16 +506,19 @@ class TestHausdorff:
                 assert hausdorff(a, b) >= 0.0
 
     def test_accelerated_equals_brute_bit_for_bit(self):
+        # every squared distance is summed one coordinate at a time
+        # (maps._square_sum), so the paths agree also from d = 8, where
+        # numpy's own last-axis sum turns pairwise
         rng = np.random.default_rng(23)
-        for dim in (1, 2, 3):
+        for dim in (1, 2, 3, 8, 12):
             for _ in range(25):
                 a = PointSet(rng.uniform(-1, 1, (rng.integers(1, 120), dim)), 1e-3)
                 b = PointSet(rng.uniform(-1, 1, (rng.integers(1, 120), dim)), 1e-3)
                 assert hausdorff(a, b) == hausdorff_brute(a, b)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
-        dim=st.sampled_from([1, 2, 3]),
+        dim=st.integers(1, 12),
         pitch=st.sampled_from([0.05, 1.0 / 17.0, 0.1]),
         data=st.data(),
     )
@@ -544,6 +547,14 @@ class TestHausdorff:
         assert hausdorff(a, b) == hausdorff_brute(a, b)
         for q, p in ((a, b), (b, a)):
             assert _directed_sq(q.points, p.points, p.tree)[0] == _min_sq_brute(q.points, p.points).max()
+
+    def test_brute_chunks_long_query_lists(self):
+        # 20,000 points make chunks of 400 queries: one full chunk and a
+        # partial one, each the per-query nearest squared distance
+        rng = np.random.default_rng(31)
+        queries, points = rng.uniform(-1, 1, (600, 2)), rng.uniform(-1, 1, (20_000, 2))
+        expected = [((points - q) ** 2).sum(axis=1).min() for q in queries]
+        assert _min_sq_brute(queries, points).tolist() == expected
 
     def test_far_apart_clusters(self):
         a = PointSet([[0.0, 0.0]], 1e-3)

@@ -1069,7 +1069,7 @@ class TestFitIFS:
         maps = tuple(AffineMap(0.5 * np.eye(2), b) for b in ([0.0, 0.0], [0.5, 0.0], [0.0, 0.5]))
         target = attractor_points(IFS(box, maps), 8, box_seed(box, 1 / 32))
         scored = []
-        kernel = collage._score  # every candidate is scored here; the baseline by collage_distance
+        kernel = collage._score  # every candidate is scored here; the baseline by hausdorff
         monkeypatch.setattr(collage, "_score", lambda *args: scored.append(1) or kernel(*args))
         cfg = FitConfig(n=3, restarts=3, max_iters=200)
         assert fit_ifs(target, cfg, init_maps=maps) == FitResult(IFS(box, maps), 0.0, (0.0,))
@@ -1130,6 +1130,24 @@ class TestFitIFS:
             digest.update(m.A.tobytes() + m.b.tobytes())
         digest.update(np.array([result.distance, *result.history]).tobytes())
         assert digest.hexdigest() == "8d3c3215bebc8202beb784948eb96080cf7849bf5faf78afa78ee53c2cf2ea58"
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_baseline_value_equals_its_collage_distance(self, monkeypatch, dim):
+        # every descent ends at inf, so the fit returns the constant-map
+        # baseline with the value it scored from the maps' n translations
+        monkeypatch.setattr(collage, "_descend", lambda target, box, cfg, maps0, field: (maps0, math.inf, [math.inf]))
+        rng = np.random.default_rng(dim)
+        pitch = default_resolution(dim)
+        for trial in range(20):
+            size = int(rng.integers(1, 40))
+            if trial % 2:  # lattice points: duplicate picks and tied distances
+                target = PointSet(rng.integers(0, 4, (size, dim)) * 8 * pitch, pitch)
+            else:
+                target = PointSet(rng.uniform(0, 1, (size, dim)), pitch)
+            for n in range(1, 6):
+                result = fit_ifs(target, FitConfig(n=n, restarts=1))
+                assert result.baseline_fallback
+                assert result.distance == collage_distance(result.ifs, target)
 
     def test_point_cap_is_checked_before_any_descent(self, monkeypatch, cantor_render):
         monkeypatch.setattr(attractor, "POINT_CAP", 2 * len(cantor_render) - 1)

@@ -15,10 +15,11 @@ from ifsseq import (
     ResourceLimitError,
     compose,
     dbar_inf,
+    dbar_stacks,
     spectral_norm,
     sup_distance,
 )
-from ifsseq.maps import _project_maps
+from ifsseq.maps import _project_maps, _square_sum
 
 from conftest import project_one
 
@@ -32,6 +33,20 @@ def sup_distance_sampled(f, g, box, per_dim):
     axes = [np.linspace(lo, hi, per_dim) for lo, hi in zip(box.lo, box.hi)]
     pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     return math.sqrt(float(((pts @ (f.A - g.A).T + (f.b - g.b)) ** 2).sum(axis=1).max()))
+
+
+def numpy_scalar_spectral_norm(A):
+    """Reference for spectral_norm at d = 2: the closed form on 0-d numpy
+    values, whose ** 2 is libm's pow and overflows to inf, then LAPACK where
+    the eigenvalue is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = A.T @ A
+        p, q, r = g[0, 0], g[0, 1], g[1, 1]
+        disc = math.sqrt(((p - r) / 2.0) ** 2 + q * q)
+        lam = (p + r) / 2.0 + disc
+    if math.isfinite(lam):
+        return math.sqrt(max(lam, 0.0))
+    return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
 def char_poly_spectral_norm(A):
@@ -197,6 +212,27 @@ class TestContractivity:
             with pytest.raises(ContractionError, match="not a contraction"):
                 AffineMap(A, [0.0, 0.0])
 
+    @pytest.mark.parametrize("kind", ["random", "midpoint", "overflow"])
+    def test_2x2_closed_form_equals_the_numpy_scalar_expression(self, kind):
+        # midpoint: A = [[a, 0], [c, t]], a and c odd 14-bit integers and t
+        # small, so (p - r)/2 = (a^2 + c^2 - t^2)/2 is for even t an odd
+        # 27-bit integer, whose square can lie halfway between two floats:
+        # there x * x and pow round apart, and the norm differs in about 1%;
+        # overflow: entries whose squared terms overflow, the ** 2 of Python
+        # floats with an OverflowError, numpy's to inf
+        rng = np.random.default_rng(["random", "midpoint", "overflow"].index(kind))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(5000):
+                if kind == "random":
+                    A = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-8, 8)
+                elif kind == "midpoint":
+                    a, c = rng.integers(4096, 8192, 2) * 2 + 1
+                    A = np.array([[a, 0.0], [c, rng.integers(1, 64)]]) * 2.0 ** int(rng.integers(-40, 20))
+                else:
+                    A = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(75, 200)
+                assert spectral_norm(A) == numpy_scalar_spectral_norm(A)
+
     def test_composition_submultiplicative(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -264,6 +300,55 @@ class TestDbarInf:
         g = AffineMap([[0.0]], [1.0])
         v = dbar_inf(f, g, unit_box)
         assert 0.0 <= v < 1.0
+
+
+class TestSquareSum:
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_equals_numpys_last_axis_sum_through_seven_coordinates(self, dim):
+        # numpy adds a short contiguous last axis left to right up to 7
+        # entries, as _square_sum does: there the kernels' squared distances
+        # are numpy's reduction bit for bit
+        rng = np.random.default_rng(dim)
+        for shape in ((1,), (1000,), (16, 9, 5)):
+            x = rng.standard_normal((*shape, dim)) * 10.0 ** rng.uniform(-6, 6, dim)
+            expected = (x**2).sum(axis=-1)
+            assert _square_sum(x[..., j].copy() for j in range(dim)).tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 12),
+        p=st.integers(1, 3),
+        q=st.integers(1, 3),
+        kind=st.sampled_from(["random", "near_singular", "lattice"]),
+        near=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dbar_stacks_equals_dbar_inf_at_every_dim(self, dim, p, q, kind, near, seed):
+        # from d = 8 numpy's own sum is pairwise; the kernel and its scalar
+        # reference share _square_sum, so they agree there too
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-2.0, 0.0, dim).round(1)
+        hi = np.where(rng.random(dim) < 0.2, lo, lo + rng.uniform(0.0, 2.0, dim).round(1))
+        box = Box(lo, hi)
+
+        def stack(k):
+            if kind == "lattice":  # eighths on a box of tenths: many tied vertices
+                return rng.integers(-4, 5, (k, dim, dim)) / 8.0, rng.integers(-4, 5, (k, dim)) / 8.0
+            A = rng.standard_normal((k, dim, dim))
+            if kind == "near_singular":  # singular values down to 0 and 1e-13
+                u, s, vt = np.linalg.svd(A)
+                s[:, rng.random(dim) < 0.5] = rng.choice([0.0, 1e-13, 1e-7])
+                A = u @ (s[:, :, None] * vt)
+            return A * rng.uniform(0.01, 2.0), rng.standard_normal((k, dim))
+
+        (Af, bf), (Ag, bg) = stack(p), stack(q)
+        if near:  # s << 1, where s/(1 + s) keeps a last-bit change of the squares
+            pick = rng.integers(p, size=q)
+            Ag, bg = Af[pick] + 1e-4 * Ag, bf[pick] + 1e-4 * bg
+        got = dbar_stacks(Af, bf, Ag, bg, box)
+        for i, j in np.ndindex(p, q):
+            f, g = AffineMap(Af[i], bf[i], check=False), AffineMap(Ag[j], bg[j], check=False)
+            assert got[i, j] == dbar_inf(f, g, box)
 
 
 class TestMetricAxioms:
